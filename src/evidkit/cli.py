@@ -26,12 +26,11 @@ from .datasets import (
     save_seg_task,
     seg_task_as_samples,
 )
-from .enn import enn_init_kmeans, enn_init_random
 from .errors import EvidkitError
 from .metrics import contour_grid, ece, error_rate, mean_ignorance, seg_scores
 from .mlp import mlp_init
-from .model import EvidentialModel
-from .rbf import rbf_init_kmeans, rbf_init_random
+from .model import LAYERS, EvidentialModel, class_count, make_layer
+from .numeric import pignistic
 from .training import TrainConfig, four_stage_init, train
 
 
@@ -68,9 +67,7 @@ def cmd_gen_data(args) -> int:
 # --------------------------------------------------------------------------
 
 def _default_loss(model_kind: str, seg: bool) -> str:
-    if seg:
-        return "dice"
-    return "sse" if model_kind == "enn" else "cross-entropy"
+    return "dice" if seg else LAYERS[model_kind].losses[0]
 
 
 def _load_training_data(args):
@@ -99,39 +96,23 @@ def _build_and_train(args):
         loss_kind=loss,
         seed=args.seed,
     )
-    n_classes = max(int(np.max(y)) + 1, 2)
-
-    if args.feature_net:
+    if args.feature_net and args.init == "kmeans":
         arch = {
             "kind": args.model,
             "n_prototypes": args.prototypes,
             "n_features": args.features,
             "hidden": [args.hidden],
         }
-        if args.init == "kmeans":
-            result = four_stage_init((x, y), arch, config, val)
-            return result.model, result.finetune_history, config
-        net = mlp_init([x.shape[1], args.hidden, args.features], seed=args.seed)
-        if args.model == "enn":
-            layer = enn_init_random(args.prototypes, args.features, n_classes, seed=args.seed)
-        else:
-            layer = rbf_init_random(args.prototypes, args.features, seed=args.seed)
-        model = EvidentialModel(args.model, layer, net)
-        model, history = train(model, (x, y), config, val)
-        return model, history, config
+        result = four_stage_init((x, y), arch, config, val)
+        return result.model, result.finetune_history, config
 
-    input_dim = x.shape[1]
-    if args.init == "kmeans":
-        if args.model == "enn":
-            layer = enn_init_kmeans(x, y, args.prototypes, n_classes, seed=args.seed)
-        else:
-            layer = rbf_init_kmeans(x, y, args.prototypes, seed=args.seed)
-    elif args.model == "enn":
-        layer = enn_init_random(args.prototypes, input_dim, n_classes, seed=args.seed)
-    else:
-        layer = rbf_init_random(args.prototypes, input_dim, seed=args.seed)
-    model = EvidentialModel(args.model, layer)
-    model, history = train(model, (x, y), config, val)
+    net, n_features = None, x.shape[1]
+    if args.feature_net:
+        net = mlp_init([x.shape[1], args.hidden, args.features], seed=args.seed)
+        n_features = args.features
+    kmeans_data = (x, y) if args.init == "kmeans" else None
+    layer = make_layer(args.model, args.prototypes, n_features, class_count(y), args.seed, kmeans_data)
+    model, history = train(EvidentialModel(args.model, layer, net), (x, y), config, val)
     return model, history, config
 
 
@@ -171,15 +152,8 @@ def _sweep_point(payload: dict) -> tuple:
         loss_kind=loss,
         seed=seed,
     )
-    if payload["init"] == "kmeans":
-        if kind == "enn":
-            layer = enn_init_kmeans(train_ds.points, train_ds.labels, payload["I"], 2, seed=seed)
-        else:
-            layer = rbf_init_kmeans(train_ds.points, train_ds.labels, payload["I"], seed=seed)
-    elif kind == "enn":
-        layer = enn_init_random(payload["I"], 2, 2, seed=seed)
-    else:
-        layer = rbf_init_random(payload["I"], 2, seed=seed)
+    kmeans_data = (train_ds.points, train_ds.labels) if payload["init"] == "kmeans" else None
+    layer = make_layer(kind, payload["I"], 2, class_count(train_ds.labels), seed, kmeans_data)
     model = EvidentialModel(kind, layer)
     model, _ = train(model, train_ds, config)
     err = error_rate(model.predict(test_ds.points), test_ds.labels)
@@ -227,16 +201,14 @@ def cmd_sweep(args) -> int:
 def _classification_report(model: EvidentialModel, points, labels, n_bins: int) -> dict:
     masses = model.masses(points)
     preds = np.argmax(masses[:, :-1], axis=1)
-    k = model.n_classes
-    pignistic = masses[:, :k] + masses[:, k:] / k
-    in_dist = labels < k
+    in_dist = labels < model.n_classes
     report = {
         "n": int(len(labels)),
         "mean_ignorance": mean_ignorance(masses),
     }
     if np.any(in_dist):
         report["error"] = error_rate(preds[in_dist], labels[in_dist])
-        conf = np.max(pignistic[in_dist], axis=1)
+        conf = np.max(pignistic(masses)[in_dist], axis=1)
         report["ece"] = ece(conf, preds[in_dist], labels[in_dist], n_bins=n_bins).ece
     return report
 
@@ -249,7 +221,7 @@ def cmd_eval(args) -> int:
         task = load_seg_task(args.data[0])
         x, truth = seg_task_as_samples(task)
         masses = model.masses(x)
-        soft = masses[:, 1] + masses[:, 2] / 2.0
+        soft = pignistic(masses)[:, 1]
         pred_mask = (soft > 0.5).astype(int).reshape(task.mask.shape)
         scores = seg_scores(pred_mask, task.mask)
         # calibration inside the bounding box of the true foreground
@@ -329,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", nargs="+", required=True,
                    help="training CSV (or segmentation task dirs with --seg)")
     p.add_argument("--val", help="validation CSV")
-    p.add_argument("--model", choices=["enn", "rbf"], default="enn")
+    p.add_argument("--model", choices=list(LAYERS), default="enn")
     p.add_argument("--init", choices=["random", "kmeans"], default="kmeans")
     p.add_argument("--I", dest="prototypes", type=int, default=6, help="number of prototypes")
     p.add_argument("--H", dest="features", type=int, default=2,

@@ -7,13 +7,14 @@ All generators are pure functions of their parameters and seed.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .errors import OutOfRange
+from .errors import MalformedInput, OutOfRange
 
 ARC_RADIUS = 1.0
 ARC_OFFSET = np.array([1.0, 0.5])   # second arc center relative to the first
@@ -139,15 +140,26 @@ def save_labeled(path, ds: LabeledSet) -> None:
 
 
 def load_labeled(path) -> LabeledSet:
+    """Read a `save_labeled` CSV; blank lines are skipped, any other bad line
+    raises MalformedInput."""
     path = Path(path)
     with path.open() as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         dim = len(header) - 1
+        if dim < 1:
+            raise MalformedInput(f"{path}: no header with feature and label columns")
         points, labels = [], []
-        for row in reader:
-            points.append([float(v) for v in row[:dim]])
-            labels.append(int(row[dim]))
+        for row in filter(None, reader):
+            try:
+                if len(row) != dim + 1:
+                    raise ValueError(f"expected {dim + 1} fields, got {len(row)}")
+                points.append([float(v) for v in row[:dim]])
+                labels.append(int(row[dim]))
+            except ValueError as exc:
+                raise MalformedInput(f"{path}, line {reader.line_num}: {exc}") from None
+    if not labels:
+        raise MalformedInput(f"{path}: no data rows")
     return LabeledSet(np.asarray(points), np.asarray(labels, dtype=int), seed=-1)
 
 
@@ -159,9 +171,24 @@ def save_seg_task(directory, task: ToySegTask) -> None:
     np.savetxt(directory / "mask.csv", task.mask, delimiter=",", fmt="%d")
 
 
+def _load_grid(path: Path) -> np.ndarray:
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty file is reported below
+            grid = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise MalformedInput(f"{path}: {exc}") from None
+    if grid.size == 0:
+        raise MalformedInput(f"{path}: no data")
+    return grid
+
+
 def load_seg_task(directory) -> ToySegTask:
+    """Read a `save_seg_task` directory; bad or mismatched grids raise MalformedInput."""
     directory = Path(directory)
-    c1 = np.loadtxt(directory / "channel1.csv", delimiter=",")
-    c2 = np.loadtxt(directory / "channel2.csv", delimiter=",")
-    mask = np.loadtxt(directory / "mask.csv", delimiter=",").astype(int)
-    return ToySegTask(np.stack([c1, c2], axis=-1), mask, seed=-1, n_blobs=-1, r_min=0.0, r_max=0.0)
+    c1, c2, mask = (_load_grid(directory / name) for name in ("channel1.csv", "channel2.csv", "mask.csv"))
+    if not c1.shape == c2.shape == mask.shape:
+        raise MalformedInput(f"{directory}: grids of shapes {c1.shape}, {c2.shape}, {mask.shape}")
+    if not np.all(np.isin(mask, (0, 1))):
+        raise MalformedInput(f"{directory / 'mask.csv'}: entries other than 0 and 1")
+    return ToySegTask(np.stack([c1, c2], axis=-1), mask.astype(int), seed=-1, n_blobs=-1, r_min=0.0, r_max=0.0)

@@ -18,19 +18,21 @@ normalized once at the end.  Gradients are taken with respect to the
 unconstrained parameterization (prototypes, logit(alpha), log(gamma),
 membership logits) so plain gradient steps preserve the constraints.
 
-Forward/backward accept a single vector (H,) or a batch (N, H); batch math
-is vectorized numpy.
+Forward/backward take a batch (N, H), or a single row (H,) as N = 1; the
+math is vectorized numpy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, OutOfRange, StaleCache, TotalConflict
 from .kmeans import kmeans
-from .numeric import leave_one_out_prod, log_rows, logit, sigmoid, softmax_rows
+from .numeric import (
+    as_batch, leave_one_out_prod, log_rows, logit, sigmoid, softmax_rows, sq_dists, sq_dists_backward,
+)
 
 INIT_ALPHA = 0.5
 INIT_GAMMA = 0.01
@@ -38,7 +40,11 @@ INIT_GAMMA = 0.01
 
 @dataclass
 class EnnParams:
-    """Trainable state: prototypes plus unconstrained reliability/scale/membership."""
+    """Trainable state: prototypes plus unconstrained reliability/scale/membership.
+    Implements the layer protocol described in `evidkit.model`."""
+
+    kind = "enn"
+    losses = ("sse", "dice")
 
     proto: np.ndarray      # (I, H)
     alpha_raw: np.ndarray  # (I,)  alpha = sigmoid(alpha_raw)
@@ -89,10 +95,29 @@ class EnnParams:
             "u_logit": self.u_logit,
         }
 
-    def copy(self) -> "EnnParams":
-        return EnnParams(
-            self.proto.copy(), self.alpha_raw.copy(), self.log_gamma.copy(), self.u_logit.copy()
-        )
+    def forward(self, X) -> tuple[np.ndarray, dict]:
+        return enn_forward_batch(self, X)
+
+    def backward(self, cache: dict, upstream) -> tuple[dict[str, np.ndarray], np.ndarray]:
+        return enn_backward_batch(self, cache, upstream)
+
+    def regularizer(self) -> tuple[float, dict[str, np.ndarray]]:
+        """Sum of the reliabilities, and its gradient in `alpha_raw`."""
+        alpha = self.alpha
+        return float(np.sum(alpha)), {"alpha_raw": alpha * (1.0 - alpha)}
+
+    def to_dict(self) -> dict:
+        """Checkpoint as a flat JSON-able dict of the constrained quantities."""
+        return {
+            "kind": self.kind,
+            "I": self.n_prototypes,
+            "H": self.n_features,
+            "K": self.n_classes,
+            "proto": self.proto.ravel().tolist(),
+            "alpha": self.alpha.tolist(),
+            "gamma": self.gamma.tolist(),
+            "u": self.memberships.ravel().tolist(),
+        }
 
 
 def enn_from_constrained(proto, alpha, gamma, memberships) -> EnnParams:
@@ -110,33 +135,12 @@ def enn_from_constrained(proto, alpha, gamma, memberships) -> EnnParams:
     return EnnParams(np.asarray(proto, dtype=float), logit(alpha), np.log(gamma), log_rows(u))
 
 
-@dataclass
-class EnnOutput:
-    """Forward result for one input: pooled mass plus the backward cache."""
-
-    mass: np.ndarray  # (K+1,): K singleton masses then the frame mass
-    d: np.ndarray     # (I,) distances to prototypes
-    s: np.ndarray     # (I,) prototype activations
-    cache: dict = field(repr=False, default_factory=dict)
-
-
-def _as_batch(params: EnnParams, x) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != params.n_features:
-        raise DimensionMismatch(f"expected inputs of dimension {params.n_features}, got shape {x.shape}")
-    return x, single
-
-
 def enn_forward_batch(params: EnnParams, X) -> tuple[np.ndarray, dict]:
     """Evaluate a batch (N, H) -> masses (N, K+1) plus the backward cache."""
-    X, _ = _as_batch(params, X)
+    X = as_batch(X, params.n_features)
     alpha, gamma, u = params.alpha, params.gamma, params.memberships
 
-    diff = X[:, None, :] - params.proto[None, :, :]      # (N, I, H)
-    d2 = np.einsum("nih,nih->ni", diff, diff)            # (N, I)
+    d2, diff = sq_dists(X, params.proto)                 # (N, I), (N, I, H)
     e = np.exp(-gamma[None, :] * d2)
     s = alpha[None, :] * e                               # (N, I)
 
@@ -164,15 +168,6 @@ def enn_forward_batch(params: EnnParams, X) -> tuple[np.ndarray, dict]:
         "total": total,
     }
     return mass, cache
-
-
-def enn_forward(params: EnnParams, x) -> EnnOutput:
-    """Single-input forward pass."""
-    x_b, single = _as_batch(params, x)
-    if not single:
-        raise DimensionMismatch("enn_forward takes one vector; use enn_forward_batch for batches")
-    mass, cache = enn_forward_batch(params, x_b)
-    return EnnOutput(mass=mass[0], d=np.sqrt(cache["d2"][0]), s=cache["s"][0], cache=cache)
 
 
 def enn_backward_batch(params: EnnParams, cache: dict, upstream) -> tuple[dict[str, np.ndarray], np.ndarray]:
@@ -205,8 +200,7 @@ def enn_backward_batch(params: EnnParams, cache: dict, upstream) -> tuple[dict[s
     d_gamma = -d_s * s * d2
     d_d2 = -d_s * s * gamma[None, :]
 
-    d_x = 2.0 * np.einsum("ni,nih->nh", d_d2, diff)
-    d_proto = -2.0 * np.einsum("ni,nih->ih", d_d2, diff)
+    d_x, d_proto = sq_dists_backward(d_d2, diff)
 
     # chain into the unconstrained parameterization
     d_alpha_raw = (d_alpha * (alpha * (1.0 - alpha))[None, :]).sum(axis=0)
@@ -223,11 +217,10 @@ def enn_backward_batch(params: EnnParams, cache: dict, upstream) -> tuple[dict[s
     return grads, d_x
 
 
-def enn_backward(params: EnnParams, out: EnnOutput, upstream) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Single-input backward pass; upstream is d(loss)/d(mass), shape (K+1,)."""
-    upstream = np.asarray(upstream, dtype=float)
-    grads, d_x = enn_backward_batch(params, out.cache, upstream[None, :])
-    return grads, d_x[0]
+def _initial(proto, memberships) -> EnnParams:
+    """Params with every reliability at INIT_ALPHA and every scale at INIT_GAMMA."""
+    n = len(proto)
+    return enn_from_constrained(proto, np.full(n, INIT_ALPHA), np.full(n, INIT_GAMMA), memberships)
 
 
 def enn_init_random(n_prototypes: int, n_features: int, n_classes: int, seed: int) -> EnnParams:
@@ -236,12 +229,7 @@ def enn_init_random(n_prototypes: int, n_features: int, n_classes: int, seed: in
     proto = rng.standard_normal((n_prototypes, n_features))
     u = rng.uniform(size=(n_prototypes, n_classes))
     u /= u.sum(axis=1, keepdims=True)
-    return enn_from_constrained(
-        proto,
-        np.full(n_prototypes, INIT_ALPHA),
-        np.full(n_prototypes, INIT_GAMMA),
-        u,
-    )
+    return _initial(proto, u)
 
 
 def enn_init_kmeans(features, labels, n_prototypes: int, n_classes: int, seed: int = 0) -> EnnParams:
@@ -258,26 +246,7 @@ def enn_init_kmeans(features, labels, n_prototypes: int, n_classes: int, seed: i
         if members.size:
             counts = np.bincount(members, minlength=n_classes).astype(float)
             u[i] = counts / counts.sum()
-    return enn_from_constrained(
-        result.centroids,
-        np.full(n_prototypes, INIT_ALPHA),
-        np.full(n_prototypes, INIT_GAMMA),
-        u,
-    )
-
-
-def enn_to_dict(params: EnnParams) -> dict:
-    """Checkpoint as a flat JSON-able dict of the constrained quantities."""
-    return {
-        "kind": "enn",
-        "I": params.n_prototypes,
-        "H": params.n_features,
-        "K": params.n_classes,
-        "proto": params.proto.ravel().tolist(),
-        "alpha": params.alpha.tolist(),
-        "gamma": params.gamma.tolist(),
-        "u": params.memberships.ravel().tolist(),
-    }
+    return _initial(result.centroids, u)
 
 
 def enn_from_dict(data: dict) -> EnnParams:

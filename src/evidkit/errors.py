@@ -49,12 +49,8 @@ class AllZeroDenominator(EvidkitError):
     """Overlap loss undefined: prediction and ground truth both empty."""
 
 
-class EmptyCluster(EvidkitError):
-    """Clustering produced an empty cluster that could not be repaired."""
-
-
-class DegenerateInput(EvidkitError):
-    """Input admits no meaningful solution (e.g. all points identical)."""
+class MalformedInput(EvidkitError):
+    """Data that cannot be read as numbers: a bad data file, or NaN/inf inputs."""
 
 
 class NonFiniteLoss(EvidkitError):

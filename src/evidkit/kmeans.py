@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfRange
+from .numeric import require_finite, sq_dists
 
 
 @dataclass
@@ -21,11 +22,6 @@ class KMeansResult:
     assignments: np.ndarray   # (n,) cluster index per point
     n_iter: int
     degenerate: bool = False
-
-
-def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - centroids[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
 
 
 def _plusplus_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -46,7 +42,7 @@ def _plusplus_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
 
 
 def kmeans(points, k: int, seed: int = 0, max_iter: int = 100) -> KMeansResult:
-    points = np.asarray(points, dtype=float)
+    points = require_finite(np.asarray(points, dtype=float), "points")
     if points.ndim != 2:
         raise OutOfRange(f"points must be a 2-d array, got shape {points.shape}")
     n = points.shape[0]
@@ -60,7 +56,7 @@ def kmeans(points, k: int, seed: int = 0, max_iter: int = 100) -> KMeansResult:
 
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        d2 = _sq_dists(points, centroids)
+        d2, _ = sq_dists(points, centroids)
         new_assign = np.argmin(d2, axis=1)
 
         for j in range(k):

@@ -152,8 +152,8 @@ class ContourGrid:
 
     def csv_rows(self):
         yield "x,y," + ",".join(f"m{k + 1}" for k in range(self.masses.shape[2] - 1)) + ",mOmega"
-        for iy, y in enumerate(self.ys):
-            for ix, x in enumerate(self.xs):
+        for iy, y in enumerate(self.ys.tolist()):
+            for ix, x in enumerate(self.xs.tolist()):
                 vals = ",".join(repr(float(v)) for v in self.masses[iy, ix])
                 yield f"{x!r},{y!r},{vals}"
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, OutOfRange, StaleCache
-from .numeric import softmax_rows
+from .numeric import as_batch, softmax_rows
 
 INIT_SLOPE = 0.25
 
@@ -70,9 +70,6 @@ class SoftmaxHead:
     def trainable_arrays(self) -> dict[str, np.ndarray]:
         return {"head_W": self.weight, "head_b": self.bias}
 
-    def copy(self) -> "SoftmaxHead":
-        return SoftmaxHead(self.weight.copy(), self.bias.copy())
-
 
 def mlp_init(layer_sizes, seed: int) -> MlpParams:
     """Scaled-normal weights (variance 2/fan_in), zero biases, slope 0.25."""
@@ -92,18 +89,8 @@ def head_init(n_features: int, n_classes: int, seed: int) -> SoftmaxHead:
                        np.zeros(n_classes))
 
 
-def _as_batch(params: MlpParams, x):
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != params.sizes[0]:
-        raise DimensionMismatch(f"expected inputs of dimension {params.sizes[0]}, got shape {x.shape}")
-    return x, single
-
-
 def mlp_forward_batch(params: MlpParams, X) -> tuple[np.ndarray, dict]:
-    X, _ = _as_batch(params, X)
+    X = as_batch(X, params.sizes[0])
     activations = [X]
     preacts = []
     h = X
@@ -118,12 +105,6 @@ def mlp_forward_batch(params: MlpParams, X) -> tuple[np.ndarray, dict]:
         activations.append(h)
     cache = {"params": params, "activations": activations, "preacts": preacts}
     return h, cache
-
-
-def mlp_forward(params: MlpParams, x) -> tuple[np.ndarray, dict]:
-    x_b, single = _as_batch(params, x)
-    feats, cache = mlp_forward_batch(params, x_b)
-    return (feats[0] if single else feats), cache
 
 
 def mlp_backward_batch(params: MlpParams, cache: dict, upstream) -> tuple[dict[str, np.ndarray], np.ndarray]:
@@ -150,20 +131,9 @@ def mlp_backward_batch(params: MlpParams, cache: dict, upstream) -> tuple[dict[s
     return grads, delta
 
 
-def mlp_backward(params: MlpParams, cache: dict, upstream) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    upstream = np.asarray(upstream, dtype=float)
-    single = upstream.ndim == 1
-    grads, dx = mlp_backward_batch(params, cache, upstream[None, :] if single else upstream)
-    return grads, (dx[0] if single else dx)
-
-
 def softmax_head_forward(head: SoftmaxHead, features) -> np.ndarray:
-    """Class probabilities; accepts a single feature vector or a batch."""
-    features = np.asarray(features, dtype=float)
-    single = features.ndim == 1
-    logits = (features[None, :] if single else features) @ head.weight + head.bias
-    probs = softmax_rows(logits)
-    return probs[0] if single else probs
+    """Class probabilities (N, K) of a feature batch (N, H)."""
+    return softmax_rows(np.asarray(features, dtype=float) @ head.weight + head.bias)
 
 
 def softmax_head_ce_backward(head: SoftmaxHead, features, probs, onehot):

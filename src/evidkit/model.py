@@ -3,6 +3,15 @@
 Parameter arrays are exposed as one flat dict with `layer.` / `mlp.`
 prefixes so the optimizer and checkpoint code treat every model shape
 uniformly.
+
+The two layers, `enn.EnnParams` and `rbf.RbfParams`, share one protocol, so
+outside `make_layer` and checkpoint loading no code asks which one it holds:
+`kind` (its key in `LAYERS`), `losses` (the loss names it trains with, the
+default first), `n_features`, `n_classes` (2 for `rbf`), `trainable_arrays()`,
+`to_dict()`, `forward(X) -> (masses (N, K+1), cache)`,
+`backward(cache, upstream) -> (parameter grads, input grads)` and
+`regularizer() -> (value, {array name: gradient})`, the prototype-shrinking
+penalty that every loss weighs by lambda.
 """
 
 from __future__ import annotations
@@ -15,6 +24,29 @@ import numpy as np
 
 from . import enn, mlp, rbf
 from .errors import OutOfRange
+from .numeric import as_batch, require_finite
+
+LAYERS = {"enn": enn.EnnParams, "rbf": rbf.RbfParams}
+
+
+def class_count(labels) -> int:
+    """Classes implied by integer labels: the largest label plus one, at least 2."""
+    return max(int(np.max(labels)) + 1, 2)
+
+
+def make_layer(kind: str, n_prototypes: int, n_features: int, n_classes: int, seed: int, data=None):
+    """A new layer of `kind`: prototypes from k-means when `data` is given as
+    (features, labels), random ones otherwise.  `rbf` is binary and ignores
+    `n_classes`."""
+    if kind == "enn":
+        if data is None:
+            return enn.enn_init_random(n_prototypes, n_features, n_classes, seed=seed)
+        return enn.enn_init_kmeans(*data, n_prototypes, n_classes, seed=seed)
+    if kind == "rbf":
+        if data is None:
+            return rbf.rbf_init_random(n_prototypes, n_features, seed=seed)
+        return rbf.rbf_init_kmeans(*data, n_prototypes, seed=seed)
+    raise OutOfRange(f"unknown layer kind {kind!r}")
 
 
 @dataclass
@@ -24,8 +56,8 @@ class EvidentialModel:
     feature_net: mlp.MlpParams | None = None
 
     def __post_init__(self):
-        if self.kind not in ("enn", "rbf"):
-            raise OutOfRange(f"unknown layer kind {self.kind!r}")
+        if getattr(self.layer, "kind", None) != self.kind:
+            raise OutOfRange(f"model kind {self.kind!r} does not match its {type(self.layer).__name__} layer")
 
     @property
     def n_features(self) -> int:
@@ -35,7 +67,7 @@ class EvidentialModel:
 
     @property
     def n_classes(self) -> int:
-        return self.layer.n_classes if self.kind == "enn" else 2
+        return self.layer.n_classes
 
     def trainable_arrays(self) -> dict[str, np.ndarray]:
         out = {f"layer.{k}": v for k, v in self.layer.trainable_arrays().items()}
@@ -43,28 +75,19 @@ class EvidentialModel:
             out.update({f"mlp.{k}": v for k, v in self.feature_net.trainable_arrays().items()})
         return out
 
-    def copy(self) -> "EvidentialModel":
-        return EvidentialModel(
-            self.kind,
-            self.layer.copy(),
-            self.feature_net.copy() if self.feature_net is not None else None,
-        )
+    def _features(self, X) -> tuple[np.ndarray, dict | None]:
+        """Layer inputs for X, and the feature net's cache (None without one)."""
+        X = require_finite(as_batch(X, self.n_features))
+        if self.feature_net is None:
+            return X, None
+        return mlp.mlp_forward_batch(self.feature_net, X)
 
     def features(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.feature_net is None:
-            return X
-        feats, _ = mlp.mlp_forward_batch(self.feature_net, X)
-        return feats
+        return self._features(X)[0]
 
     def masses(self, X) -> np.ndarray:
-        """(N, K+1) output masses; evaluation only, no caches kept."""
-        feats = self.features(X)
-        if self.kind == "enn":
-            out, _ = enn.enn_forward_batch(self.layer, feats)
-        else:
-            out, _ = rbf.rbf_forward_batch(self.layer, feats)
-        return out
+        """(N, K+1) output masses; evaluation only."""
+        return self.layer.forward(self.features(X))[0]
 
     def predict(self, X) -> np.ndarray:
         """Class indexes by maximal singleton mass (ties to the lowest index).
@@ -77,25 +100,15 @@ class EvidentialModel:
         return np.argmax(m[:, :-1], axis=1)
 
     def forward_with_cache(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        mlp_cache = None
-        feats = X
-        if self.feature_net is not None:
-            feats, mlp_cache = mlp.mlp_forward_batch(self.feature_net, X)
-        if self.kind == "enn":
-            masses, layer_cache = enn.enn_forward_batch(self.layer, feats)
-        else:
-            masses, layer_cache = rbf.rbf_forward_batch(self.layer, feats)
+        feats, mlp_cache = self._features(X)
+        masses, layer_cache = self.layer.forward(feats)
         return masses, (mlp_cache, layer_cache)
 
     def backward(self, caches, upstream) -> dict[str, np.ndarray]:
         """Backpropagate an upstream gradient (mass-space, or p1-space for the
         weight-of-evidence layer) into the flat parameter-gradient dict."""
         mlp_cache, layer_cache = caches
-        if self.kind == "enn":
-            layer_grads, d_feats = enn.enn_backward_batch(self.layer, layer_cache, upstream)
-        else:
-            layer_grads, d_feats = rbf.rbf_backward_batch(self.layer, layer_cache, upstream)
+        layer_grads, d_feats = self.layer.backward(layer_cache, upstream)
         grads = {f"layer.{k}": v for k, v in layer_grads.items()}
         if self.feature_net is not None:
             mlp_grads, _ = mlp.mlp_backward_batch(self.feature_net, mlp_cache, d_feats)
@@ -103,10 +116,9 @@ class EvidentialModel:
         return grads
 
     def to_dict(self) -> dict:
-        layer = enn.enn_to_dict(self.layer) if self.kind == "enn" else rbf.rbf_to_dict(self.layer)
         return {
             "model": self.kind,
-            "layer": layer,
+            "layer": self.layer.to_dict(),
             "feature_net": mlp.mlp_to_dict(self.feature_net) if self.feature_net else None,
         }
 

@@ -21,20 +21,25 @@ log-gamma space so the scale parameters stay positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, OutOfRange, StaleCache
 from .kmeans import kmeans
-from .numeric import sigmoid
+from .numeric import as_batch, sigmoid, sq_dists, sq_dists_backward
 
 INIT_GAMMA = 0.01
 
 
 @dataclass
 class RbfParams:
-    """Trainable state: prototypes, log scales, signed output weights."""
+    """Trainable state: prototypes, log scales, signed output weights.
+    Implements the layer protocol described in `evidkit.model`."""
+
+    kind = "rbf"
+    losses = ("cross-entropy", "dice")
+    n_classes = 2
 
     proto: np.ndarray      # (I, H)
     log_gamma: np.ndarray  # (I,)
@@ -65,8 +70,25 @@ class RbfParams:
     def trainable_arrays(self) -> dict[str, np.ndarray]:
         return {"proto": self.proto, "log_gamma": self.log_gamma, "v": self.v}
 
-    def copy(self) -> "RbfParams":
-        return RbfParams(self.proto.copy(), self.log_gamma.copy(), self.v.copy())
+    def forward(self, X) -> tuple[np.ndarray, dict]:
+        return rbf_forward_batch(self, X)
+
+    def backward(self, cache: dict, upstream) -> tuple[dict[str, np.ndarray], np.ndarray]:
+        return rbf_backward_batch(self, cache, upstream)
+
+    def regularizer(self) -> tuple[float, dict[str, np.ndarray]]:
+        """Sum of the squared weights, and its gradient in `v`."""
+        return float(np.sum(self.v**2)), {"v": 2.0 * self.v}
+
+    def to_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            "I": self.n_prototypes,
+            "H": self.n_features,
+            "proto": self.proto.ravel().tolist(),
+            "gamma": self.gamma.tolist(),
+            "v": self.v.tolist(),
+        }
 
 
 def rbf_from_constrained(proto, gamma, v) -> RbfParams:
@@ -76,45 +98,30 @@ def rbf_from_constrained(proto, gamma, v) -> RbfParams:
     return RbfParams(np.asarray(proto, dtype=float), np.log(gamma), np.asarray(v, dtype=float))
 
 
-@dataclass
-class RbfOutput:
-    mass: np.ndarray   # (3,): m({w1}), m({w2}), m(frame)
-    wplus: float
-    wminus: float
-    kappa: float
-    p1: float
-    cache: dict = field(repr=False, default_factory=dict)
-
-
-def _as_batch(params: RbfParams, x) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != params.n_features:
-        raise DimensionMismatch(f"expected inputs of dimension {params.n_features}, got shape {x.shape}")
-    return x, single
+def _factors(wp: np.ndarray, wm: np.ndarray):
+    """(1 - exp(-w+), 1 - exp(-w-), ep, em, frame, denom) with ep = exp(-w+),
+    em = exp(-w-), frame = exp(-w+ - w-) and denom = 1 - kappa, the last four
+    multiplied by exp(min(w+, w-)): one of ep, em is then exactly 1, and
+    large totals cannot underflow to 0/0."""
+    c = np.minimum(wp, wm)
+    ep = np.exp(-(wp - c))
+    em = np.exp(-(wm - c))
+    frame = np.exp(-(wp + wm - c))
+    return -np.expm1(-wp), -np.expm1(-wm), ep, em, frame, ep + em - frame
 
 
 def _masses_from_totals(wp: np.ndarray, wm: np.ndarray) -> np.ndarray:
-    """Exact combined masses, factored so large totals do not underflow to 0/0."""
-    support1 = -np.expm1(-wp)  # 1 - exp(-w+)
-    support2 = -np.expm1(-wm)
-    c = np.minimum(wp, wm)
-    ep = np.exp(-(wp - c))     # one of ep, em is exactly 1
-    em = np.exp(-(wm - c))
-    denom = ep + em - np.exp(-(wp + wm - c))
-    mass = np.stack([support1 * em, support2 * ep, np.exp(-(wp + wm - c))], axis=-1)
-    return mass / denom[..., None]
+    """Exact combined masses, in the factored form of `_factors`."""
+    support1, support2, ep, em, frame, denom = _factors(wp, wm)
+    return np.stack([support1 * em, support2 * ep, frame], axis=-1) / denom[..., None]
 
 
 def rbf_forward_batch(params: RbfParams, X) -> tuple[np.ndarray, dict]:
     """Evaluate a batch (N, H) -> masses (N, 3) plus the backward cache."""
-    X, _ = _as_batch(params, X)
+    X = as_batch(X, params.n_features)
     gamma, v = params.gamma, params.v
 
-    diff = X[:, None, :] - params.proto[None, :, :]
-    d2 = np.einsum("nih,nih->ni", diff, diff)
+    d2, diff = sq_dists(X, params.proto)
     s = np.exp(-gamma[None, :] * d2)
     w = s * v[None, :]
 
@@ -137,33 +144,10 @@ def rbf_forward_batch(params: RbfParams, X) -> tuple[np.ndarray, dict]:
     return mass, cache
 
 
-def rbf_forward(params: RbfParams, x) -> RbfOutput:
-    """Single-input forward pass."""
-    x_b, single = _as_batch(params, x)
-    if not single:
-        raise DimensionMismatch("rbf_forward takes one vector; use rbf_forward_batch for batches")
-    mass, cache = rbf_forward_batch(params, x_b)
-    c = cache
-    kappa = float(-np.expm1(-c["wp"][0]) * -np.expm1(-c["wm"][0]))
-    return RbfOutput(
-        mass=mass[0],
-        wplus=float(c["wp"][0]),
-        wminus=float(c["wm"][0]),
-        kappa=kappa,
-        p1=float(c["p1"][0]),
-        cache=cache,
-    )
-
-
 def _totals_grad(cache: dict, up_mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """d(loss)/d(w+), d(loss)/d(w-) given d(loss)/d(mass)."""
     wp, wm = cache["wp"], cache["wm"]
-    support1 = -np.expm1(-wp)
-    support2 = -np.expm1(-wm)
-    c = np.minimum(wp, wm)
-    ep = np.exp(-(wp - c))
-    em = np.exp(-(wm - c))
-    denom = ep + em - np.exp(-(wp + wm - c))
+    support1, support2, _, _, _, denom = _factors(wp, wm)
     # exp(-w+) exp(-w-) / (1-kappa)^2, factored like the forward pass
     g = np.exp(-np.abs(wp - wm)) / denom**2
     a = np.exp(-wp)  # may underflow; only appears as a bounded factor
@@ -203,22 +187,10 @@ def rbf_backward_batch(params: RbfParams, cache: dict, upstream) -> tuple[dict[s
     d_log_gamma = (-d_s * s * d2 * params.gamma[None, :]).sum(axis=0)
     d_d2 = -d_s * s * params.gamma[None, :]
 
-    d_x = 2.0 * np.einsum("ni,nih->nh", d_d2, diff)
-    d_proto = -2.0 * np.einsum("ni,nih->ih", d_d2, diff)
+    d_x, d_proto = sq_dists_backward(d_d2, diff)
 
     grads = {"proto": d_proto, "log_gamma": d_log_gamma, "v": d_v}
     return grads, d_x
-
-
-def rbf_backward(params: RbfParams, out: RbfOutput, upstream) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Single-input backward; upstream is a 3-vector (mass space) or scalar (p1 space)."""
-    upstream = np.asarray(upstream, dtype=float)
-    if upstream.ndim == 0:
-        upstream = upstream[None]
-    else:
-        upstream = upstream[None, :]
-    grads, d_x = rbf_backward_batch(params, out.cache, upstream)
-    return grads, d_x[0]
 
 
 def rbf_init_random(n_prototypes: int, n_features: int, seed: int) -> RbfParams:
@@ -242,17 +214,6 @@ def rbf_init_kmeans(features, labels, n_prototypes: int, seed: int = 0) -> RbfPa
         if members.size and np.mean(members == 0) < 0.5:
             v[i] = -1.0
     return rbf_from_constrained(result.centroids, np.full(n_prototypes, INIT_GAMMA), v)
-
-
-def rbf_to_dict(params: RbfParams) -> dict:
-    return {
-        "kind": "rbf",
-        "I": params.n_prototypes,
-        "H": params.n_features,
-        "proto": params.proto.ravel().tolist(),
-        "gamma": params.gamma.tolist(),
-        "v": params.v.tolist(),
-    }
 
 
 def rbf_from_dict(data: dict) -> RbfParams:

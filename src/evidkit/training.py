@@ -17,9 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .enn import enn_init_kmeans
 from .errors import AllZeroDenominator, NonFiniteLoss, OutOfRange, ShapeMismatch
-from .kmeans import kmeans
 from .mlp import (
     head_init,
     mlp_backward_batch,
@@ -28,9 +26,9 @@ from .mlp import (
     softmax_head_ce_backward,
     softmax_head_forward,
 )
-from .model import EvidentialModel
-from .numeric import log_rows
-from .rbf import rbf_init_kmeans
+from .metrics import error_rate
+from .model import EvidentialModel, class_count, make_layer
+from .numeric import log_rows, pignistic, pignistic_backward, require_finite
 
 P_CLAMP = 1e-12
 
@@ -39,7 +37,7 @@ P_CLAMP = 1e-12
 # losses
 # --------------------------------------------------------------------------
 
-def loss_sse(probs, onehot, alphas, lam: float):
+def loss_sse(probs, onehot, alphas=(), lam: float = 0.0):
     """Summed squared error on probability outputs plus lam * sum(alpha).
 
     Returns (value, d/d(probs), d/d(alphas)).
@@ -53,7 +51,7 @@ def loss_sse(probs, onehot, alphas, lam: float):
     return value, 2.0 * diff, np.full(np.asarray(alphas).shape, lam)
 
 
-def loss_ce(p1, targets, v, lam: float):
+def loss_ce(p1, targets, v=(), lam: float = 0.0):
     """Summed binary cross-entropy on the first-class probability plus
     lam * sum(v^2).  Probabilities are clamped to [1e-12, 1 - 1e-12].
 
@@ -184,80 +182,50 @@ class TrainHistory:
         for r in self.records:
             yield f"{r.epoch},{r.loss!r},{r.train_error!r},{r.val_error!r},{r.mean_ignorance!r}"
 
-    @property
-    def final_loss(self) -> float:
-        return self.records[-1].loss if self.records else math.nan
-
 
 def _unpack(data) -> tuple[np.ndarray, np.ndarray]:
-    if hasattr(data, "points"):
-        return np.asarray(data.points, dtype=float), np.asarray(data.labels)
-    x, y = data
-    return np.asarray(x, dtype=float), np.asarray(y)
+    x, y = (data.points, data.labels) if hasattr(data, "points") else data
+    return require_finite(np.asarray(x, dtype=float)), np.asarray(y)
 
 
 # --------------------------------------------------------------------------
 # loss glue: model masses -> objective value and parameter gradients
 # --------------------------------------------------------------------------
 
-def _pignistic_from_masses(masses: np.ndarray) -> np.ndarray:
-    k = masses.shape[1] - 1
-    return masses[:, :k] + masses[:, k:] / k
+def _objective(model: EvidentialModel, masses, layer_cache: dict, y, config: TrainConfig):
+    """Objective value and its gradient with respect to the layer output.
+
+    Every objective is a data term plus lam times the layer's regularizer,
+    whose parameter gradient is left to the caller.  The gradient is in mass
+    space, except for cross-entropy, which reads the weight-of-evidence
+    layer's logistic output p1 and returns d/d(p1).
+    """
+    if config.loss_kind not in model.layer.losses:
+        raise OutOfRange(f"the {config.loss_kind} loss does not train the {model.kind} layer")
+    if config.loss_kind == "sse":
+        onehot = np.eye(model.n_classes)[np.asarray(y, dtype=int)]
+        value, d_p, _ = loss_sse(pignistic(masses), onehot)
+        upstream = pignistic_backward(d_p)
+    elif config.loss_kind == "cross-entropy":
+        targets = (np.asarray(y) == 0).astype(float)  # first class means label 0
+        value, upstream, _ = loss_ce(layer_cache["p1"], targets)
+    else:
+        if model.n_classes != 2:
+            raise OutOfRange("the overlap loss is defined for binary frames")
+        # soft foreground probability: pignistic probability of class 1
+        value, d_s = loss_dice(pignistic(masses)[:, 1], np.asarray(y, dtype=float))
+        upstream = pignistic_backward(np.column_stack([np.zeros_like(d_s), d_s]))
+    return value + config.lam * model.layer.regularizer()[0], upstream
 
 
 def model_loss_and_grads(model: EvidentialModel, X, y, config: TrainConfig):
     """Full-batch objective and gradients for every trainable array."""
     masses, caches = model.forward_with_cache(X)
-    k = model.n_classes
-    lam = config.lam
-
-    if config.loss_kind == "sse":
-        if model.kind != "enn":
-            raise OutOfRange("the sum-of-squares loss trains the membership layer only")
-        onehot = np.eye(k)[np.asarray(y, dtype=int)]
-        probs = _pignistic_from_masses(masses)
-        value, d_p, d_alpha = loss_sse(probs, onehot, model.layer.alpha, lam)
-        upstream = np.concatenate([d_p, d_p.sum(axis=1, keepdims=True) / k], axis=1)
-        grads = model.backward(caches, upstream)
-        alpha = model.layer.alpha
-        grads["layer.alpha_raw"] = grads["layer.alpha_raw"] + d_alpha * alpha * (1.0 - alpha)
-        return value, grads, masses
-
-    if config.loss_kind == "cross-entropy":
-        if model.kind != "rbf":
-            raise OutOfRange("the cross-entropy loss trains the weight-of-evidence layer only")
-        _, layer_cache = caches
-        p1 = layer_cache["p1"]
-        targets = (np.asarray(y) == 0).astype(float)  # first class means label 0
-        value, d_p1, d_v = loss_ce(p1, targets, model.layer.v, lam)
-        grads = model.backward(caches, d_p1)
-        grads["layer.v"] = grads["layer.v"] + d_v
-        return value, grads, masses
-
-    if config.loss_kind == "dice":
-        if k != 2:
-            raise OutOfRange("the overlap loss is defined for binary frames")
-        # soft foreground probability: mass on class 1 plus half the frame mass
-        soft = masses[:, 1] + masses[:, 2] / 2.0
-        truth = np.asarray(y, dtype=float)
-        reg_value, reg_grads = _regularizer(model)
-        value, d_s = loss_dice(soft, truth, lam, reg_value)
-        upstream = np.column_stack([np.zeros_like(d_s), d_s, d_s / 2.0])
-        grads = model.backward(caches, upstream)
-        for name, g in reg_grads.items():
-            grads[name] = grads[name] + lam * g
-        return value, grads, masses
-
-    raise OutOfRange(f"unknown loss {config.loss_kind!r}")
-
-
-def _regularizer(model: EvidentialModel) -> tuple[float, dict[str, np.ndarray]]:
-    """Prototype-shrinking penalty: sum of reliabilities, or sum of squared weights."""
-    if model.kind == "enn":
-        alpha = model.layer.alpha
-        return float(np.sum(alpha)), {"layer.alpha_raw": alpha * (1.0 - alpha)}
-    v = model.layer.v
-    return float(np.sum(v**2)), {"layer.v": 2.0 * v}
+    value, upstream = _objective(model, masses, caches[1], y, config)
+    grads = model.backward(caches, upstream)
+    for name, g in model.layer.regularizer()[1].items():
+        grads[f"layer.{name}"] = grads[f"layer.{name}"] + config.lam * g
+    return value, grads, masses
 
 
 # --------------------------------------------------------------------------
@@ -288,8 +256,7 @@ def train(model: EvidentialModel, train_data, config: TrainConfig, val_data=None
         if not math.isfinite(value):
             raise NonFiniteLoss(f"objective became {value} at epoch {epoch}")
 
-        preds = np.argmax(masses[:, :-1], axis=1)
-        train_err = float(np.mean(preds != np.asarray(y_train, dtype=int)))
+        train_err = error_rate(np.argmax(masses[:, :-1], axis=1), y_train)
         ignorance = float(np.mean(masses[:, -1]))
 
         if value < plateau_best - 1e-15:
@@ -320,31 +287,16 @@ def train(model: EvidentialModel, train_data, config: TrainConfig, val_data=None
 
 def _evaluate(model: EvidentialModel, X, y, config: TrainConfig) -> tuple[float, float]:
     """Objective value and error rate without touching gradients."""
-    masses = model.masses(X)
-    k = model.n_classes
-    lam = config.lam
-    if config.loss_kind == "sse":
-        onehot = np.eye(k)[np.asarray(y, dtype=int)]
-        value, _, _ = loss_sse(_pignistic_from_masses(masses), onehot, model.layer.alpha, lam)
-    elif config.loss_kind == "cross-entropy":
-        pl1 = masses[:, 0] + masses[:, 2]
-        pl2 = masses[:, 1] + masses[:, 2]
-        p1 = pl1 / (pl1 + pl2)
-        value, _, _ = loss_ce(p1, (np.asarray(y) == 0).astype(float), model.layer.v, lam)
-    else:
-        soft = masses[:, 1] + masses[:, 2] / 2.0
-        reg_value, _ = _regularizer(model)
-        value, _ = loss_dice(soft, np.asarray(y, dtype=float), lam, reg_value)
-    preds = np.argmax(masses[:, :-1], axis=1)
-    err = float(np.mean(preds != np.asarray(y, dtype=int)))
-    return value, err
+    masses, (_, layer_cache) = model.forward_with_cache(X)
+    value, _ = _objective(model, masses, layer_cache, y, config)
+    return value, error_rate(np.argmax(masses[:, :-1], axis=1), y)
 
 
 # --------------------------------------------------------------------------
 # feature-net pretraining and the staged initialization protocol
 # --------------------------------------------------------------------------
 
-def pretrain_feature_net(net, head, train_data, config: TrainConfig, val_data=None):
+def pretrain_feature_net(net, head, train_data, config: TrainConfig):
     """Train the feature network with a softmax head by summed cross-entropy."""
     x_train, y_train = _unpack(train_data)
     n_classes = head.bias.shape[0]
@@ -364,7 +316,7 @@ def pretrain_feature_net(net, head, train_data, config: TrainConfig, val_data=No
         net_grads, _ = mlp_backward_batch(net, cache, d_feats)
         optimizer.step(net_grads | head_grads)
 
-        err = float(np.mean(np.argmax(probs, axis=1) != y_train))
+        err = error_rate(np.argmax(probs, axis=1), y_train)
         history.records.append(EpochRecord(epoch, value, err, math.nan, math.nan))
     return history
 
@@ -389,18 +341,15 @@ def four_stage_init(train_data, arch: dict, config: TrainConfig, val_data=None) 
     n_proto = arch["n_prototypes"]
     n_feat = arch["n_features"]
     hidden = arch.get("hidden", [16])
-    n_classes = int(np.max(y_train)) + 1 if kind == "enn" else 2
+    n_classes = class_count(y_train)
 
     net = mlp_init([x_train.shape[1], *hidden, n_feat], seed=config.seed)
     head = head_init(n_feat, n_classes, seed=config.seed + 1)
-    pre_hist = pretrain_feature_net(net, head, (x_train, y_train), config, val_data)
+    pre_hist = pretrain_feature_net(net, head, (x_train, y_train), config)
     net_after_pretrain = net.copy()
 
     feats, _ = mlp_forward_batch(net, x_train)
-    if kind == "enn":
-        layer = enn_init_kmeans(feats, y_train, n_proto, n_classes, seed=config.seed)
-    else:
-        layer = rbf_init_kmeans(feats, y_train, n_proto, seed=config.seed)
+    layer = make_layer(kind, n_proto, n_feat, n_classes, config.seed, (feats, y_train))
     prototypes_init = layer.proto.copy()
 
     layer_model = EvidentialModel(kind, layer, None)
@@ -429,6 +378,26 @@ def four_stage_init(train_data, arch: dict, config: TrainConfig, val_data=None) 
 # gradient checking
 # --------------------------------------------------------------------------
 
+def fd_gradients(loss_fn, arrays: dict, eps: float = 1e-6) -> dict[str, np.ndarray]:
+    """Central finite differences of a scalar loss with respect to every entry
+    of every array in `arrays` (dict name -> ndarray, perturbed in place)."""
+    grads = {}
+    for name, arr in arrays.items():
+        g = np.zeros_like(arr)
+        flat = arr.ravel()
+        gflat = g.ravel()
+        for idx in range(flat.size):
+            orig = flat[idx]
+            flat[idx] = orig + eps
+            up = loss_fn()
+            flat[idx] = orig - eps
+            down = loss_fn()
+            flat[idx] = orig
+            gflat[idx] = (up - down) / (2.0 * eps)
+        grads[name] = g
+    return grads
+
+
 def grad_check(model: EvidentialModel, X, y, config: TrainConfig, eps: float = 1e-6) -> float:
     """Worst relative error between analytic and central-difference gradients.
 
@@ -436,24 +405,14 @@ def grad_check(model: EvidentialModel, X, y, config: TrainConfig, eps: float = 1
     and numeric gradients are both below the finite-difference noise floor
     count as exact.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
     _, analytic, _ = model_loss_and_grads(model, X, y, config)
-
+    numeric = fd_gradients(lambda: model_loss_and_grads(model, X, y, config)[0],
+                           model.trainable_arrays(), eps)
     worst = 0.0
-    for name, arr in model.trainable_arrays().items():
-        flat = arr.ravel()
-        numeric = np.zeros_like(flat)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + eps
-            up = model_loss_and_grads(model, X, y, config)[0]
-            flat[idx] = orig - eps
-            down = model_loss_and_grads(model, X, y, config)[0]
-            flat[idx] = orig
-            numeric[idx] = (up - down) / (2.0 * eps)
-        a = np.asarray(analytic[name]).ravel()
-        denom = max(np.linalg.norm(a) + np.linalg.norm(numeric), 1e-5)
-        worst = max(worst, float(np.linalg.norm(a - numeric) / denom))
+    for name, num in numeric.items():
+        a, n = np.asarray(analytic[name]).ravel(), num.ravel()
+        denom = max(np.linalg.norm(a) + np.linalg.norm(n), 1e-5)
+        worst = max(worst, float(np.linalg.norm(a - n) / denom))
     return worst
 
 
@@ -464,9 +423,9 @@ __all__ = [
     "StagedInitResult",
     "TrainConfig",
     "TrainHistory",
+    "fd_gradients",
     "four_stage_init",
     "grad_check",
-    "kmeans",
     "loss_ce",
     "loss_dice",
     "loss_sse",

@@ -1,26 +1,7 @@
-"""Shared test oracles: finite differences and a brute-force k-NN baseline."""
+"""Shared test oracles: a gradient comparison and a brute-force k-NN baseline.
+Finite differences come from `evidkit.training.fd_gradients`."""
 
 import numpy as np
-
-
-def fd_gradients(loss_fn, arrays, eps=1e-6):
-    """Central finite differences of a scalar loss with respect to every entry
-    of every array in `arrays` (dict name -> ndarray, perturbed in place)."""
-    grads = {}
-    for name, arr in arrays.items():
-        g = np.zeros_like(arr)
-        flat = arr.ravel()
-        gflat = g.ravel()
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + eps
-            up = loss_fn()
-            flat[idx] = orig - eps
-            down = loss_fn()
-            flat[idx] = orig
-            gflat[idx] = (up - down) / (2.0 * eps)
-        grads[name] = g
-    return grads
 
 
 def grad_rel_error(analytic, numeric):

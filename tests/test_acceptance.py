@@ -8,18 +8,19 @@ import time
 
 import numpy as np
 import pytest
-from helpers import fd_gradients, grad_rel_error, knn_predict
+from helpers import grad_rel_error, knn_predict
 
 from evidkit import dst
 from evidkit.datasets import gen_half_moons, gen_ood_class, gen_toy_segmentation, seg_task_as_samples
-from evidkit.enn import enn_init_kmeans, enn_init_random, enn_forward
+from evidkit.enn import enn_init_kmeans, enn_init_random
 from evidkit.errors import TotalConflict
 from evidkit.metrics import ece, error_rate, mean_ignorance, seg_scores
 from evidkit.mlp import mlp_init
-from evidkit.model import EvidentialModel
-from evidkit.rbf import rbf_forward, rbf_from_constrained, rbf_init_kmeans, rbf_init_random
+from evidkit.model import LAYERS, EvidentialModel, make_layer
+from evidkit.rbf import rbf_forward_batch, rbf_from_constrained, rbf_init_random
 from evidkit.training import (
     TrainConfig,
+    fd_gradients,
     four_stage_init,
     grad_check,
     loss_ce,
@@ -50,15 +51,10 @@ def banana_data():
 
 def _train_banana(kind, lam, seed, data):
     train_ds = data["train"]
-    if kind == "enn":
-        layer = enn_init_kmeans(train_ds.points, train_ds.labels, 6, 2, seed=seed)
-        loss = "sse"
-    else:
-        layer = rbf_init_kmeans(train_ds.points, train_ds.labels, 6, seed=seed)
-        loss = "cross-entropy"
+    layer = make_layer(kind, 6, 2, 2, seed, (train_ds.points, train_ds.labels))
     model = EvidentialModel(kind, layer)
     cfg = TrainConfig(epochs=BANANA_EPOCHS, learning_rate=BANANA_LR, lam=lam,
-                      loss_kind=loss, seed=seed)
+                      loss_kind=LAYERS[kind].losses[0], seed=seed)
     model, _ = train(model, train_ds, cfg)
     return model
 
@@ -160,15 +156,15 @@ def test_criterion_03_latent_mass_and_logistic_identities():
             2.0 * rng.standard_normal(n_proto),
         )
         x = rng.standard_normal(2)
-        out = rbf_forward(params, x)
+        mass, out = rbf_forward_batch(params, x[None])
         combined = dst.combine_dempster(
-            dst.expand_simple(dst.WeightedSimpleMass(frame, 0b01, out.wplus)),
-            dst.expand_simple(dst.WeightedSimpleMass(frame, 0b10, out.wminus)),
+            dst.expand_simple(dst.WeightedSimpleMass(frame, 0b01, float(out["wp"][0]))),
+            dst.expand_simple(dst.WeightedSimpleMass(frame, 0b10, float(out["wm"][0]))),
         )
         oracle = np.array([combined[0b01], combined[0b10], combined[0b11]])
-        worst_mass = max(worst_mass, float(np.max(np.abs(out.mass - oracle))))
+        worst_mass = max(worst_mass, float(np.max(np.abs(mass[0] - oracle))))
         z = float(np.sum(params.v * np.exp(-params.gamma * ((x - params.proto) ** 2).sum(axis=1))))
-        worst_p1 = max(worst_p1, abs(out.p1 - 1.0 / (1.0 + np.exp(-z))))
+        worst_p1 = max(worst_p1, abs(out["p1"][0] - 1.0 / (1.0 + np.exp(-z))))
     check(3, "latent combined mass and logistic plausibility identities",
           worst_mass < 1e-12 and worst_p1 < 1e-12,
           f"(mass diff {worst_mass:.2e}, p1 diff {worst_p1:.2e}, 1000 configs)")
@@ -324,8 +320,8 @@ def test_criterion_08_ood_ignorance_gap(banana_data, lambda_sweep):
         radius = 40.0 / np.sqrt(layer.gamma.min())
         center = layer.proto.mean(axis=0)
         x = center + (radius + np.abs(layer.proto - center).max() + 1.0) * np.array([1.0, 1.0])
-        mass = (enn_forward(layer, x).mass if kind == "enn" else rbf_forward(layer, x).mass)
-        far_ok = far_ok and mass[-1] > 0.99
+        mass, _ = layer.forward(x[None])
+        far_ok = far_ok and mass[0, -1] > 0.99
 
     ok = all(g >= 0.2 for g in gaps.values()) and far_ok
     check(8, "third-class inputs raise ignorance by at least 0.2; far field is vacuous",
@@ -401,11 +397,7 @@ def test_criterion_11_staged_vs_random_initialization(banana_data):
             staged_errs.append(error_rate(result.model.predict(test_ds.points), test_ds.labels))
 
             net = mlp_init([2, 16, 2], seed=seed)
-            if kind == "enn":
-                layer = enn_init_random(6, 2, 2, seed=seed)
-            else:
-                layer = rbf_init_random(6, 2, seed=seed)
-            model = EvidentialModel(kind, layer, net)
+            model = EvidentialModel(kind, make_layer(kind, 6, 2, 2, seed), net)
             model, _ = train(model, train_ds, cfg, val_ds)
             random_errs.append(error_rate(model.predict(test_ds.points), test_ds.labels))
         medians[kind] = (sorted(staged_errs)[2], sorted(random_errs)[2])

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from evidkit.cli import main
+from evidkit.enn import enn_init_random
+from evidkit.model import EvidentialModel
 
 
 def run(argv):
@@ -172,3 +174,92 @@ class TestEvalAndContours:
         header, values = (ev / "report.csv").read_text().splitlines()
         report = dict(zip(header.split(","), [float(v) for v in values.split(",")]))
         assert "dice" in report and 0 <= report["dice"] <= 1
+
+
+def read_contour_rows(path):
+    rows = path.read_text().splitlines()
+    return rows[0], [[float(v) for v in r.split(",")] for r in rows[1:]]
+
+
+def test_contour_rows_are_plain_numbers(tmp_path):
+    ckpt = tmp_path / "checkpoint.json"
+    EvidentialModel("enn", enn_init_random(3, 2, 2, seed=0)).save(ckpt)
+    assert run(["contours", "--checkpoint", str(ckpt), "--resolution", "5",
+                "--out-dir", str(tmp_path)]) == 0
+    header, rows = read_contour_rows(tmp_path / "contours.csv")
+    assert header == "x,y,m1,m2,mOmega"
+    assert len(rows) == 25 and all(len(r) == 5 for r in rows)
+    assert rows[0][:2] == [-2.0, -1.5] and rows[-1][:2] == [3.0, 2.0]
+
+
+# --------------------------------------------------------------------------
+# bad input files: rc 1 and an error_category=MalformedInput line, no traceback
+# --------------------------------------------------------------------------
+
+BAD_CSV = {
+    "empty": "",
+    "short-row": "x1,x2,label\n0.1,0.2,0\n0.3,1\n",
+    "non-numeric": "x1,x2,label\n0.1,0.2,0\n0.3,abc,1\n",
+    "nan-feature": "x1,x2,label\n0.1,0.2,0\n0.3,nan,1\n",
+}
+BAD_GRID = {
+    "empty": "",
+    "short-row": "0.1,0.2\n0.3\n",
+    "non-numeric": "0.1,0.2\n0.3,abc\n",
+}
+
+
+def write_seg_task(directory, channel1):
+    directory.mkdir()
+    (directory / "channel1.csv").write_text(channel1)
+    (directory / "channel2.csv").write_text("0.5,0.5\n0.5,0.5\n")
+    (directory / "mask.csv").write_text("0,1\n1,0\n")
+    return directory
+
+
+def assert_malformed(argv, capsys):
+    assert run(argv) == 1
+    assert "error_category=MalformedInput" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def checkpoint(tmp_path):
+    path = tmp_path / "checkpoint.json"
+    EvidentialModel("enn", enn_init_random(3, 2, 2, seed=0)).save(path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("bad", list(BAD_CSV))
+def test_malformed_csv(command, bad, checkpoint, tmp_path, capsys):
+    data = tmp_path / "bad.csv"
+    data.write_text(BAD_CSV[bad])
+    extra = ["--checkpoint", str(checkpoint)] if command == "eval" else ["--epochs", "1"]
+    assert_malformed([command, "--data", str(data), "--out-dir", str(tmp_path / "out"), *extra], capsys)
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("bad", list(BAD_GRID))
+def test_malformed_segmentation_task(command, bad, checkpoint, tmp_path, capsys):
+    task = write_seg_task(tmp_path / "task", BAD_GRID[bad])
+    extra = ["--checkpoint", str(checkpoint)] if command == "eval" else ["--epochs", "1"]
+    assert_malformed([command, "--seg", "--data", str(task), "--out-dir", str(tmp_path / "out"), *extra],
+                     capsys)
+
+
+def test_malformed_validation_csv(data_dir, tmp_path, capsys):
+    val = tmp_path / "val.csv"
+    val.write_text(BAD_CSV["short-row"])
+    assert_malformed(["train", "--data", str(data_dir / "train.csv"), "--val", str(val),
+                      "--epochs", "1", "--out-dir", str(tmp_path / "out")], capsys)
+
+
+def test_four_stage_init_on_one_class_data(tmp_path):
+    # the class count is at least 2 on every construction path, as for random init
+    data = tmp_path / "one_class.csv"
+    rows = [f"{0.1 * i},{0.05 * i * i},0" for i in range(20)]
+    data.write_text("x1,x2,label\n" + "\n".join(rows) + "\n")
+    assert run(["train", "--data", str(data), "--model", "enn", "--feature-net", "--init", "kmeans",
+                "--I", "3", "--epochs", "3", "--out-dir", str(tmp_path / "out")]) == 0
+    ckpt = json.loads((tmp_path / "out" / "checkpoint.json").read_text())
+    assert ckpt["layer"]["K"] == 2

@@ -16,7 +16,7 @@ from evidkit.datasets import (
     save_seg_task,
     seg_task_as_samples,
 )
-from evidkit.errors import OutOfRange
+from evidkit.errors import MalformedInput, OutOfRange
 
 
 class TestHalfMoons:
@@ -122,3 +122,36 @@ class TestSerialization:
         back = load_seg_task(tmp_path / "seg")
         np.testing.assert_allclose(back.image, task.image, atol=1e-15)
         np.testing.assert_array_equal(back.mask, task.mask)
+
+
+class TestMalformedFiles:
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x1,x2,label\n\n0.5,1.5,1\n\n")
+        ds = load_labeled(path)
+        np.testing.assert_array_equal(ds.points, [[0.5, 1.5]])
+        np.testing.assert_array_equal(ds.labels, [1])
+
+    @pytest.mark.parametrize("text", ["", "x1,x2,label\n", "label\n0\n", "x1,x2,label\n0.1,0.2,0.5\n",
+                                      "x1,x2,label\n0.1,0.2,0,7\n"])
+    def test_labeled_rejects(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(MalformedInput):
+            load_labeled(path)
+
+    def test_seg_grids_must_agree(self, tmp_path):
+        save_seg_task(tmp_path / "t", gen_toy_segmentation(8, 8, 1, seed=0))
+        (tmp_path / "t" / "mask.csv").write_text("0,1\n1,0\n")
+        with pytest.raises(MalformedInput):
+            load_seg_task(tmp_path / "t")
+
+    @pytest.mark.parametrize("mask", ["0,2\n1,0\n", "0,nan\n1,0\n"])
+    def test_seg_mask_is_binary(self, tmp_path, mask):
+        directory = tmp_path / "t"
+        directory.mkdir()
+        for name in ("channel1.csv", "channel2.csv"):
+            (directory / name).write_text("0.5,0.5\n0.5,0.5\n")
+        (directory / "mask.csv").write_text(mask)
+        with pytest.raises(MalformedInput):
+            load_seg_task(directory)

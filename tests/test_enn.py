@@ -3,22 +3,20 @@ analytic gradients vs finite differences, initializers, invariances."""
 
 import numpy as np
 import pytest
-from helpers import fd_gradients, grad_rel_error
+from helpers import grad_rel_error
 
 from evidkit import dst
 from evidkit.enn import (
     EnnParams,
-    enn_backward,
     enn_backward_batch,
-    enn_forward,
     enn_forward_batch,
     enn_from_constrained,
     enn_from_dict,
     enn_init_kmeans,
     enn_init_random,
-    enn_to_dict,
 )
 from evidkit.errors import DimensionMismatch, StaleCache
+from evidkit.training import fd_gradients
 
 
 def random_params(rng, n_proto=3, n_feat=2, n_classes=2):
@@ -30,6 +28,11 @@ def random_params(rng, n_proto=3, n_feat=2, n_classes=2):
         rng.uniform(0.05, 3.0, size=n_proto),
         u,
     )
+
+
+def mass_of(params, x):
+    """Masses (K+1,) of one input row, through a 1-row batch."""
+    return enn_forward_batch(params, np.asarray(x, dtype=float)[None])[0][0]
 
 
 def masses_by_dst_core(params, x):
@@ -56,17 +59,17 @@ class TestForward:
         p = enn_from_constrained(
             np.zeros((3, 2)), np.zeros(3), np.full(3, 0.01), np.full((3, 2), 0.5)
         )
-        out = enn_forward(p, np.array([5.0, -3.0]))
-        np.testing.assert_allclose(out.mass, [0.0, 0.0, 1.0], atol=1e-15)
+        mass = mass_of(p, np.array([5.0, -3.0]))
+        np.testing.assert_allclose(mass, [0.0, 0.0, 1.0], atol=1e-15)
 
     def test_single_confident_prototype(self):
         p = enn_from_constrained(
             np.array([[1.0, 2.0]]), [1.0], [0.01], np.array([[1.0, 0.0]])
         )
-        out = enn_forward(p, np.array([1.0, 2.0]))
-        np.testing.assert_allclose(out.mass, [1.0, 0.0, 0.0], atol=1e-12)
-        assert out.s[0] == pytest.approx(1.0)
-        assert out.d[0] == 0.0
+        mass, cache = enn_forward_batch(p, np.array([[1.0, 2.0]]))
+        np.testing.assert_allclose(mass[0], [1.0, 0.0, 0.0], atol=1e-12)
+        assert cache["s"][0, 0] == pytest.approx(1.0)
+        assert np.sqrt(cache["d2"][0, 0]) == 0.0
 
     def test_symmetric_prototypes(self):
         p = enn_from_constrained(
@@ -75,9 +78,9 @@ class TestForward:
             [1.0, 1.0],
             np.array([[1.0, 0.0], [0.0, 1.0]]),
         )
-        out = enn_forward(p, np.zeros(2))  # equidistant
-        assert out.mass[0] == pytest.approx(out.mass[1], abs=1e-14)
-        np.testing.assert_allclose(out.mass, masses_by_dst_core(p, np.zeros(2)), atol=1e-10)
+        mass = mass_of(p, np.zeros(2))  # equidistant
+        assert mass[0] == pytest.approx(mass[1], abs=1e-14)
+        np.testing.assert_allclose(mass, masses_by_dst_core(p, np.zeros(2)), atol=1e-10)
 
     def test_matches_dst_core_combination(self):
         rng = np.random.default_rng(17)
@@ -86,8 +89,7 @@ class TestForward:
             n_classes = int(rng.integers(2, 4))
             p = random_params(rng, n_proto=n_proto, n_feat=2, n_classes=n_classes)
             x = rng.standard_normal(2)
-            out = enn_forward(p, x)
-            np.testing.assert_allclose(out.mass, masses_by_dst_core(p, x), atol=1e-10)
+            np.testing.assert_allclose(mass_of(p, x), masses_by_dst_core(p, x), atol=1e-10)
 
     def test_mass_is_normalized_and_nonnegative(self):
         rng = np.random.default_rng(4)
@@ -106,7 +108,7 @@ class TestForward:
         )
         x = rng.standard_normal(2)
         np.testing.assert_allclose(
-            enn_forward(p, x).mass, enn_forward(q, x).mass, atol=1e-12
+            mass_of(p, x), mass_of(q, x), atol=1e-12
         )
 
     def test_far_field_is_ignorant(self):
@@ -114,21 +116,21 @@ class TestForward:
         p = random_params(rng, n_proto=4)
         radius = 40.0 / np.sqrt(p.gamma.min())
         x = p.proto.mean(axis=0) + radius * np.array([1.0, 1.0])
-        mass = enn_forward(p, x).mass
+        mass = mass_of(p, x)
         assert mass[-1] > 0.99
 
     def test_dimension_mismatch(self):
         p = enn_init_random(3, 2, 2, seed=0)
         with pytest.raises(DimensionMismatch):
-            enn_forward(p, np.zeros(5))
+            enn_forward_batch(p, np.zeros((1, 5)))
 
 
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(2)
         p = random_params(rng)
-        out = enn_forward(p, rng.standard_normal(2))
-        grads, dx = enn_backward(p, out, np.zeros(3))
+        _, cache = enn_forward_batch(p, rng.standard_normal((1, 2)))
+        grads, dx = enn_backward_batch(p, cache, np.zeros((1, 3)))
         assert all(np.all(g == 0) for g in grads.values())
         assert np.all(dx == 0)
 
@@ -165,11 +167,11 @@ class TestBackward:
             p = random_params(rng, n_proto=3)
             x = rng.standard_normal(2)
             upstream = rng.standard_normal(3)
-            out = enn_forward(p, x)
-            grads, _ = enn_backward(p, out, upstream)
+            _, cache = enn_forward_batch(p, x[None])
+            grads, _ = enn_backward_batch(p, cache, upstream[None])
 
             def loss():
-                return float(np.dot(upstream, enn_forward(p, x).mass))
+                return float(np.dot(upstream, mass_of(p, x)))
 
             fd = fd_gradients(loss, {"alpha_raw": p.alpha_raw})["alpha_raw"]
             for i in range(3):
@@ -181,9 +183,9 @@ class TestBackward:
     def test_stale_cache_rejected(self):
         rng = np.random.default_rng(1)
         p1, p2 = random_params(rng), random_params(rng)
-        out = enn_forward(p1, rng.standard_normal(2))
+        _, cache = enn_forward_batch(p1, rng.standard_normal((1, 2)))
         with pytest.raises(StaleCache):
-            enn_backward(p2, out, np.zeros(3))
+            enn_backward_batch(p2, cache, np.zeros((1, 3)))
 
 
 class TestInit:
@@ -228,10 +230,10 @@ class TestCheckpoint:
     def test_round_trip(self):
         rng = np.random.default_rng(10)
         p = random_params(rng, n_proto=4, n_feat=3, n_classes=3)
-        q = enn_from_dict(enn_to_dict(p))
+        q = enn_from_dict(p.to_dict())
         np.testing.assert_allclose(q.proto, p.proto, atol=1e-15)
         np.testing.assert_allclose(q.alpha, p.alpha, atol=1e-12)
         np.testing.assert_allclose(q.gamma, p.gamma, rtol=1e-12)
         np.testing.assert_allclose(q.memberships, p.memberships, atol=1e-12)
         x = rng.standard_normal(3)
-        np.testing.assert_allclose(enn_forward(q, x).mass, enn_forward(p, x).mass, atol=1e-12)
+        np.testing.assert_allclose(mass_of(q, x), mass_of(p, x), atol=1e-12)

@@ -2,16 +2,14 @@
 
 import numpy as np
 import pytest
-from helpers import fd_gradients, grad_rel_error
+from helpers import grad_rel_error
 
 from evidkit.errors import DimensionMismatch
 from evidkit.mlp import (
     MlpParams,
     SoftmaxHead,
     head_init,
-    mlp_backward,
     mlp_backward_batch,
-    mlp_forward,
     mlp_forward_batch,
     mlp_from_dict,
     mlp_init,
@@ -19,29 +17,30 @@ from evidkit.mlp import (
     softmax_head_ce_backward,
     softmax_head_forward,
 )
+from evidkit.training import fd_gradients
 
 
 class TestForward:
     def test_zero_params_give_zero_features(self):
         p = MlpParams([np.zeros((3, 4)), np.zeros((4, 2))], [np.zeros(4), np.zeros(2)], [0.25])
-        feats, _ = mlp_forward(p, np.array([1.0, -2.0, 3.0]))
+        feats, _ = mlp_forward_batch(p, np.array([[1.0, -2.0, 3.0]]))
         np.testing.assert_array_equal(feats, 0.0)
 
     def test_identity_single_layer(self):
         p = MlpParams([np.eye(3)], [np.zeros(3)], [])
         x = np.array([0.5, -1.5, 2.0])
-        feats, _ = mlp_forward(p, x)
-        np.testing.assert_array_equal(feats, x)
+        feats, _ = mlp_forward_batch(p, x[None])
+        np.testing.assert_array_equal(feats[0], x)
 
     def test_prelu_negative_branch(self):
         p = MlpParams([np.eye(2), np.eye(2)], [np.zeros(2), np.zeros(2)], [0.1])
-        feats, _ = mlp_forward(p, np.array([-10.0, 5.0]))
-        np.testing.assert_allclose(feats, [-1.0, 5.0])
+        feats, _ = mlp_forward_batch(p, np.array([[-10.0, 5.0]]))
+        np.testing.assert_allclose(feats[0], [-1.0, 5.0])
 
     def test_dimension_mismatch(self):
         p = mlp_init([3, 4, 2], seed=0)
         with pytest.raises(DimensionMismatch):
-            mlp_forward(p, np.zeros(5))
+            mlp_forward_batch(p, np.zeros((1, 5)))
 
     def test_deterministic_init(self):
         a, b = mlp_init([2, 8, 2], seed=3), mlp_init([2, 8, 2], seed=3)
@@ -85,23 +84,23 @@ class TestBackward:
         p = MlpParams([np.eye(3) * 2.0], [np.zeros(3)], [])
         x = np.array([1.0, 2.0, 3.0])
         upstream = np.array([0.5, -1.0, 2.0])
-        _, cache = mlp_forward(p, x)
-        grads, dx = mlp_backward(p, cache, upstream)
+        _, cache = mlp_forward_batch(p, x[None])
+        grads, dx = mlp_backward_batch(p, cache, upstream[None])
         np.testing.assert_allclose(grads["W0"], np.outer(x, upstream))
         np.testing.assert_allclose(grads["b0"], upstream)
-        np.testing.assert_allclose(dx, upstream * 2.0)
+        np.testing.assert_allclose(dx[0], upstream * 2.0)
 
 
 class TestSoftmaxHead:
     def test_zero_logits_uniform(self):
         head = SoftmaxHead(np.zeros((4, 3)), np.zeros(3))
-        probs = softmax_head_forward(head, np.ones(4))
+        probs = softmax_head_forward(head, np.ones((1, 4)))
         np.testing.assert_allclose(probs, 1.0 / 3.0)
 
     def test_large_gap_near_one_hot(self):
         head = SoftmaxHead(np.zeros((2, 2)), np.array([50.0, -50.0]))
-        probs = softmax_head_forward(head, np.zeros(2))
-        assert probs[0] > 1 - 1e-12
+        probs = softmax_head_forward(head, np.zeros((1, 2)))
+        assert probs[0, 0] > 1 - 1e-12
 
     def test_matches_direct_recomputation(self):
         rng = np.random.default_rng(7)
@@ -144,4 +143,4 @@ class TestCheckpoint:
         for wa, wb in zip(p.weights, q.weights):
             np.testing.assert_allclose(wa, wb, atol=1e-15)
         x = np.random.default_rng(1).standard_normal(2)
-        np.testing.assert_allclose(mlp_forward(p, x)[0], mlp_forward(q, x)[0], atol=1e-15)
+        np.testing.assert_allclose(mlp_forward_batch(p, x[None])[0], mlp_forward_batch(q, x[None])[0], atol=1e-15)

@@ -5,22 +5,20 @@ import math
 
 import numpy as np
 import pytest
-from helpers import fd_gradients, grad_rel_error
+from helpers import grad_rel_error
 
 from evidkit import dst
 from evidkit.errors import DimensionMismatch, StaleCache
 from evidkit.numeric import sigmoid
 from evidkit.rbf import (
-    rbf_backward,
     rbf_backward_batch,
-    rbf_forward,
     rbf_forward_batch,
     rbf_from_constrained,
     rbf_from_dict,
     rbf_init_kmeans,
     rbf_init_random,
-    rbf_to_dict,
 )
+from evidkit.training import fd_gradients
 
 FRAME = dst.Frame(2)
 
@@ -31,6 +29,15 @@ def random_params(rng, n_proto=3, n_feat=2, v_scale=2.0):
         rng.uniform(0.05, 3.0, size=n_proto),
         v_scale * rng.standard_normal(n_proto),
     )
+
+
+def one_row(params, x):
+    """Masses (3,) of one input row through a 1-row batch, and that row's
+    w+, w-, p1 and conflict kappa = (1 - exp(-w+)) (1 - exp(-w-))."""
+    mass, c = rbf_forward_batch(params, np.asarray(x, dtype=float)[None])
+    wp, wm = float(c["wp"][0]), float(c["wm"][0])
+    kappa = float(-np.expm1(-wp) * -np.expm1(-wm))
+    return mass[0], {"wplus": wp, "wminus": wm, "p1": float(c["p1"][0]), "kappa": kappa}
 
 
 def latent_mass_oracle(wp, wm):
@@ -45,34 +52,34 @@ def latent_mass_oracle(wp, wm):
 class TestForward:
     def test_zero_weights_give_vacuous(self):
         p = rbf_from_constrained(np.zeros((3, 2)), np.full(3, 0.01), np.zeros(3))
-        out = rbf_forward(p, np.array([1.0, -1.0]))
-        np.testing.assert_allclose(out.mass, [0.0, 0.0, 1.0], atol=1e-15)
-        assert out.p1 == pytest.approx(0.5)
-        assert out.kappa == 0.0
+        mass, out = one_row(p, np.array([1.0, -1.0]))
+        np.testing.assert_allclose(mass, [0.0, 0.0, 1.0], atol=1e-15)
+        assert out["p1"] == pytest.approx(0.5)
+        assert out["kappa"] == 0.0
 
     def test_far_input_is_ignorant(self):
         rng = np.random.default_rng(3)
         p = random_params(rng)
-        out = rbf_forward(p, np.array([1e4, 1e4]))
-        assert out.mass[2] > 1 - 1e-12
+        mass, _ = one_row(p, np.array([1e4, 1e4]))
+        assert mass[2] > 1 - 1e-12
 
     def test_single_prototype_log2(self):
         p = rbf_from_constrained(np.array([[0.0, 0.0]]), [1.0], [math.log(2)])
-        out = rbf_forward(p, np.zeros(2))  # d = 0 so s = 1
-        assert out.wplus == pytest.approx(math.log(2), abs=1e-15)
-        assert out.wminus == 0.0
-        assert out.kappa == 0.0
-        np.testing.assert_allclose(out.mass, [0.5, 0.0, 0.5], atol=1e-12)
-        assert out.p1 == pytest.approx(2.0 / 3.0, abs=1e-12)
+        mass, out = one_row(p, np.zeros(2))  # d = 0 so s = 1
+        assert out["wplus"] == pytest.approx(math.log(2), abs=1e-15)
+        assert out["wminus"] == 0.0
+        assert out["kappa"] == 0.0
+        np.testing.assert_allclose(mass, [0.5, 0.0, 0.5], atol=1e-12)
+        assert out["p1"] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_latent_mass_matches_dst_core(self):
         rng = np.random.default_rng(23)
         for _ in range(1000):
             p = random_params(rng, n_proto=int(rng.integers(1, 6)))
             x = rng.standard_normal(2)
-            out = rbf_forward(p, x)
+            mass, out = one_row(p, x)
             np.testing.assert_allclose(
-                out.mass, latent_mass_oracle(out.wplus, out.wminus), atol=1e-12
+                mass, latent_mass_oracle(out["wplus"], out["wminus"]), atol=1e-12
             )
 
     def test_p1_is_normalized_plausibility(self):
@@ -80,16 +87,16 @@ class TestForward:
         for _ in range(1000):
             p = random_params(rng, n_proto=int(rng.integers(1, 6)))
             x = rng.standard_normal(2)
-            out = rbf_forward(p, x)
+            mass, out = one_row(p, x)
             m = dst.make_mass(
-                FRAME, [(0b01, out.mass[0]), (0b10, out.mass[1]), (0b11, out.mass[2])]
+                FRAME, [(0b01, mass[0]), (0b10, mass[1]), (0b11, mass[2])]
             )
             pl1 = dst.plausibility(m, 0b01)
             pl2 = dst.plausibility(m, 0b10)
-            assert abs(out.p1 - pl1 / (pl1 + pl2)) < 1e-12
+            assert abs(out["p1"] - pl1 / (pl1 + pl2)) < 1e-12
             # and the logistic shortcut agrees with the activation sum
             z = float(np.sum(p.v * np.exp(-p.gamma * ((x - p.proto) ** 2).sum(axis=1))))
-            assert out.p1 == pytest.approx(sigmoid(z), abs=1e-15)
+            assert out["p1"] == pytest.approx(sigmoid(z), abs=1e-15)
 
     def test_frame_mass_identity(self):
         # m(frame) = exp(-sum |w_i|) / (1 - kappa)
@@ -97,10 +104,10 @@ class TestForward:
         for _ in range(200):
             p = random_params(rng)
             x = rng.standard_normal(2)
-            out = rbf_forward(p, x)
+            mass, out = one_row(p, x)
             w = p.v * np.exp(-p.gamma * ((x - p.proto) ** 2).sum(axis=1))
-            expected = math.exp(-np.abs(w).sum()) / (1.0 - out.kappa)
-            assert out.mass[2] == pytest.approx(expected, abs=1e-12)
+            expected = math.exp(-np.abs(w).sum()) / (1.0 - out["kappa"])
+            assert mass[2] == pytest.approx(expected, abs=1e-12)
 
     def test_large_totals_stay_finite_and_normalized(self):
         p = rbf_from_constrained(np.zeros((2, 2)), [1e-6, 1e-6], [400.0, -350.0])
@@ -117,22 +124,22 @@ class TestForward:
         masses = []
         for scale in scales:
             q = rbf_from_constrained(p.proto, p.gamma, p.v * scale)
-            masses.append(rbf_forward(q, x).mass[2])
+            masses.append(one_row(q, x)[0][2])
         assert np.all(np.diff(masses) >= -1e-15)
         assert masses[-1] == pytest.approx(1.0)
 
     def test_dimension_mismatch(self):
         p = rbf_init_random(3, 2, seed=0)
         with pytest.raises(DimensionMismatch):
-            rbf_forward(p, np.zeros(4))
+            rbf_forward_batch(p, np.zeros((1, 4)))
 
 
 class TestBackward:
     def test_zero_upstream(self):
         rng = np.random.default_rng(5)
         p = random_params(rng)
-        out = rbf_forward(p, rng.standard_normal(2))
-        grads, dx = rbf_backward(p, out, np.zeros(3))
+        _, cache = rbf_forward_batch(p, rng.standard_normal((1, 2)))
+        grads, dx = rbf_backward_batch(p, cache, np.zeros((1, 3)))
         assert all(np.all(g == 0) for g in grads.values())
         assert np.all(dx == 0)
 
@@ -192,9 +199,9 @@ class TestBackward:
     def test_stale_cache(self):
         rng = np.random.default_rng(4)
         p1_, p2_ = random_params(rng), random_params(rng)
-        out = rbf_forward(p1_, rng.standard_normal(2))
+        _, cache = rbf_forward_batch(p1_, rng.standard_normal((1, 2)))
         with pytest.raises(StaleCache):
-            rbf_backward(p2_, out, np.zeros(3))
+            rbf_backward_batch(p2_, cache, np.zeros((1, 3)))
 
 
 class TestInit:
@@ -229,9 +236,9 @@ class TestCheckpoint:
     def test_round_trip(self):
         rng = np.random.default_rng(19)
         p = random_params(rng, n_proto=5, n_feat=3)
-        q = rbf_from_dict(rbf_to_dict(p))
+        q = rbf_from_dict(p.to_dict())
         np.testing.assert_allclose(q.proto, p.proto, atol=1e-15)
         np.testing.assert_allclose(q.gamma, p.gamma, rtol=1e-12)
         np.testing.assert_allclose(q.v, p.v, atol=1e-15)
         x = rng.standard_normal(3)
-        np.testing.assert_allclose(rbf_forward(q, x).mass, rbf_forward(p, x).mass, atol=1e-12)
+        np.testing.assert_allclose(one_row(q, x)[0], one_row(p, x)[0], atol=1e-12)

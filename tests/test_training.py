@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import fd_gradients, grad_rel_error
+from helpers import grad_rel_error
 
 from evidkit.datasets import gen_half_moons
 from evidkit.enn import enn_init_kmeans, enn_init_random
@@ -18,6 +18,7 @@ from evidkit.training import (
     Adam,
     Sgd,
     TrainConfig,
+    fd_gradients,
     four_stage_init,
     grad_check,
     loss_ce,
