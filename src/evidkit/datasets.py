@@ -141,7 +141,7 @@ def save_labeled(path, ds: LabeledSet) -> None:
 
 def load_labeled(path) -> LabeledSet:
     """Read a `save_labeled` CSV; blank lines are skipped, any other bad line
-    raises MalformedInput."""
+    (a negative label included) raises MalformedInput."""
     path = Path(path)
     with path.open() as fh:
         reader = csv.reader(fh)
@@ -156,6 +156,8 @@ def load_labeled(path) -> LabeledSet:
                     raise ValueError(f"expected {dim + 1} fields, got {len(row)}")
                 points.append([float(v) for v in row[:dim]])
                 labels.append(int(row[dim]))
+                if labels[-1] < 0:
+                    raise ValueError(f"negative label {labels[-1]}")
             except ValueError as exc:
                 raise MalformedInput(f"{path}, line {reader.line_num}: {exc}") from None
     if not labels:

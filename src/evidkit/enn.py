@@ -106,19 +106,6 @@ class EnnParams:
         alpha = self.alpha
         return float(np.sum(alpha)), {"alpha_raw": alpha * (1.0 - alpha)}
 
-    def to_dict(self) -> dict:
-        """Checkpoint as a flat JSON-able dict of the constrained quantities."""
-        return {
-            "kind": self.kind,
-            "I": self.n_prototypes,
-            "H": self.n_features,
-            "K": self.n_classes,
-            "proto": self.proto.ravel().tolist(),
-            "alpha": self.alpha.tolist(),
-            "gamma": self.gamma.tolist(),
-            "u": self.memberships.ravel().tolist(),
-        }
-
 
 def enn_from_constrained(proto, alpha, gamma, memberships) -> EnnParams:
     """Build params from the constrained quantities (alpha, gamma, membership rows)."""
@@ -247,15 +234,3 @@ def enn_init_kmeans(features, labels, n_prototypes: int, n_classes: int, seed: i
             counts = np.bincount(members, minlength=n_classes).astype(float)
             u[i] = counts / counts.sum()
     return _initial(result.centroids, u)
-
-
-def enn_from_dict(data: dict) -> EnnParams:
-    if data.get("kind") != "enn":
-        raise OutOfRange(f"not an ENN checkpoint: kind={data.get('kind')!r}")
-    i, h, k = data["I"], data["H"], data["K"]
-    return enn_from_constrained(
-        np.asarray(data["proto"], dtype=float).reshape(i, h),
-        np.asarray(data["alpha"], dtype=float),
-        np.asarray(data["gamma"], dtype=float),
-        np.asarray(data["u"], dtype=float).reshape(i, k),
-    )

@@ -50,11 +50,6 @@ class MlpParams:
         out["slopes"] = self.slopes
         return out
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(
-            [w.copy() for w in self.weights], [b.copy() for b in self.biases], self.slopes.copy()
-        )
-
 
 @dataclass
 class SoftmaxHead:
@@ -145,22 +140,3 @@ def softmax_head_ce_backward(head: SoftmaxHead, features, probs, onehot):
     d_logits = probs - onehot
     grads = {"head_W": features.T @ d_logits, "head_b": d_logits.sum(axis=0)}
     return grads, d_logits @ head.weight.T
-
-
-def mlp_to_dict(params: MlpParams) -> dict:
-    out = {"kind": "mlp", "sizes": params.sizes, "slopes": params.slopes.tolist()}
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        out[f"W{i}"] = w.ravel().tolist()
-        out[f"b{i}"] = b.tolist()
-    return out
-
-
-def mlp_from_dict(data: dict) -> MlpParams:
-    if data.get("kind") != "mlp":
-        raise OutOfRange(f"not an MLP checkpoint: kind={data.get('kind')!r}")
-    sizes = data["sizes"]
-    weights, biases = [], []
-    for i, (d_in, d_out) in enumerate(zip(sizes, sizes[1:])):
-        weights.append(np.asarray(data[f"W{i}"], dtype=float).reshape(d_in, d_out))
-        biases.append(np.asarray(data[f"b{i}"], dtype=float))
-    return MlpParams(weights, biases, np.asarray(data["slopes"], dtype=float))

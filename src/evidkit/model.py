@@ -1,37 +1,67 @@
 """Composite classifier: optional feature network feeding an evidential layer.
 
 Parameter arrays are exposed as one flat dict with `layer.` / `mlp.`
-prefixes so the optimizer and checkpoint code treat every model shape
+prefixes so the optimizer and the gradient checks treat every model shape
 uniformly.
 
 The two layers, `enn.EnnParams` and `rbf.RbfParams`, share one protocol, so
-outside `make_layer` and checkpoint loading no code asks which one it holds:
-`kind` (its key in `LAYERS`), `losses` (the loss names it trains with, the
-default first), `n_features`, `n_classes` (2 for `rbf`), `trainable_arrays()`,
-`to_dict()`, `forward(X) -> (masses (N, K+1), cache)`,
+outside `make_layer` no code asks which one it holds: `kind` (its key in
+`LAYERS`), `losses` (the loss names it trains with, the default first),
+`n_features`, `n_classes` (2 for `rbf`), `trainable_arrays()`,
+`forward(X) -> (masses (N, K+1), cache)`,
 `backward(cache, upstream) -> (parameter grads, input grads)` and
 `regularizer() -> (value, {array name: gradient})`, the prototype-shrinking
 penalty that every loss weighs by lambda.
+
+Checkpoints store every field of the layer and feature-net dataclasses as
+it was trained (`params_to_dict` / `params_from_dict`), so a reload is
+bit-exact and a new array field needs no serializer of its own.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import enn, mlp, rbf
-from .errors import OutOfRange
+from .errors import EvidkitError, MalformedInput, OutOfRange
 from .numeric import as_batch, require_finite
 
 LAYERS = {"enn": enn.EnnParams, "rbf": rbf.RbfParams}
+CHECKPOINT_FORMAT = 2
 
 
 def class_count(labels) -> int:
     """Classes implied by integer labels: the largest label plus one, at least 2."""
+    if np.min(labels) < 0:
+        raise OutOfRange(f"labels must be non-negative, got {np.min(labels)}")
     return max(int(np.max(labels)) + 1, 2)
+
+
+def params_to_dict(params) -> dict:
+    """Every field of a parameter dataclass as nested JSON lists: each field is
+    an array, or a list of arrays (`MlpParams.weights`/`biases`)."""
+    out = {}
+    for f in fields(params):
+        value = getattr(params, f.name)
+        out[f.name] = [a.tolist() for a in value] if isinstance(value, list) else value.tolist()
+    return out
+
+
+def params_from_dict(cls, data: dict):
+    """`cls` rebuilt from `params_to_dict` output, through its own shape
+    checks.  Missing, ragged, non-numeric or mismatched fields and NaN
+    parameters raise MalformedInput; infinities are kept."""
+    try:
+        params = cls(**{f.name: data[f.name] for f in fields(cls)})
+    except (LookupError, TypeError, ValueError, EvidkitError) as exc:
+        raise MalformedInput(f"bad {cls.__name__} checkpoint: {type(exc).__name__}: {exc}") from None
+    if any(np.isnan(a).any() for a in params.trainable_arrays().values()):
+        raise MalformedInput(f"{cls.__name__} checkpoint holds NaN parameters")
+    return params
 
 
 def make_layer(kind: str, n_prototypes: int, n_features: int, n_classes: int, seed: int, data=None):
@@ -117,9 +147,10 @@ class EvidentialModel:
 
     def to_dict(self) -> dict:
         return {
+            "format": CHECKPOINT_FORMAT,
             "model": self.kind,
-            "layer": self.layer.to_dict(),
-            "feature_net": mlp.mlp_to_dict(self.feature_net) if self.feature_net else None,
+            "layer": params_to_dict(self.layer),
+            "feature_net": None if self.feature_net is None else params_to_dict(self.feature_net),
         }
 
     def save(self, path) -> None:
@@ -127,11 +158,19 @@ class EvidentialModel:
 
     @staticmethod
     def from_dict(data: dict) -> "EvidentialModel":
-        kind = data["model"]
-        layer = enn.enn_from_dict(data["layer"]) if kind == "enn" else rbf.rbf_from_dict(data["layer"])
-        net = mlp.mlp_from_dict(data["feature_net"]) if data.get("feature_net") else None
-        return EvidentialModel(kind, layer, net)
+        if not isinstance(data, dict) or data.get("format") != CHECKPOINT_FORMAT:
+            raise MalformedInput(f"not a format-{CHECKPOINT_FORMAT} checkpoint")
+        kind, kinds = data.get("model"), list(LAYERS)
+        if kind not in kinds:  # a list, not the dict: a corrupt file may hold an unhashable value
+            raise MalformedInput(f"checkpoint of unknown model {kind!r}; expected one of {kinds}")
+        net = data.get("feature_net")
+        net = None if net is None else params_from_dict(mlp.MlpParams, net)
+        return EvidentialModel(kind, params_from_dict(LAYERS[kind], data.get("layer")), net)
 
     @staticmethod
     def load(path) -> "EvidentialModel":
-        return EvidentialModel.from_dict(json.loads(Path(path).read_text()))
+        try:
+            data = json.loads(Path(path).read_text())
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise MalformedInput(f"{path}: not a JSON checkpoint: {exc}") from None
+        return EvidentialModel.from_dict(data)

@@ -80,16 +80,6 @@ class RbfParams:
         """Sum of the squared weights, and its gradient in `v`."""
         return float(np.sum(self.v**2)), {"v": 2.0 * self.v}
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "I": self.n_prototypes,
-            "H": self.n_features,
-            "proto": self.proto.ravel().tolist(),
-            "gamma": self.gamma.tolist(),
-            "v": self.v.tolist(),
-        }
-
 
 def rbf_from_constrained(proto, gamma, v) -> RbfParams:
     gamma = np.asarray(gamma, dtype=float)
@@ -214,14 +204,3 @@ def rbf_init_kmeans(features, labels, n_prototypes: int, seed: int = 0) -> RbfPa
         if members.size and np.mean(members == 0) < 0.5:
             v[i] = -1.0
     return rbf_from_constrained(result.centroids, np.full(n_prototypes, INIT_GAMMA), v)
-
-
-def rbf_from_dict(data: dict) -> RbfParams:
-    if data.get("kind") != "rbf":
-        raise OutOfRange(f"not an RBF checkpoint: kind={data.get('kind')!r}")
-    i, h = data["I"], data["H"]
-    return rbf_from_constrained(
-        np.asarray(data["proto"], dtype=float).reshape(i, h),
-        np.asarray(data["gamma"], dtype=float),
-        np.asarray(data["v"], dtype=float),
-    )

@@ -12,6 +12,7 @@ determinism is worth more than minibatch noise.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -31,46 +32,46 @@ from .model import EvidentialModel, class_count, make_layer
 from .numeric import log_rows, pignistic, pignistic_backward, require_finite
 
 P_CLAMP = 1e-12
+PLATEAU_PATIENCE = 10  # epochs without a lower objective before the learning rate is cut
+PLATEAU_FACTOR = 0.1
+MIN_LR = 1e-6
 
 
 # --------------------------------------------------------------------------
 # losses
 # --------------------------------------------------------------------------
 
-def loss_sse(probs, onehot, alphas=(), lam: float = 0.0):
-    """Summed squared error on probability outputs plus lam * sum(alpha).
+def loss_sse(probs, onehot):
+    """Summed squared error on probability outputs.
 
-    Returns (value, d/d(probs), d/d(alphas)).
+    Returns (value, d/d(probs)).
     """
     probs = np.asarray(probs, dtype=float)
     onehot = np.asarray(onehot, dtype=float)
     if probs.shape != onehot.shape:
         raise ShapeMismatch(f"{probs.shape} vs {onehot.shape}")
     diff = probs - onehot
-    value = float(np.sum(diff**2)) + lam * float(np.sum(alphas))
-    return value, 2.0 * diff, np.full(np.asarray(alphas).shape, lam)
+    return float(np.sum(diff**2)), 2.0 * diff
 
 
-def loss_ce(p1, targets, v=(), lam: float = 0.0):
-    """Summed binary cross-entropy on the first-class probability plus
-    lam * sum(v^2).  Probabilities are clamped to [1e-12, 1 - 1e-12].
+def loss_ce(p1, targets):
+    """Summed binary cross-entropy on the first-class probability.
+    Probabilities are clamped to [1e-12, 1 - 1e-12].
 
-    Returns (value, d/d(p1), d/d(v)).
+    Returns (value, d/d(p1)).
     """
     p1 = np.asarray(p1, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if p1.shape != targets.shape:
         raise ShapeMismatch(f"{p1.shape} vs {targets.shape}")
     p = np.clip(p1, P_CLAMP, 1.0 - P_CLAMP)
-    v = np.asarray(v, dtype=float)
     value = float(-np.sum(targets * np.log(p) + (1.0 - targets) * np.log1p(-p)))
-    value += lam * float(np.sum(v**2))
     d_p1 = (p - targets) / (p * (1.0 - p))
-    return value, d_p1, 2.0 * lam * v
+    return value, d_p1
 
 
-def loss_dice(soft_pred, truth, lam: float = 0.0, regularizer: float = 0.0):
-    """Soft overlap loss 1 - 2*sum(S*G)/(sum(S)+sum(G)) plus lam * regularizer.
+def loss_dice(soft_pred, truth):
+    """Soft overlap loss 1 - 2*sum(S*G)/(sum(S)+sum(G)).
 
     Returns (value, d/d(soft_pred)).
     """
@@ -82,7 +83,7 @@ def loss_dice(soft_pred, truth, lam: float = 0.0, regularizer: float = 0.0):
     if denom == 0.0:
         raise AllZeroDenominator("prediction and ground truth are both empty")
     overlap = float(np.sum(s * g))
-    value = 1.0 - 2.0 * overlap / denom + lam * regularizer
+    value = 1.0 - 2.0 * overlap / denom
     d_s = 2.0 * overlap / denom**2 - 2.0 * g / denom
     return value, d_s
 
@@ -126,7 +127,7 @@ def make_optimizer(arrays: dict, config: "TrainConfig"):
     if config.optimizer == "sgd":
         return Sgd(arrays, config.learning_rate)
     if config.optimizer == "adam":
-        return Adam(arrays, config.learning_rate, config.beta1, config.beta2, config.adam_eps)
+        return Adam(arrays, config.learning_rate)
     raise OutOfRange(f"unknown optimizer {config.optimizer!r}")
 
 
@@ -142,12 +143,6 @@ class TrainConfig:
     loss_kind: str = "sse"       # sse | cross-entropy | dice
     seed: int = 0
     optimizer: str = "adam"      # adam | sgd
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    plateau_patience: int = 10
-    plateau_factor: float = 0.1
-    min_lr: float = 1e-6
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -204,11 +199,11 @@ def _objective(model: EvidentialModel, masses, layer_cache: dict, y, config: Tra
         raise OutOfRange(f"the {config.loss_kind} loss does not train the {model.kind} layer")
     if config.loss_kind == "sse":
         onehot = np.eye(model.n_classes)[np.asarray(y, dtype=int)]
-        value, d_p, _ = loss_sse(pignistic(masses), onehot)
+        value, d_p = loss_sse(pignistic(masses), onehot)
         upstream = pignistic_backward(d_p)
     elif config.loss_kind == "cross-entropy":
         targets = (np.asarray(y) == 0).astype(float)  # first class means label 0
-        value, upstream, _ = loss_ce(layer_cache["p1"], targets)
+        value, upstream = loss_ce(layer_cache["p1"], targets)
     else:
         if model.n_classes != 2:
             raise OutOfRange("the overlap loss is defined for binary frames")
@@ -241,6 +236,10 @@ def train(model: EvidentialModel, train_data, config: TrainConfig, val_data=None
     """
     x_train, y_train = _unpack(train_data)
     x_val, y_val = _unpack(val_data) if val_data is not None else (None, None)
+    for y in (y_train, y_val):
+        if y is not None and (np.min(y) < 0 or np.max(y) >= model.n_classes):
+            raise OutOfRange(f"labels {np.min(y)}..{np.max(y)} outside the {model.kind} layer's "
+                             f"classes 0..{model.n_classes - 1}")
 
     arrays = model.trainable_arrays()
     optimizer = make_optimizer(arrays, config)
@@ -264,8 +263,8 @@ def train(model: EvidentialModel, train_data, config: TrainConfig, val_data=None
             bad_epochs = 0
         else:
             bad_epochs += 1
-            if bad_epochs >= config.plateau_patience:
-                optimizer.lr = max(optimizer.lr * config.plateau_factor, config.min_lr)
+            if bad_epochs >= PLATEAU_PATIENCE:
+                optimizer.lr = max(optimizer.lr * PLATEAU_FACTOR, MIN_LR)
                 bad_epochs = 0
 
         optimizer.step(grads)
@@ -346,7 +345,7 @@ def four_stage_init(train_data, arch: dict, config: TrainConfig, val_data=None) 
     net = mlp_init([x_train.shape[1], *hidden, n_feat], seed=config.seed)
     head = head_init(n_feat, n_classes, seed=config.seed + 1)
     pre_hist = pretrain_feature_net(net, head, (x_train, y_train), config)
-    net_after_pretrain = net.copy()
+    net_after_pretrain = copy.deepcopy(net)
 
     feats, _ = mlp_forward_batch(net, x_train)
     layer = make_layer(kind, n_proto, n_feat, n_classes, config.seed, (feats, y_train))
@@ -358,7 +357,7 @@ def four_stage_init(train_data, arch: dict, config: TrainConfig, val_data=None) 
         x_val, y_val = _unpack(val_data)
         val_feats = (mlp_forward_batch(net, x_val)[0], y_val)
     _, layer_hist = train(layer_model, (feats, y_train), config.replace(learning_rate=1e-2), val_feats)
-    net_before_finetune = net.copy()
+    net_before_finetune = copy.deepcopy(net)
 
     full = EvidentialModel(kind, layer_model.layer, net)
     _, fine_hist = train(full, (x_train, y_train), config.replace(learning_rate=1e-4), val_data)

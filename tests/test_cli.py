@@ -55,7 +55,7 @@ class TestTrain:
                     "--lambda", "1e-3", "--seed", "1", "--out-dir", str(out)]) == 0
         ckpt = json.loads((out / "checkpoint.json").read_text())
         assert ckpt["model"] == "enn"
-        assert ckpt["layer"]["I"] == 6
+        assert len(ckpt["layer"]["proto"]) == 6
         history = (out / "history.csv").read_text().splitlines()
         assert history[0] == "epoch,loss,train_err,val_err,mean_ignorance"
         assert len(history) == 21
@@ -65,7 +65,7 @@ class TestTrain:
         assert run(["train", "--data", str(data_dir / "train.csv"), "--model", "rbf",
                     "--epochs", "0", "--out-dir", str(out), "--seed", "2"]) == 0
         ckpt = json.loads((out / "checkpoint.json").read_text())
-        np.testing.assert_allclose(ckpt["layer"]["gamma"], 0.01, rtol=1e-12)
+        np.testing.assert_allclose(np.exp(ckpt["layer"]["log_gamma"]), 0.01, rtol=1e-12)
         assert (out / "history.csv").read_text().splitlines() == [
             "epoch,loss,train_err,val_err,mean_ignorance"
         ]
@@ -88,7 +88,7 @@ class TestTrain:
                     "--out-dir", str(out), "--seed", "3"]) == 0
         ckpt = json.loads((out / "checkpoint.json").read_text())
         assert ckpt["feature_net"] is not None
-        assert ckpt["feature_net"]["sizes"] == [2, 8, 2]
+        assert [np.shape(w) for w in ckpt["feature_net"]["weights"]] == [(2, 8), (8, 2)]
 
     def test_missing_data_is_io_error(self, tmp_path):
         assert run(["train", "--data", str(tmp_path / "absent.csv"),
@@ -262,4 +262,70 @@ def test_four_stage_init_on_one_class_data(tmp_path):
     assert run(["train", "--data", str(data), "--model", "enn", "--feature-net", "--init", "kmeans",
                 "--I", "3", "--epochs", "3", "--out-dir", str(tmp_path / "out")]) == 0
     ckpt = json.loads((tmp_path / "out" / "checkpoint.json").read_text())
-    assert ckpt["layer"]["K"] == 2
+    assert np.shape(ckpt["layer"]["u_logit"])[1] == 2
+
+
+# --------------------------------------------------------------------------
+# bad checkpoints: rc 1 and error_category=MalformedInput from eval and contours
+# --------------------------------------------------------------------------
+
+def mutated_checkpoint(mutate):
+    data = EvidentialModel("enn", enn_init_random(3, 2, 2, seed=0)).to_dict()
+    mutate(data)
+    return json.dumps(data)
+
+
+BAD_CHECKPOINT = {
+    "empty": "",
+    "not-json": '{"format": 2, "model": ',
+    "missing-key": mutated_checkpoint(lambda d: d["layer"].pop("alpha_raw")),
+    "ragged-array": mutated_checkpoint(lambda d: d["layer"]["proto"][1].pop()),
+    "short-array": mutated_checkpoint(lambda d: d["layer"]["log_gamma"].pop()),
+    "nan-parameter": mutated_checkpoint(lambda d: d["layer"]["u_logit"][0].__setitem__(1, float("nan"))),
+    "unknown-model": mutated_checkpoint(lambda d: d.update(model="svm")),
+    # the constrained-value layout that carried no format number
+    "old-format": json.dumps({"model": "enn", "feature_net": None, "layer": {
+        "kind": "enn", "I": 1, "H": 2, "K": 2, "proto": [0.0, 0.0], "alpha": [0.5], "gamma": [0.01],
+        "u": [0.5, 0.5]}}),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "contours"])
+@pytest.mark.parametrize("bad", list(BAD_CHECKPOINT))
+def test_malformed_checkpoint(command, bad, tmp_path, capsys):
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text(BAD_CHECKPOINT[bad])
+    data = tmp_path / "data.csv"
+    data.write_text("x1,x2,label\n0.1,0.2,0\n0.3,0.4,1\n")
+    extra = ["--data", str(data)] if command == "eval" else ["--resolution", "3"]
+    assert_malformed([command, "--checkpoint", str(ckpt), "--out-dir", str(tmp_path / "out"), *extra], capsys)
+
+
+# --------------------------------------------------------------------------
+# labels outside the layer's classes
+# --------------------------------------------------------------------------
+
+def labeled_csv(path, labels):
+    rows = [f"{0.3 * i},{(-1) ** i * 0.2},{label}" for i, label in enumerate(labels)]
+    path.write_text("x1,x2,label\n" + "\n".join(rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("init", ["kmeans", "random"])
+def test_negative_label(init, tmp_path, capsys):
+    data = labeled_csv(tmp_path / "neg.csv", [0, 1, -1, 0])
+    assert_malformed(["train", "--data", str(data), "--init", init, "--I", "2", "--epochs", "1",
+                      "--out-dir", str(tmp_path / "out")], capsys)
+
+
+def test_rbf_rejects_more_than_two_classes(tmp_path, capsys):
+    data = labeled_csv(tmp_path / "three.csv", [0, 1, 2, 0, 1, 2])
+    assert run(["train", "--data", str(data), "--model", "rbf", "--I", "2", "--epochs", "1",
+                "--out-dir", str(tmp_path / "out")]) == 1
+    assert "error_category=OutOfRange" in capsys.readouterr().err
+
+
+def test_validation_labels_outside_the_classes(data_dir, tmp_path, capsys):
+    assert run(["train", "--data", str(data_dir / "train.csv"), "--val", str(data_dir / "ood.csv"),
+                "--I", "2", "--epochs", "1", "--out-dir", str(tmp_path / "out")]) == 1
+    assert "error_category=OutOfRange" in capsys.readouterr().err

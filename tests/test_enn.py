@@ -11,11 +11,11 @@ from evidkit.enn import (
     enn_backward_batch,
     enn_forward_batch,
     enn_from_constrained,
-    enn_from_dict,
     enn_init_kmeans,
     enn_init_random,
 )
 from evidkit.errors import DimensionMismatch, StaleCache
+from evidkit.model import params_from_dict, params_to_dict
 from evidkit.training import fd_gradients
 
 
@@ -230,7 +230,7 @@ class TestCheckpoint:
     def test_round_trip(self):
         rng = np.random.default_rng(10)
         p = random_params(rng, n_proto=4, n_feat=3, n_classes=3)
-        q = enn_from_dict(p.to_dict())
+        q = params_from_dict(EnnParams, params_to_dict(p))
         np.testing.assert_allclose(q.proto, p.proto, atol=1e-15)
         np.testing.assert_allclose(q.alpha, p.alpha, atol=1e-12)
         np.testing.assert_allclose(q.gamma, p.gamma, rtol=1e-12)

@@ -11,12 +11,11 @@ from evidkit.mlp import (
     head_init,
     mlp_backward_batch,
     mlp_forward_batch,
-    mlp_from_dict,
     mlp_init,
-    mlp_to_dict,
     softmax_head_ce_backward,
     softmax_head_forward,
 )
+from evidkit.model import params_from_dict, params_to_dict
 from evidkit.training import fd_gradients
 
 
@@ -138,7 +137,7 @@ class TestSoftmaxHead:
 class TestCheckpoint:
     def test_round_trip(self):
         p = mlp_init([2, 7, 3], seed=12)
-        q = mlp_from_dict(mlp_to_dict(p))
+        q = params_from_dict(MlpParams, params_to_dict(p))
         assert q.sizes == p.sizes
         for wa, wb in zip(p.weights, q.weights):
             np.testing.assert_allclose(wa, wb, atol=1e-15)

@@ -41,6 +41,10 @@ class TestMakeLayer:
         assert class_count(np.zeros(5, dtype=int)) == 2
         assert class_count(np.array([0, 2, 1])) == 3
 
+    def test_class_count_rejects_negative_labels(self):
+        with pytest.raises(OutOfRange):
+            class_count(np.array([0, -1, 1]))
+
 
 class TestKindCheck:
     def test_layer_of_the_other_kind(self):
@@ -95,6 +99,25 @@ class TestProtocol:
         back = EvidentialModel.load(tmp_path / "m.json")
         assert back.kind == kind and back.n_classes == model.n_classes
         np.testing.assert_allclose(back.masses(moons.points), model.masses(moons.points), atol=1e-12)
+
+
+# saturated and infinite unconstrained values: alpha_raw = 40 is alpha = 1 in
+# floating point, +-inf is what logit gives for alpha = 1 and alpha = 0
+EXTREMES = {"enn": ("alpha_raw", [40.0, np.inf, -np.inf, -0.0]), "rbf": ("v", [40.0, -0.0, 5e-324, -1e300])}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("hidden", [[5], []])
+def test_checkpoint_is_bit_exact(kind, hidden, tmp_path):
+    model = EvidentialModel(kind, make_layer(kind, 4, 3, 2, seed=7), mlp_init([2, *hidden, 3], seed=7))
+    name, values = EXTREMES[kind]
+    model.layer.trainable_arrays()[name][:] = values
+    model.save(tmp_path / "m.json")
+    back = EvidentialModel.load(tmp_path / "m.json").trainable_arrays()
+    arrays = model.trainable_arrays()
+    assert back.keys() == arrays.keys()
+    for key, arr in arrays.items():
+        assert np.array_equal(back[key], arr) and back[key].tobytes() == arr.tobytes(), key
 
 
 @pytest.mark.parametrize("kind, loss", [("enn", "sse"), ("enn", "dice"), ("rbf", "cross-entropy"),

@@ -9,12 +9,13 @@ from helpers import grad_rel_error
 
 from evidkit import dst
 from evidkit.errors import DimensionMismatch, StaleCache
+from evidkit.model import params_from_dict, params_to_dict
 from evidkit.numeric import sigmoid
 from evidkit.rbf import (
+    RbfParams,
     rbf_backward_batch,
     rbf_forward_batch,
     rbf_from_constrained,
-    rbf_from_dict,
     rbf_init_kmeans,
     rbf_init_random,
 )
@@ -236,7 +237,7 @@ class TestCheckpoint:
     def test_round_trip(self):
         rng = np.random.default_rng(19)
         p = random_params(rng, n_proto=5, n_feat=3)
-        q = rbf_from_dict(p.to_dict())
+        q = params_from_dict(RbfParams, params_to_dict(p))
         np.testing.assert_allclose(q.proto, p.proto, atol=1e-15)
         np.testing.assert_allclose(q.gamma, p.gamma, rtol=1e-12)
         np.testing.assert_allclose(q.v, p.v, atol=1e-15)

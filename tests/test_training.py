@@ -13,7 +13,7 @@ from evidkit.errors import AllZeroDenominator, NonFiniteLoss, OutOfRange, ShapeM
 from evidkit.kmeans import kmeans
 from evidkit.mlp import mlp_init
 from evidkit.model import EvidentialModel
-from evidkit.rbf import rbf_init_kmeans, rbf_init_random
+from evidkit.rbf import rbf_from_constrained, rbf_init_kmeans, rbf_init_random
 from evidkit.training import (
     Adam,
     Sgd,
@@ -24,61 +24,76 @@ from evidkit.training import (
     loss_ce,
     loss_dice,
     loss_sse,
+    model_loss_and_grads,
     train,
 )
+
+
+def lam_difference(model, X, y, loss_kind, lam):
+    """Objective value and flat gradients at `lam` minus those at lam = 0:
+    what the layer's regularizer adds to training."""
+    v0, g0, _ = model_loss_and_grads(model, X, y, TrainConfig(loss_kind=loss_kind, lam=0.0))
+    v1, g1, _ = model_loss_and_grads(model, X, y, TrainConfig(loss_kind=loss_kind, lam=lam))
+    return v1 - v0, {name: g1[name] - g0[name] for name in g0}
 
 
 class TestLossSse:
     def test_perfect_predictions(self):
         p = np.array([[1.0, 0.0], [0.0, 1.0]])
-        value, d_p, d_a = loss_sse(p, p, np.array([0.5, 0.5]), lam=0.0)
+        value, d_p = loss_sse(p, p)
         assert value == 0.0
         assert np.all(d_p == 0)
 
     def test_regularizer_sums_reliabilities(self):
-        p = np.array([[1.0, 0.0]])
-        value, _, d_a = loss_sse(p, p, np.ones(4), lam=0.5)
-        assert value == pytest.approx(0.5 * 4)
-        np.testing.assert_array_equal(d_a, 0.5)
+        layer = enn_init_random(4, 2, 2, seed=0)
+        value, grads = lam_difference(EvidentialModel("enn", layer), np.zeros((1, 2)), np.zeros(1, dtype=int),
+                                      "sse", lam=0.5)
+        alpha = layer.alpha
+        assert value == pytest.approx(0.5 * np.sum(alpha))
+        # d/d(alpha) is lam for every reliability; alpha_raw adds the sigmoid's slope
+        np.testing.assert_allclose(grads["layer.alpha_raw"] / (alpha * (1.0 - alpha)), 0.5)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         p = rng.uniform(0.1, 0.9, size=(6, 3))
         y = np.eye(3)[rng.integers(0, 3, size=6)]
 
-        _, d_p, _ = loss_sse(p, y, np.zeros(2), lam=0.0)
-        numeric = fd_gradients(lambda: loss_sse(p, y, np.zeros(2), 0.0)[0], {"p": p})
+        _, d_p = loss_sse(p, y)
+        numeric = fd_gradients(lambda: loss_sse(p, y)[0], {"p": p})
         assert grad_rel_error({"p": d_p}, {"p": numeric["p"]}) < 1e-6
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            loss_sse(np.zeros((2, 2)), np.zeros((3, 2)), np.zeros(1), 0.0)
+            loss_sse(np.zeros((2, 2)), np.zeros((3, 2)))
 
 
 class TestLossCe:
     def test_matching_predictions_near_zero(self):
         p = np.array([1.0, 0.0, 1.0])
         y = np.array([1.0, 0.0, 1.0])
-        value, _, _ = loss_ce(p, y, np.zeros(2), lam=0.0)
+        value, _ = loss_ce(p, y)
         assert value == pytest.approx(0.0, abs=1e-9)
 
     def test_coin_flip_value(self):
         n = 17
-        value, _, _ = loss_ce(np.full(n, 0.5), np.ones(n), np.zeros(3), lam=0.0)
+        value, _ = loss_ce(np.full(n, 0.5), np.ones(n))
         assert value == pytest.approx(n * math.log(2))
 
     def test_weight_penalty(self):
+        # one point far from both prototypes: p1 = 1/2, and the data term leaves v alone
         v = np.array([1.0, -2.0])
-        value, _, d_v = loss_ce(np.array([0.5]), np.array([1.0]), v, lam=0.1)
+        model = EvidentialModel("rbf", rbf_from_constrained(np.zeros((2, 2)), np.ones(2), v))
+        value, grads, _ = model_loss_and_grads(model, np.full((1, 2), 1e3), np.zeros(1, dtype=int),
+                                               TrainConfig(loss_kind="cross-entropy", lam=0.1))
         assert value == pytest.approx(math.log(2) + 0.1 * 5.0)
-        np.testing.assert_allclose(d_v, 0.2 * v)
+        np.testing.assert_allclose(grads["layer.v"], 0.2 * v)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(2)
         p = rng.uniform(0.05, 0.95, size=10)
         y = rng.integers(0, 2, size=10).astype(float)
-        _, d_p, _ = loss_ce(p, y, np.zeros(1), 0.0)
-        numeric = fd_gradients(lambda: loss_ce(p, y, np.zeros(1), 0.0)[0], {"p": p})
+        _, d_p = loss_ce(p, y)
+        numeric = fd_gradients(lambda: loss_ce(p, y)[0], {"p": p})
         assert grad_rel_error({"p": d_p}, {"p": numeric["p"]}) < 1e-6
 
 
@@ -94,8 +109,9 @@ class TestLossDice:
         assert value == pytest.approx(1.0)
 
     def test_regularized_value(self):
-        g = np.array([1.0, 0.0])
-        value, _ = loss_dice(g, g, lam=0.5, regularizer=3.0)
+        # sum(v^2) = 3: the objective adds lam * 3
+        layer = rbf_from_constrained(np.eye(3, 2), np.ones(3), np.array([1.0, -1.0, 1.0]))
+        value, _ = lam_difference(EvidentialModel("rbf", layer), np.eye(2), np.array([1.0, 0.0]), "dice", lam=0.5)
         assert value == pytest.approx(1.5)
 
     def test_gradient_matches_finite_differences(self):
