@@ -9,14 +9,23 @@ prototype i as
 which discounts the prototype's Bayesian mass (u_i1 s_i, ..., u_iK s_i)
 leaving 1 - s_i on the whole frame.  The I discounted masses are pooled by
 Dempster's rule; because every focal set is a singleton or the frame, the
-pooled mass has the closed form
+pooled mass has a closed form, evaluated in the log domain:
 
-    mass_k  ~  prod_i (1 - s_i (1 - u_ik)) - prod_i (1 - s_i)
-    mass_Om ~  prod_i (1 - s_i)
+    L_k     =  sum_i log1p(-s_i (1 - u_ik)),   L_q = sum_i log1p(-s_i)
+    top     =  max_k L_k
+    mass_k  ~  exp(L_k - top) * -expm1(L_q - L_k)    (exactly 0 where L_k = -inf)
+    mass_Om ~  exp(L_q - top)
 
-normalized once at the end.  Gradients are taken with respect to the
-unconstrained parameterization (prototypes, logit(alpha), log(gamma),
-membership logits) so plain gradient steps preserve the constraints.
+normalized once at the end.  These are the product forms
+prod_i (1 - s_i (1 - u_ik)) - prod_i (1 - s_i) and prod_i (1 - s_i) scaled by
+exp(-top), but they neither cancel far from the prototypes (s -> 0) nor
+underflow for many prototypes, and the scaled total is at least 1.  Only when
+every L_k is -inf, fully confident prototypes excluding every class, is the
+evidence in total conflict.
+
+Gradients are taken with respect to the unconstrained parameterization
+(prototypes, logit(alpha), log(gamma), membership logits) so plain gradient
+steps preserve the constraints.
 
 Forward/backward take a batch (N, H), or a single row (H,) as N = 1; the
 math is vectorized numpy.
@@ -31,7 +40,7 @@ import numpy as np
 from .errors import DimensionMismatch, OutOfRange, StaleCache, TotalConflict
 from .kmeans import kmeans
 from .numeric import (
-    as_batch, leave_one_out_prod, log_rows, logit, sigmoid, softmax_rows, sq_dists, sq_dists_backward,
+    as_batch, log_rows, logit, sigmoid, softmax_rows, sq_dists, sq_dists_backward,
 )
 
 INIT_ALPHA = 0.5
@@ -122,38 +131,36 @@ def enn_from_constrained(proto, alpha, gamma, memberships) -> EnnParams:
     return EnnParams(np.asarray(proto, dtype=float), logit(alpha), np.log(gamma), log_rows(u))
 
 
+def _factor_weights(u) -> np.ndarray:
+    """(I, K+1) weights w of the Dempster factors t = 1 - s w: 1 - u_ik for
+    each class k, then 1 for the frame."""
+    return np.concatenate([1.0 - u, np.ones((u.shape[0], 1))], axis=1)
+
+
 def enn_forward_batch(params: EnnParams, X) -> tuple[np.ndarray, dict]:
     """Evaluate a batch (N, H) -> masses (N, K+1) plus the backward cache."""
     X = as_batch(X, params.n_features)
-    alpha, gamma, u = params.alpha, params.gamma, params.memberships
+    alpha, gamma = params.alpha, params.gamma
+    k = params.n_classes
 
-    d2, diff = sq_dists(X, params.proto)                 # (N, I), (N, I, H)
-    e = np.exp(-gamma[None, :] * d2)
-    s = alpha[None, :] * e                               # (N, I)
+    d2 = sq_dists(X, params.proto)                       # (N, I)
+    e = np.exp(-gamma * d2)
+    s = alpha * e
 
-    t = 1.0 - s[:, :, None] * (1.0 - u[None, :, :])      # (N, I, K)
-    prod_t = np.prod(t, axis=1)                          # (N, K)
-    one_minus_s = 1.0 - s
-    q = np.prod(one_minus_s, axis=1)                     # (N,)
-
-    unnorm = np.concatenate([prod_t - q[:, None], q[:, None]], axis=1)  # (N, K+1)
-    total = unnorm.sum(axis=1)
-    if np.any(total < 1e-300):
-        raise TotalConflict("fully confident prototypes disagree; pooled mass vanished")
+    w = _factor_weights(params.memberships)
+    with np.errstate(divide="ignore"):
+        logs = np.column_stack([np.log1p(-s * w_c).sum(axis=1) for w_c in w.T])
+    top = logs[:, :k].max(axis=1)                        # (N,), logs = [L_1 .. L_K, L_q]
+    if np.any(top == -np.inf):
+        raise TotalConflict("fully confident prototypes exclude every class; pooled mass vanished")
+    unnorm = np.exp(logs - top[:, None])                 # (N, K+1)
+    with np.errstate(invalid="ignore"):
+        singles = unnorm[:, :k] * -np.expm1(logs[:, k:] - logs[:, :k])
+    unnorm[:, :k] = np.where(logs[:, :k] == -np.inf, 0.0, singles)
+    total = unnorm.sum(axis=1)                           # >= 1: the top class and the frame sum to 1
     mass = unnorm / total[:, None]
 
-    cache = {
-        "params": params,
-        "X": X,
-        "diff": diff,
-        "d2": d2,
-        "e": e,
-        "s": s,
-        "t_loo": leave_one_out_prod(t, axis=1),
-        "q_loo": leave_one_out_prod(one_minus_s, axis=1),
-        "mass": mass,
-        "total": total,
-    }
+    cache = {"params": params, "X": X, "d2": d2, "e": e, "s": s, "mass": mass, "total": total}
     return mass, cache
 
 
@@ -171,29 +178,43 @@ def enn_backward_batch(params: EnnParams, cache: dict, upstream) -> tuple[dict[s
         raise DimensionMismatch(f"upstream shape {upstream.shape} vs mass shape {mass.shape}")
 
     alpha, gamma, u = params.alpha, params.gamma, params.memberships
-    s, e, d2, diff = cache["s"], cache["e"], cache["d2"], cache["diff"]
+    s, e, d2 = cache["s"], cache["e"], cache["d2"]
     k = params.n_classes
 
-    # mass = unnorm / total
-    d_unnorm = (upstream - np.sum(upstream * mass, axis=1, keepdims=True)) / total[:, None]
-    d_prod_t = d_unnorm[:, :k]                                   # (N, K)
-    d_q = d_unnorm[:, k] - d_prod_t.sum(axis=1)                  # (N,)
+    # mass = unnorm / total with unnorm = [P_k - Q, Q] on the forward's exp(-top)
+    # scale: P_c = exp(L_c - top), Q = exp(L_q - top).  mass does not depend on
+    # the scale, so it is held fixed.  d_pq: the gradients in P_1 .. P_K and Q;
+    # pq: P_1 .. P_K and Q themselves, sums of the cached nonnegative masses.
+    d_pq = (upstream - np.sum(upstream * mass, axis=1, keepdims=True)) / total[:, None]
+    d_pq[:, k] -= d_pq[:, :k].sum(axis=1)
+    pq = mass * total[:, None]
+    pq[:, :k] += pq[:, k:]
 
-    d_t = d_prod_t[:, None, :] * cache["t_loo"]                  # (N, I, K)
-    d_s = np.einsum("nik,ik->ni", d_t, u - 1.0) - d_q[:, None] * cache["q_loo"]
-    d_u = d_t * s[:, :, None]                                    # constrained memberships
+    # P_c = exp(-top) prod_i t_ic with t_ic = 1 - s_i w_ic, so d(P_c)/d(t_ic) is
+    # P_c / t_ic.  Where t_ic = 0 it is taken as 0: there alpha_i = 1,
+    # exp(-gamma_i d2) = 1 and u_ic < 2**-53 (or c is the frame), and every chain
+    # below scales it by alpha_i (1 - alpha_i) = 0, by u_ic, or by gamma_i d2 < 2**-53
+    w = _factor_weights(u)
+    d_s = np.zeros_like(s)
+    d_u = np.empty_like(w)                                       # summed over the batch; frame column unused
+    for c, w_c in enumerate(w.T):
+        t = 1.0 - s * w_c
+        d_t = np.divide(pq[:, c:c + 1], t, out=np.zeros_like(t), where=t > 0)
+        d_t *= d_pq[:, c:c + 1]
+        d_s -= d_t * w_c
+        d_u[:, c] = np.einsum("ni,ni->i", d_t, s)
+    d_u = d_u[:, :k]
 
     d_alpha = d_s * e                                            # (N, I)
     d_gamma = -d_s * s * d2
-    d_d2 = -d_s * s * gamma[None, :]
+    d_d2 = -d_s * s * gamma
 
-    d_x, d_proto = sq_dists_backward(d_d2, diff)
+    d_x, d_proto = sq_dists_backward(d_d2, cache["X"], params.proto)
 
     # chain into the unconstrained parameterization
-    d_alpha_raw = (d_alpha * (alpha * (1.0 - alpha))[None, :]).sum(axis=0)
-    d_log_gamma = (d_gamma * gamma[None, :]).sum(axis=0)
-    inner = np.einsum("nik,ik->ni", d_u, u)                      # row dot of grad and u
-    d_u_logit = np.einsum("nik,ik->ik", d_u, u) - np.einsum("ni,ik->ik", inner, u)
+    d_alpha_raw = d_alpha.sum(axis=0) * alpha * (1.0 - alpha)
+    d_log_gamma = d_gamma.sum(axis=0) * gamma
+    d_u_logit = u * (d_u - np.sum(d_u * u, axis=1, keepdims=True))
 
     grads = {
         "proto": d_proto,

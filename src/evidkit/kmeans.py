@@ -56,7 +56,7 @@ def kmeans(points, k: int, seed: int = 0, max_iter: int = 100) -> KMeansResult:
 
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        d2, _ = sq_dists(points, centroids)
+        d2 = sq_dists(points, centroids)
         new_assign = np.argmin(d2, axis=1)
 
         for j in range(k):

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import enn, mlp, rbf
-from .errors import EvidkitError, MalformedInput, OutOfRange
+from .errors import DimensionMismatch, EvidkitError, MalformedInput, OutOfRange
 from .numeric import as_batch, require_finite
 
 LAYERS = {"enn": enn.EnnParams, "rbf": rbf.RbfParams}
@@ -88,6 +88,9 @@ class EvidentialModel:
     def __post_init__(self):
         if getattr(self.layer, "kind", None) != self.kind:
             raise OutOfRange(f"model kind {self.kind!r} does not match its {type(self.layer).__name__} layer")
+        if self.feature_net is not None and self.feature_net.sizes[-1] != self.layer.n_features:
+            raise DimensionMismatch(f"the feature net emits {self.feature_net.sizes[-1]} features; "
+                                    f"the {self.kind} layer takes {self.layer.n_features}")
 
     @property
     def n_features(self) -> int:
@@ -165,7 +168,11 @@ class EvidentialModel:
             raise MalformedInput(f"checkpoint of unknown model {kind!r}; expected one of {kinds}")
         net = data.get("feature_net")
         net = None if net is None else params_from_dict(mlp.MlpParams, net)
-        return EvidentialModel(kind, params_from_dict(LAYERS[kind], data.get("layer")), net)
+        layer = params_from_dict(LAYERS[kind], data.get("layer"))
+        try:
+            return EvidentialModel(kind, layer, net)
+        except DimensionMismatch as exc:
+            raise MalformedInput(f"bad checkpoint: {exc}") from None
 
     @staticmethod
     def load(path) -> "EvidentialModel":

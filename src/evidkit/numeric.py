@@ -42,22 +42,6 @@ def log_rows(p, floor=0.0):
         return np.log(p)
 
 
-def leave_one_out_prod(a, axis):
-    """For each index along `axis`, the product of all other entries.
-
-    Uses prefix/suffix cumulative products, so zeros in `a` are handled
-    exactly (no division).
-    """
-    b = np.moveaxis(np.asarray(a, dtype=float), axis, 0)
-    n = b.shape[0]
-    fwd = np.ones_like(b)
-    bwd = np.ones_like(b)
-    if n > 1:
-        fwd[1:] = np.cumprod(b[:-1], axis=0)
-        bwd[:-1] = np.cumprod(b[::-1], axis=0)[:-1][::-1]
-    return np.moveaxis(fwd * bwd, 0, axis)
-
-
 def as_batch(x, dim: int) -> np.ndarray:
     """Inputs as an (N, dim) float array; a single row (dim,) becomes N = 1."""
     x = np.asarray(x, dtype=float)
@@ -75,16 +59,32 @@ def require_finite(x: np.ndarray, what: str = "inputs") -> np.ndarray:
     return x
 
 
-def sq_dists(X, P) -> tuple[np.ndarray, np.ndarray]:
-    """(N, I) squared distances between the rows of X (N, H) and P (I, H),
-    plus the (N, I, H) differences that `sq_dists_backward` needs."""
-    diff = X[:, None, :] - P[None, :, :]
-    return np.einsum("nih,nih->ni", diff, diff), diff
+def sq_dists(X, P) -> np.ndarray:
+    """(N, I) squared distances between the rows of X (N, H) and P (I, H).
+
+    Computed as ||x - c||^2 - 2 (X - c)(P - c)^T + ||p - c||^2 and clamped at
+    0, so no (N, I, H) array is built.  c is the mean of P: centering keeps
+    the GEMM form translation invariant, where raw norms of far-off X and P
+    would cancel away the digits of small distances.
+    """
+    c = P.mean(axis=0)
+    Xc, Pc = X - c, P - c
+    d2 = Xc @ Pc.T
+    d2 *= -2.0
+    d2 += np.einsum("nh,nh->n", Xc, Xc)[:, None]
+    d2 += np.einsum("ih,ih->i", Pc, Pc)
+    return np.maximum(d2, 0.0, out=d2)
 
 
-def sq_dists_backward(d_d2, diff) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients with respect to X and P given d(loss)/d(squared distances)."""
-    return 2.0 * np.einsum("ni,nih->nh", d_d2, diff), -2.0 * np.einsum("ni,nih->ih", d_d2, diff)
+def sq_dists_backward(d_d2, X, P) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients with respect to X (N, H) and P (I, H) given d(loss)/d(squared
+    distances) g (N, I), as two matmuls: 2 (rowsum(g) X - g P) and
+    -2 (g^T X - colsum(g) P), with X and P centered as in `sq_dists`."""
+    c = P.mean(axis=0)
+    Xc, Pc = X - c, P - c
+    d_x = d_d2.sum(axis=1)[:, None] * Xc - d_d2 @ Pc
+    d_p = d_d2.T @ Xc - d_d2.sum(axis=0)[:, None] * Pc
+    return 2.0 * d_x, -2.0 * d_p
 
 
 def pignistic(masses):

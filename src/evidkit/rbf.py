@@ -111,9 +111,9 @@ def rbf_forward_batch(params: RbfParams, X) -> tuple[np.ndarray, dict]:
     X = as_batch(X, params.n_features)
     gamma, v = params.gamma, params.v
 
-    d2, diff = sq_dists(X, params.proto)
-    s = np.exp(-gamma[None, :] * d2)
-    w = s * v[None, :]
+    d2 = sq_dists(X, params.proto)
+    s = np.exp(-gamma * d2)
+    w = s * v
 
     wp = np.maximum(w, 0.0).sum(axis=1)
     wm = np.maximum(-w, 0.0).sum(axis=1)
@@ -122,7 +122,7 @@ def rbf_forward_batch(params: RbfParams, X) -> tuple[np.ndarray, dict]:
 
     cache = {
         "params": params,
-        "diff": diff,
+        "X": X,
         "d2": d2,
         "s": s,
         "w": w,
@@ -157,7 +157,7 @@ def rbf_backward_batch(params: RbfParams, cache: dict, upstream) -> tuple[dict[s
     if cache.get("params") is not params:
         raise StaleCache("cache was produced by different parameters")
     upstream = np.asarray(upstream, dtype=float)
-    s, w, d2, diff = cache["s"], cache["w"], cache["d2"], cache["diff"]
+    s, w, d2 = cache["s"], cache["w"], cache["d2"]
     n = s.shape[0]
 
     if upstream.shape == (n, 3):
@@ -174,10 +174,10 @@ def rbf_backward_batch(params: RbfParams, cache: dict, upstream) -> tuple[dict[s
 
     d_v = (d_w * s).sum(axis=0)
     d_s = d_w * params.v[None, :]
-    d_log_gamma = (-d_s * s * d2 * params.gamma[None, :]).sum(axis=0)
-    d_d2 = -d_s * s * params.gamma[None, :]
+    d_d2 = -d_s * s * params.gamma
+    d_log_gamma = (d_d2 * d2).sum(axis=0)
 
-    d_x, d_proto = sq_dists_backward(d_d2, diff)
+    d_x, d_proto = sq_dists_backward(d_d2, cache["X"], params.proto)
 
     grads = {"proto": d_proto, "log_gamma": d_log_gamma, "v": d_v}
     return grads, d_x

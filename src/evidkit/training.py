@@ -227,6 +227,14 @@ def model_loss_and_grads(model: EvidentialModel, X, y, config: TrainConfig):
 # training loop
 # --------------------------------------------------------------------------
 
+def _check_labels(layer, *label_sets) -> None:
+    """OutOfRange unless every label set (None skipped) lies in the layer's classes."""
+    for y in label_sets:
+        if y is not None and (np.min(y) < 0 or np.max(y) >= layer.n_classes):
+            raise OutOfRange(f"labels {np.min(y)}..{np.max(y)} outside the {layer.kind} layer's "
+                             f"classes 0..{layer.n_classes - 1}")
+
+
 def train(model: EvidentialModel, train_data, config: TrainConfig, val_data=None):
     """Full-batch training with a reduce-on-plateau schedule.
 
@@ -236,10 +244,7 @@ def train(model: EvidentialModel, train_data, config: TrainConfig, val_data=None
     """
     x_train, y_train = _unpack(train_data)
     x_val, y_val = _unpack(val_data) if val_data is not None else (None, None)
-    for y in (y_train, y_val):
-        if y is not None and (np.min(y) < 0 or np.max(y) >= model.n_classes):
-            raise OutOfRange(f"labels {np.min(y)}..{np.max(y)} outside the {model.kind} layer's "
-                             f"classes 0..{model.n_classes - 1}")
+    _check_labels(model.layer, y_train, y_val)
 
     arrays = model.trainable_arrays()
     optimizer = make_optimizer(arrays, config)
@@ -336,11 +341,15 @@ def four_stage_init(train_data, arch: dict, config: TrainConfig, val_data=None) 
     evidential layer on frozen features (learning rate 1e-2), then fine-tune
     the whole model end to end (learning rate 1e-4)."""
     x_train, y_train = _unpack(train_data)
+    x_val, y_val = _unpack(val_data) if val_data is not None else (None, None)
     kind = arch["kind"]
     n_proto = arch["n_prototypes"]
     n_feat = arch["n_features"]
     hidden = arch.get("hidden", [16])
     n_classes = class_count(y_train)
+    # a random layer of the kind has the class count the staged one will have
+    # (2 for rbf): check the labels against it before pretraining for them
+    _check_labels(make_layer(kind, n_proto, n_feat, n_classes, config.seed), y_train, y_val)
 
     net = mlp_init([x_train.shape[1], *hidden, n_feat], seed=config.seed)
     head = head_init(n_feat, n_classes, seed=config.seed + 1)
@@ -354,7 +363,6 @@ def four_stage_init(train_data, arch: dict, config: TrainConfig, val_data=None) 
     layer_model = EvidentialModel(kind, layer, None)
     val_feats = None
     if val_data is not None:
-        x_val, y_val = _unpack(val_data)
         val_feats = (mlp_forward_batch(net, x_val)[0], y_val)
     _, layer_hist = train(layer_model, (feats, y_train), config.replace(learning_rate=1e-2), val_feats)
     net_before_finetune = copy.deepcopy(net)

@@ -7,7 +7,8 @@ import pytest
 
 from evidkit.cli import main
 from evidkit.enn import enn_init_random
-from evidkit.model import EvidentialModel
+from evidkit.mlp import mlp_init
+from evidkit.model import EvidentialModel, params_to_dict
 
 
 def run(argv):
@@ -283,6 +284,9 @@ BAD_CHECKPOINT = {
     "short-array": mutated_checkpoint(lambda d: d["layer"]["log_gamma"].pop()),
     "nan-parameter": mutated_checkpoint(lambda d: d["layer"]["u_logit"][0].__setitem__(1, float("nan"))),
     "unknown-model": mutated_checkpoint(lambda d: d.update(model="svm")),
+    # a feature net of width 3 over a layer with 2-d prototypes
+    "feature-net-width": mutated_checkpoint(
+        lambda d: d.update(feature_net=params_to_dict(mlp_init([2, 4, 3], seed=0)))),
     # the constrained-value layout that carried no format number
     "old-format": json.dumps({"model": "enn", "feature_net": None, "layer": {
         "kind": "enn", "I": 1, "H": 2, "K": 2, "proto": [0.0, 0.0], "alpha": [0.5], "gamma": [0.01],

@@ -57,6 +57,10 @@ class TestKindCheck:
         with pytest.raises(OutOfRange):
             EvidentialModel("svm", enn_init_random(3, 2, 2, seed=0))
 
+    def test_feature_net_width_must_match_the_layer(self):
+        with pytest.raises(DimensionMismatch):
+            EvidentialModel("enn", enn_init_random(3, 2, 2, seed=0), mlp_init([2, 4, 3], seed=0))
+
 
 class TestInputs:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

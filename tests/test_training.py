@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from helpers import grad_rel_error
 
+from evidkit import training
 from evidkit.datasets import gen_half_moons
 from evidkit.enn import enn_init_kmeans, enn_init_random
 from evidkit.errors import AllZeroDenominator, NonFiniteLoss, OutOfRange, ShapeMismatch
@@ -305,6 +306,16 @@ class TestFourStageInit:
         assert len(result.pretrain_history.records) == 40
         assert len(result.layer_history.records) == 40
         assert len(result.finetune_history.records) == 40
+
+    def test_labels_checked_before_pretraining(self, monkeypatch):
+        pretrained = []
+        monkeypatch.setattr(training, "pretrain_feature_net", lambda *args: pretrained.append(args))
+        ds = gen_half_moons(30, 0.1, seed=4)
+        arch = {"kind": "rbf", "n_prototypes": 3, "n_features": 2}
+        config = TrainConfig(epochs=300, loss_kind="cross-entropy")
+        with pytest.raises(OutOfRange):
+            four_stage_init((ds.points, np.arange(30) % 3), arch, config)
+        assert pretrained == []
 
 
 class TestGradCheck:
