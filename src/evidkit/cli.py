@@ -26,7 +26,7 @@ from .datasets import (
     save_seg_task,
     seg_task_as_samples,
 )
-from .errors import EvidkitError
+from .errors import EvidkitError, MalformedInput, OutOfRange
 from .metrics import contour_grid, ece, error_rate, mean_ignorance, seg_scores
 from .mlp import mlp_init
 from .model import LAYERS, EvidentialModel, class_count, make_layer
@@ -70,6 +70,13 @@ def _default_loss(model_kind: str, seg: bool) -> str:
     return "dice" if seg else LAYERS[model_kind].losses[0]
 
 
+def _single_path(paths) -> str:
+    """The one path of a `--data` list; only `train --seg` reads several."""
+    if len(paths) != 1:
+        raise OutOfRange(f"--data takes one path here, got {len(paths)}")
+    return paths[0]
+
+
 def _load_training_data(args):
     if args.seg:
         xs, ys = [], []
@@ -78,7 +85,7 @@ def _load_training_data(args):
             xs.append(x)
             ys.append(y)
         return np.vstack(xs), np.concatenate(ys)
-    ds = load_labeled(args.data[0])
+    ds = load_labeled(_single_path(args.data))
     return ds.points, ds.labels
 
 
@@ -162,7 +169,13 @@ def _sweep_point(payload: dict) -> tuple:
 
 
 def cmd_sweep(args) -> int:
-    spec = json.loads(Path(args.spec).read_text())
+    try:
+        spec = json.loads(Path(args.spec).read_text())
+    except ValueError as exc:  # not JSON, or not text
+        raise MalformedInput(f"{args.spec}: not JSON: {exc}") from None
+    for key in ("models", "lambdas", "seeds"):
+        if not isinstance(spec, dict) or not isinstance(spec.get(key), list):
+            raise MalformedInput(f"{args.spec}: need a JSON object with a list of {key}")
     points = [
         {
             "model": kind,
@@ -214,11 +227,12 @@ def _classification_report(model: EvidentialModel, points, labels, n_bins: int) 
 
 
 def cmd_eval(args) -> int:
+    data = _single_path(args.data)
     model = EvidentialModel.load(args.checkpoint)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if args.seg:
-        task = load_seg_task(args.data[0])
+        task = load_seg_task(data)
         x, truth = seg_task_as_samples(task)
         masses = model.masses(x)
         soft = pignistic(masses)[:, 1]
@@ -244,7 +258,7 @@ def cmd_eval(args) -> int:
             "mean_ignorance": mean_ignorance(masses),
         }
     else:
-        ds = load_labeled(args.data[0])
+        ds = load_labeled(data)
         report = _classification_report(model, ds.points, ds.labels, args.ece_bins)
 
     keys = sorted(report)

@@ -20,13 +20,13 @@ ARC_RADIUS = 1.0
 ARC_OFFSET = np.array([1.0, 0.5])   # second arc center relative to the first
 OOD_CENTER = np.array([0.5, 5.0])   # well above both arcs
 OOD_SIGMA = 0.3
+SEG_BLUR_SIGMA = 1.5  # Gaussian blur of the blob channel, in pixels
 
 
 @dataclass
 class LabeledSet:
     points: np.ndarray  # (N, D)
     labels: np.ndarray  # (N,) integer classes
-    seed: int
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -36,10 +36,6 @@ class LabeledSet:
 class ToySegTask:
     image: np.ndarray  # (height, width, 2) intensity channels
     mask: np.ndarray   # (height, width) binary ground truth
-    seed: int
-    n_blobs: int
-    r_min: float
-    r_max: float
 
 
 def gen_half_moons(n: int, noise_sigma: float = 0.1, seed: int = 0) -> LabeledSet:
@@ -50,6 +46,8 @@ def gen_half_moons(n: int, noise_sigma: float = 0.1, seed: int = 0) -> LabeledSe
     """
     if n < 2:
         raise OutOfRange(f"need at least 2 points, got {n}")
+    if not noise_sigma >= 0:  # NaN too
+        raise OutOfRange(f"noise sigma must be >= 0, got {noise_sigma}")
     rng = np.random.default_rng(seed)
     n0 = n // 2
     n1 = n - n0
@@ -62,7 +60,7 @@ def gen_half_moons(n: int, noise_sigma: float = 0.1, seed: int = 0) -> LabeledSe
     if noise_sigma > 0:
         points = points + rng.normal(0.0, noise_sigma, size=points.shape)
     order = rng.permutation(n)
-    return LabeledSet(points[order], labels[order], seed)
+    return LabeledSet(points[order], labels[order])
 
 
 def gen_ood_class(n: int, seed: int = 0) -> LabeledSet:
@@ -71,30 +69,22 @@ def gen_ood_class(n: int, seed: int = 0) -> LabeledSet:
         raise OutOfRange(f"need at least 1 point, got {n}")
     rng = np.random.default_rng(seed)
     points = rng.normal(OOD_CENTER, OOD_SIGMA, size=(n, 2))
-    return LabeledSet(points, np.full(n, 2, dtype=int), seed)
+    return LabeledSet(points, np.full(n, 2, dtype=int))
 
 
-def gen_toy_segmentation(
-    width: int,
-    height: int,
-    n_blobs: int,
-    seed: int = 0,
-    r_min: float | None = None,
-    r_max: float | None = None,
-    blur_sigma: float = 1.5,
-) -> ToySegTask:
+def gen_toy_segmentation(width: int, height: int, n_blobs: int, seed: int = 0) -> ToySegTask:
     """Bright blurred blobs on a smooth nuisance background.
 
     Channel 0 is the blurred blob intensity, channel 1 a smooth gradient that
-    carries no class information.  The mask is the exact blob support.
+    carries no class information.  The mask is the exact blob support.  Blob
+    radii are uniform between 1/12 and 1/8 of the shorter side.
     """
     if width < 8 or height < 8:
         raise OutOfRange("grid dimensions must be at least 8")
+    if n_blobs < 0:
+        raise OutOfRange(f"need n_blobs >= 0, got {n_blobs}")
     scale = min(width, height)
-    if r_min is None:
-        r_min = scale / 12.0
-    if r_max is None:
-        r_max = scale / 8.0
+    r_min, r_max = scale / 12.0, scale / 8.0
     rng = np.random.default_rng(seed)
 
     mask = np.zeros((height, width), dtype=int)
@@ -115,11 +105,11 @@ def gen_toy_segmentation(
     if len(centers) < n_blobs:
         raise OutOfRange(f"could not place {n_blobs} disjoint blobs on a {width}x{height} grid")
 
-    blob_channel = gaussian_filter(mask.astype(float), sigma=blur_sigma)
+    blob_channel = gaussian_filter(mask.astype(float), sigma=SEG_BLUR_SIGMA)
     ramp = np.linspace(0.0, 1.0, height)[:, None] * np.ones((1, width))
     ripple = 0.2 * np.sin(np.linspace(0.0, 3 * np.pi, width))[None, :]
     image = np.stack([blob_channel, ramp + ripple], axis=-1)
-    return ToySegTask(image, mask, seed, n_blobs, r_min, r_max)
+    return ToySegTask(image, mask)
 
 
 def seg_task_as_samples(task: ToySegTask) -> tuple[np.ndarray, np.ndarray]:
@@ -162,7 +152,7 @@ def load_labeled(path) -> LabeledSet:
                 raise MalformedInput(f"{path}, line {reader.line_num}: {exc}") from None
     if not labels:
         raise MalformedInput(f"{path}: no data rows")
-    return LabeledSet(np.asarray(points), np.asarray(labels, dtype=int), seed=-1)
+    return LabeledSet(np.asarray(points), np.asarray(labels, dtype=int))
 
 
 def save_seg_task(directory, task: ToySegTask) -> None:
@@ -193,4 +183,4 @@ def load_seg_task(directory) -> ToySegTask:
         raise MalformedInput(f"{directory}: grids of shapes {c1.shape}, {c2.shape}, {mask.shape}")
     if not np.all(np.isin(mask, (0, 1))):
         raise MalformedInput(f"{directory / 'mask.csv'}: entries other than 0 and 1")
-    return ToySegTask(np.stack([c1, c2], axis=-1), mask.astype(int), seed=-1, n_blobs=-1, r_min=0.0, r_max=0.0)
+    return ToySegTask(np.stack([c1, c2], axis=-1), mask.astype(int))

@@ -15,6 +15,8 @@ import numpy as np
 from .errors import OutOfRange
 from .numeric import require_finite, sq_dists
 
+MAX_ITER = 100  # Lloyd iterations before giving up on convergence
+
 
 @dataclass
 class KMeansResult:
@@ -41,7 +43,7 @@ def _plusplus_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centroids
 
 
-def kmeans(points, k: int, seed: int = 0, max_iter: int = 100) -> KMeansResult:
+def kmeans(points, k: int, seed: int = 0) -> KMeansResult:
     points = require_finite(np.asarray(points, dtype=float), "points")
     if points.ndim != 2:
         raise OutOfRange(f"points must be a 2-d array, got shape {points.shape}")
@@ -55,7 +57,7 @@ def kmeans(points, k: int, seed: int = 0, max_iter: int = 100) -> KMeansResult:
     assignments = np.full(n, -1)
 
     n_iter = 0
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, MAX_ITER + 1):
         d2 = sq_dists(points, centroids)
         new_assign = np.argmin(d2, axis=1)
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dst import MassFunction
-from .errors import DimensionMismatch, Empty, ShapeMismatch
+from .errors import DimensionMismatch, Empty, OutOfRange, ShapeMismatch
 
 
 @dataclass
@@ -123,6 +123,8 @@ def ece(confidences, predictions, truths, n_bins: int = 10) -> EceReport:
     n = confidences.size
     if n == 0:
         raise Empty("no samples")
+    if n_bins < 1:
+        raise OutOfRange(f"need at least 1 bin, got {n_bins}")
     if not (confidences.shape == predictions.shape == truths.shape):
         raise ShapeMismatch("confidences, predictions and truths must align")
 
@@ -160,6 +162,8 @@ class ContourGrid:
 
 def contour_grid(model, x_range, y_range, resolution: int = 200) -> ContourGrid:
     """Evaluate a 2-input model's masses on a regular grid."""
+    if resolution < 1:
+        raise OutOfRange(f"need a resolution of at least 1, got {resolution}")
     if model.n_features != 2:
         raise DimensionMismatch("contour grids need a model with 2-dimensional inputs")
     xs = np.linspace(x_range[0], x_range[1], resolution)

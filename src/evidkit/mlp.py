@@ -1,8 +1,8 @@
 """Small fully-connected feature extractor.
 
 Hidden layers are affine maps followed by PReLU with one learnable slope per
-layer; the final layer is affine so features are unbounded.  An optional
-softmax head turns features into class probabilities for pretraining.
+layer; the final layer is affine so features are unbounded.  Pretraining
+reads class logits off the features through a one-layer net (`head_init`).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, OutOfRange, StaleCache
-from .numeric import as_batch, softmax_rows
+from .numeric import as_batch
 
 INIT_SLOPE = 0.25
 
@@ -51,21 +51,6 @@ class MlpParams:
         return out
 
 
-@dataclass
-class SoftmaxHead:
-    weight: np.ndarray  # (H, K)
-    bias: np.ndarray    # (K,)
-
-    def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=float)
-        self.bias = np.asarray(self.bias, dtype=float)
-        if self.weight.shape[1] != self.bias.shape[0]:
-            raise DimensionMismatch("head weight and bias disagree on class count")
-
-    def trainable_arrays(self) -> dict[str, np.ndarray]:
-        return {"head_W": self.weight, "head_b": self.bias}
-
-
 def mlp_init(layer_sizes, seed: int) -> MlpParams:
     """Scaled-normal weights (variance 2/fan_in), zero biases, slope 0.25."""
     if len(layer_sizes) < 2:
@@ -78,10 +63,11 @@ def mlp_init(layer_sizes, seed: int) -> MlpParams:
     return MlpParams(weights, biases, np.full(len(layer_sizes) - 2, INIT_SLOPE))
 
 
-def head_init(n_features: int, n_classes: int, seed: int) -> SoftmaxHead:
+def head_init(n_features: int, n_classes: int, seed: int) -> MlpParams:
+    """One affine layer to class logits: variance 1/n_features, zero biases."""
     rng = np.random.default_rng(seed)
-    return SoftmaxHead(rng.standard_normal((n_features, n_classes)) * np.sqrt(1.0 / n_features),
-                       np.zeros(n_classes))
+    return MlpParams([rng.standard_normal((n_features, n_classes)) * np.sqrt(1.0 / n_features)],
+                     [np.zeros(n_classes)], np.empty(0))
 
 
 def mlp_forward_batch(params: MlpParams, X) -> tuple[np.ndarray, dict]:
@@ -124,19 +110,3 @@ def mlp_backward_batch(params: MlpParams, cache: dict, upstream) -> tuple[dict[s
         grads[f"b{i}"] = delta.sum(axis=0)
         delta = delta @ params.weights[i].T
     return grads, delta
-
-
-def softmax_head_forward(head: SoftmaxHead, features) -> np.ndarray:
-    """Class probabilities (N, K) of a feature batch (N, H)."""
-    return softmax_rows(np.asarray(features, dtype=float) @ head.weight + head.bias)
-
-
-def softmax_head_ce_backward(head: SoftmaxHead, features, probs, onehot):
-    """Gradients of the summed cross-entropy through the softmax head.
-
-    Returns (head grads, d(loss)/d(features)).
-    """
-    features = np.asarray(features, dtype=float)
-    d_logits = probs - onehot
-    grads = {"head_W": features.T @ d_logits, "head_b": d_logits.sum(axis=0)}
-    return grads, d_logits @ head.weight.T

@@ -1,4 +1,4 @@
-"""Losses, optimizers, the training loop, and the staged initialization protocol.
+"""Losses, the optimizer, the training loop, and the staged initialization protocol.
 
 Loss pairings follow the layer families: the prototype-membership layer is
 trained with a regularized sum-of-squares loss on its probability outputs
@@ -14,27 +14,21 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import AllZeroDenominator, NonFiniteLoss, OutOfRange, ShapeMismatch
-from .mlp import (
-    head_init,
-    mlp_backward_batch,
-    mlp_forward_batch,
-    mlp_init,
-    softmax_head_ce_backward,
-    softmax_head_forward,
-)
+from .mlp import head_init, mlp_backward_batch, mlp_forward_batch, mlp_init
 from .metrics import error_rate
 from .model import EvidentialModel, class_count, make_layer
-from .numeric import log_rows, pignistic, pignistic_backward, require_finite
+from .numeric import log_rows, pignistic, pignistic_backward, require_finite, softmax_rows
 
 P_CLAMP = 1e-12
 PLATEAU_PATIENCE = 10  # epochs without a lower objective before the learning rate is cut
 PLATEAU_FACTOR = 0.1
 MIN_LR = 1e-6
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 # --------------------------------------------------------------------------
@@ -89,46 +83,26 @@ def loss_dice(soft_pred, truth):
 
 
 # --------------------------------------------------------------------------
-# optimizers
+# optimizer
 # --------------------------------------------------------------------------
 
-class Sgd:
+class Adam:
     def __init__(self, arrays: dict, lr: float):
         self.arrays = arrays
         self.lr = lr
-
-    def step(self, grads: dict) -> None:
-        for name, arr in self.arrays.items():
-            arr -= self.lr * grads[name]
-
-
-class Adam:
-    def __init__(self, arrays: dict, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
-        self.arrays = arrays
-        self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(v) for k, v in arrays.items()}
         self.v = {k: np.zeros_like(v) for k, v in arrays.items()}
         self.t = 0
 
     def step(self, grads: dict) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - ADAM_BETA1**self.t
+        b2c = 1.0 - ADAM_BETA2**self.t
         for name, arr in self.arrays.items():
             g = grads[name]
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g**2
-            arr -= self.lr * (self.m[name] / b1c) / (np.sqrt(self.v[name] / b2c) + self.eps)
-
-
-def make_optimizer(arrays: dict, config: "TrainConfig"):
-    if config.optimizer == "sgd":
-        return Sgd(arrays, config.learning_rate)
-    if config.optimizer == "adam":
-        return Adam(arrays, config.learning_rate)
-    raise OutOfRange(f"unknown optimizer {config.optimizer!r}")
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * g**2
+            arr -= self.lr * (self.m[name] / b1c) / (np.sqrt(self.v[name] / b2c) + ADAM_EPS)
 
 
 # --------------------------------------------------------------------------
@@ -142,7 +116,6 @@ class TrainConfig:
     lam: float = 0.0
     loss_kind: str = "sse"       # sse | cross-entropy | dice
     seed: int = 0
-    optimizer: str = "adam"      # adam | sgd
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -153,10 +126,6 @@ class TrainConfig:
             raise OutOfRange("lam must be >= 0")
         if self.loss_kind not in ("sse", "cross-entropy", "dice"):
             raise OutOfRange(f"unknown loss {self.loss_kind!r}")
-
-    def replace(self, **kw) -> "TrainConfig":
-        data = self.__dict__ | kw
-        return TrainConfig(**data)
 
 
 @dataclass
@@ -247,7 +216,7 @@ def train(model: EvidentialModel, train_data, config: TrainConfig, val_data=None
     _check_labels(model.layer, y_train, y_val)
 
     arrays = model.trainable_arrays()
-    optimizer = make_optimizer(arrays, config)
+    optimizer = Adam(arrays, config.learning_rate)
     history = TrainHistory()
 
     best_val = math.inf
@@ -301,24 +270,26 @@ def _evaluate(model: EvidentialModel, X, y, config: TrainConfig) -> tuple[float,
 # --------------------------------------------------------------------------
 
 def pretrain_feature_net(net, head, train_data, config: TrainConfig):
-    """Train the feature network with a softmax head by summed cross-entropy."""
+    """Train the feature network by summed cross-entropy through a one-layer
+    head net whose outputs are the class logits."""
     x_train, y_train = _unpack(train_data)
-    n_classes = head.bias.shape[0]
-    onehot = np.eye(n_classes)[np.asarray(y_train, dtype=int)]
+    onehot = np.eye(head.sizes[-1])[np.asarray(y_train, dtype=int)]
 
-    arrays = net.trainable_arrays() | head.trainable_arrays()
-    optimizer = make_optimizer(arrays, config)
+    # net and head both name their arrays W0, b0, ...: prefix the head's
+    head_arrays = {f"head.{k}": v for k, v in head.trainable_arrays().items()}
+    optimizer = Adam(net.trainable_arrays() | head_arrays, config.learning_rate)
     history = TrainHistory()
 
     for epoch in range(1, config.epochs + 1):
         feats, cache = mlp_forward_batch(net, x_train)
-        probs = softmax_head_forward(head, feats)
+        logits, head_cache = mlp_forward_batch(head, feats)
+        probs = softmax_rows(logits)
         value = float(-np.sum(onehot * log_rows(probs, floor=P_CLAMP)))
         if not math.isfinite(value):
             raise NonFiniteLoss(f"pretraining objective became {value} at epoch {epoch}")
-        head_grads, d_feats = softmax_head_ce_backward(head, feats, probs, onehot)
+        head_grads, d_feats = mlp_backward_batch(head, head_cache, probs - onehot)
         net_grads, _ = mlp_backward_batch(net, cache, d_feats)
-        optimizer.step(net_grads | head_grads)
+        optimizer.step(net_grads | {f"head.{k}": g for k, g in head_grads.items()})
 
         err = error_rate(np.argmax(probs, axis=1), y_train)
         history.records.append(EpochRecord(epoch, value, err, math.nan, math.nan))
@@ -364,11 +335,11 @@ def four_stage_init(train_data, arch: dict, config: TrainConfig, val_data=None) 
     val_feats = None
     if val_data is not None:
         val_feats = (mlp_forward_batch(net, x_val)[0], y_val)
-    _, layer_hist = train(layer_model, (feats, y_train), config.replace(learning_rate=1e-2), val_feats)
+    _, layer_hist = train(layer_model, (feats, y_train), replace(config, learning_rate=1e-2), val_feats)
     net_before_finetune = copy.deepcopy(net)
 
     full = EvidentialModel(kind, layer_model.layer, net)
-    _, fine_hist = train(full, (x_train, y_train), config.replace(learning_rate=1e-4), val_data)
+    _, fine_hist = train(full, (x_train, y_train), replace(config, learning_rate=1e-4), val_data)
 
     return StagedInitResult(
         model=full,
@@ -426,7 +397,6 @@ def grad_check(model: EvidentialModel, X, y, config: TrainConfig, eps: float = 1
 __all__ = [
     "Adam",
     "EpochRecord",
-    "Sgd",
     "StagedInitResult",
     "TrainConfig",
     "TrainHistory",

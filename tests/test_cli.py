@@ -218,9 +218,13 @@ def write_seg_task(directory, channel1):
     return directory
 
 
-def assert_malformed(argv, capsys):
+def assert_category(argv, category, capsys):
     assert run(argv) == 1
-    assert "error_category=MalformedInput" in capsys.readouterr().err
+    assert f"error_category={category}" in capsys.readouterr().err
+
+
+def assert_malformed(argv, capsys):
+    assert_category(argv, "MalformedInput", capsys)
 
 
 @pytest.fixture()
@@ -333,3 +337,56 @@ def test_validation_labels_outside_the_classes(data_dir, tmp_path, capsys):
     assert run(["train", "--data", str(data_dir / "train.csv"), "--val", str(data_dir / "ood.csv"),
                 "--I", "2", "--epochs", "1", "--out-dir", str(tmp_path / "out")]) == 1
     assert "error_category=OutOfRange" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------
+# numeric flags out of range, bad sweep specs and surplus --data paths
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("resolution", ["0", "-1"])
+def test_contours_resolution_below_one(resolution, checkpoint, tmp_path, capsys):
+    assert_category(["contours", "--checkpoint", str(checkpoint), "--resolution", resolution,
+                     "--out-dir", str(tmp_path / "out")], "OutOfRange", capsys)
+
+
+def test_eval_zero_ece_bins(data_dir, checkpoint, tmp_path, capsys):
+    assert_category(["eval", "--checkpoint", str(checkpoint), "--data", str(data_dir / "test.csv"),
+                     "--ece-bins", "0", "--out-dir", str(tmp_path / "out")], "OutOfRange", capsys)
+
+
+@pytest.mark.parametrize("noise", ["-0.5", "nan"])
+def test_gen_data_noise_below_zero_or_nan(noise, tmp_path, capsys):
+    assert_category(["gen-data", "--noise", noise, "--out-dir", str(tmp_path / "out")], "OutOfRange", capsys)
+
+
+def test_gen_data_negative_blob_count(tmp_path, capsys):
+    assert_category(["gen-data", "--seg", "--n-blobs", "-2", "--width", "16", "--height", "16",
+                     "--out-dir", str(tmp_path / "out")], "OutOfRange", capsys)
+
+
+BAD_SPEC = {
+    "not-json": "models: [enn]",
+    "not-an-object": "[1, 2]",
+    "no-models": json.dumps({"lambdas": [0.0], "seeds": [0]}),
+    "lambdas-not-a-list": json.dumps({"models": ["enn"], "lambdas": 0.1, "seeds": [0]}),
+    "no-seeds": json.dumps({"models": ["enn"], "lambdas": [0.0]}),
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_SPEC))
+def test_malformed_sweep_spec(bad, tmp_path, capsys):
+    spec = tmp_path / "sweep.json"
+    spec.write_text(BAD_SPEC[bad])
+    assert_malformed(["sweep", "--spec", str(spec), "--out-dir", str(tmp_path / "out")], capsys)
+
+
+def test_eval_refuses_a_second_data_path(data_dir, checkpoint, tmp_path, capsys):
+    assert_category(["eval", "--checkpoint", str(checkpoint), "--data", str(data_dir / "test.csv"),
+                     str(data_dir / "ood.csv"), "--out-dir", str(tmp_path / "out")], "OutOfRange", capsys)
+    assert not (tmp_path / "out" / "report.csv").exists()
+
+
+def test_train_refuses_a_second_data_path(data_dir, tmp_path, capsys):
+    assert_category(["train", "--data", str(data_dir / "train.csv"), str(data_dir / "test.csv"),
+                     "--epochs", "1", "--out-dir", str(tmp_path / "out")], "OutOfRange", capsys)
+    assert not (tmp_path / "out" / "checkpoint.json").exists()

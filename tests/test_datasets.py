@@ -77,8 +77,9 @@ class TestToySegmentation:
 
     def test_mask_area_within_bounds(self):
         task = gen_toy_segmentation(64, 64, 3, seed=11)
-        lo = 3 * np.pi * task.r_min**2 * 0.8
-        hi = 3 * np.pi * task.r_max**2 * 1.2
+        # blob radii lie between side/12 and side/8
+        lo = 3 * np.pi * (64 / 12) ** 2 * 0.8
+        hi = 3 * np.pi * (64 / 8) ** 2 * 1.2
         assert lo <= task.mask.sum() <= hi
 
     def test_deterministic(self):

@@ -1,7 +1,9 @@
 """The shared distance kernel and the log-domain pooling of both layers:
-an exact-rational oracle at extreme activations, many prototypes,
+exact oracles at extreme activations and evidence weights, many prototypes,
 translation invariance, O(N*I) caches, and gradients at H > 2."""
 
+import decimal
+from decimal import Decimal
 from fractions import Fraction
 from math import prod
 
@@ -88,6 +90,42 @@ class TestExactRationalOracle:
         # one class excluded, the other only nearly so: all mass on the survivor
         mass, _ = enn_forward_batch(layer_at_activations(np.array([1.0, 1.0 - 1e-12]), u), np.zeros((1, 1)))
         np.testing.assert_array_equal(mass[0], [1.0, 0.0, 0.0])
+
+
+W_VALUES = (0.0, 1e-300, 1e-12, 1e-3, 1.0, 30.0, 700.0, 745.0, 800.0, 1e6)
+# exp(-1e-300) has ~300 nines before the digits that 1 - exp(-1e-300) keeps
+EXACT = decimal.Context(prec=450, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+
+
+def exact_rbf_masses(wp, wm):
+    """Masses of the weight-of-evidence combination at totals (w+, w-), in
+    450-digit decimals: (1 - e^-w+) e^-w-, (1 - e^-w-) e^-w+ and e^-(w+ + w-),
+    each over 1 - kappa = e^-w+ + e^-w- - e^-(w+ + w-)."""
+    with decimal.localcontext(EXACT):
+        ep, em = Decimal(-wp).exp(), Decimal(-wm).exp()
+        frame = ep * em
+        denom = ep + em - frame
+        return [m / denom for m in ((1 - ep) * em, (1 - em) * ep, frame)]
+
+
+def test_rbf_masses_match_a_450_digit_oracle():
+    # two prototypes at the origin with gamma = 1 and v = (w+, -w-): the input 0
+    # is at distance 0 from both, so the pooled totals are exactly w+ and w-
+    checked = 0
+    for wp in W_VALUES:
+        for wm in W_VALUES:
+            params = rbf_from_constrained(np.zeros((2, 1)), np.ones(2), np.array([wp, -wm]))
+            mass, cache = rbf_forward_batch(params, np.zeros((1, 1)))
+            assert np.all(cache["d2"] == 0.0)
+            assert (cache["wp"][0], cache["wm"][0]) == (wp, wm)
+            for got, want in zip(mass[0], exact_rbf_masses(wp, wm)):
+                err = abs(Decimal(float(got)) - want)
+                if want >= Decimal(1e-300):
+                    assert err <= Decimal("1e-12") * want, (wp, wm, float(got), want)
+                    checked += 1
+                else:
+                    assert err <= Decimal(1e-300), (wp, wm, float(got), want)
+    assert checked > 150, checked
 
 
 class TestManyPrototypes:

@@ -1,4 +1,5 @@
-"""Feature network: forward basics, backprop vs finite differences, softmax head."""
+"""Feature network: forward basics, backprop vs finite differences, the
+one-layer softmax head used for pretraining."""
 
 import numpy as np
 import pytest
@@ -7,15 +8,13 @@ from helpers import grad_rel_error
 from evidkit.errors import DimensionMismatch
 from evidkit.mlp import (
     MlpParams,
-    SoftmaxHead,
     head_init,
     mlp_backward_batch,
     mlp_forward_batch,
     mlp_init,
-    softmax_head_ce_backward,
-    softmax_head_forward,
 )
 from evidkit.model import params_from_dict, params_to_dict
+from evidkit.numeric import softmax_rows
 from evidkit.training import fd_gradients
 
 
@@ -90,23 +89,28 @@ class TestBackward:
         np.testing.assert_allclose(dx[0], upstream * 2.0)
 
 
+def head_probs(head, feats):
+    """Softmax of a one-layer head net's logits, as pretraining computes them."""
+    return softmax_rows(mlp_forward_batch(head, feats)[0])
+
+
 class TestSoftmaxHead:
     def test_zero_logits_uniform(self):
-        head = SoftmaxHead(np.zeros((4, 3)), np.zeros(3))
-        probs = softmax_head_forward(head, np.ones((1, 4)))
+        head = MlpParams([np.zeros((4, 3))], [np.zeros(3)], [])
+        probs = head_probs(head, np.ones((1, 4)))
         np.testing.assert_allclose(probs, 1.0 / 3.0)
 
     def test_large_gap_near_one_hot(self):
-        head = SoftmaxHead(np.zeros((2, 2)), np.array([50.0, -50.0]))
-        probs = softmax_head_forward(head, np.zeros((1, 2)))
+        head = MlpParams([np.zeros((2, 2))], [np.array([50.0, -50.0])], [])
+        probs = head_probs(head, np.zeros((1, 2)))
         assert probs[0, 0] > 1 - 1e-12
 
     def test_matches_direct_recomputation(self):
         rng = np.random.default_rng(7)
         head = head_init(5, 3, seed=2)
         feats = rng.standard_normal((6, 5))
-        probs = softmax_head_forward(head, feats)
-        logits = feats @ head.weight + head.bias
+        probs = head_probs(head, feats)
+        logits = feats @ head.weights[0] + head.biases[0]
         expected = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         np.testing.assert_allclose(probs, expected, atol=1e-12)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
@@ -118,8 +122,9 @@ class TestSoftmaxHead:
         labels = rng.integers(0, 3, size=5)
         onehot = np.eye(3)[labels]
 
-        probs = softmax_head_forward(head, feats)
-        analytic, dfeats = softmax_head_ce_backward(head, feats, probs, onehot)
+        logits, cache = mlp_forward_batch(head, feats)
+        probs = softmax_rows(logits)
+        analytic, dfeats = mlp_backward_batch(head, cache, probs - onehot)
         analytic = dict(analytic)
         analytic["feats"] = dfeats
 
@@ -127,7 +132,7 @@ class TestSoftmaxHead:
         arrays["feats"] = feats
 
         def loss():
-            p = softmax_head_forward(head, feats)
+            p = head_probs(head, feats)
             return float(-np.sum(onehot * np.log(p)))
 
         numeric = fd_gradients(loss, arrays)
