@@ -44,6 +44,8 @@ def _write_lines(path: Path, lines) -> None:
 # --------------------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
+    if args.seg and args.n_tasks < 1:
+        raise OutOfRange(f"--n-tasks must be at least 1, got {args.n_tasks}")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if args.seg:
@@ -228,6 +230,8 @@ def _classification_report(model: EvidentialModel, points, labels, n_bins: int) 
 
 def cmd_eval(args) -> int:
     data = _single_path(args.data)
+    if args.ece_bins < 1:  # checked here: data without an in-distribution label never reaches `ece`
+        raise OutOfRange(f"--ece-bins must be at least 1, got {args.ece_bins}")
     model = EvidentialModel.load(args.checkpoint)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

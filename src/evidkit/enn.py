@@ -28,7 +28,14 @@ Gradients are taken with respect to the unconstrained parameterization
 steps preserve the constraints.
 
 Forward/backward take a batch (N, H), or a single row (H,) as N = 1; the
-math is vectorized numpy.
+math is vectorized numpy.  Inside, the kernels are prototype-major (see
+`evidkit.numeric`): d2, e, s and the Dempster factors are (I, N), the log
+sums L, the unnormalized masses and their gradients (K+1, N); only the
+masses, `upstream` and the input gradient are (N, ...).  Activations below
+the smallest normal double are flushed to 0 (`numeric.exp_neg`), which moves
+no pooled mass of 1e-300 or more.  alpha, gamma, the memberships and the
+factor weights are computed once per forward and cached for the backward
+pass and the regularizer.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ import numpy as np
 from .errors import DimensionMismatch, OutOfRange, StaleCache, TotalConflict
 from .kmeans import kmeans
 from .numeric import (
-    as_batch, log_rows, logit, sigmoid, softmax_rows, sq_dists, sq_dists_backward,
+    as_batch, exp_neg, log_rows, logit, sigmoid, softmax_rows, sq_dists, sq_dists_backward, sum_rows,
 )
 
 INIT_ALPHA = 0.5
@@ -110,9 +117,10 @@ class EnnParams:
     def backward(self, cache: dict, upstream) -> tuple[dict[str, np.ndarray], np.ndarray]:
         return enn_backward_batch(self, cache, upstream)
 
-    def regularizer(self) -> tuple[float, dict[str, np.ndarray]]:
-        """Sum of the reliabilities, and its gradient in `alpha_raw`."""
-        alpha = self.alpha
+    def regularizer(self, cache: dict) -> tuple[float, dict[str, np.ndarray]]:
+        """Sum of the reliabilities, and its gradient in `alpha_raw`, from the
+        reliabilities a forward pass cached."""
+        alpha = cache["alpha"]
         return float(np.sum(alpha)), {"alpha_raw": alpha * (1.0 - alpha)}
 
 
@@ -140,27 +148,38 @@ def _factor_weights(u) -> np.ndarray:
 def enn_forward_batch(params: EnnParams, X) -> tuple[np.ndarray, dict]:
     """Evaluate a batch (N, H) -> masses (N, K+1) plus the backward cache."""
     X = as_batch(X, params.n_features)
-    alpha, gamma = params.alpha, params.gamma
+    alpha, gamma, u = params.alpha, params.gamma, params.memberships
     k = params.n_classes
 
-    d2 = sq_dists(X, params.proto)                       # (N, I)
-    e = np.exp(-gamma * d2)
-    s = alpha * e
+    d2 = sq_dists(X, params.proto)                       # (I, N)
+    e = gamma[:, None] * d2
+    exp_neg(e, out=e)
+    s = alpha[:, None] * e
 
-    w = _factor_weights(params.memberships)
+    w = _factor_weights(u)
+    logs = np.empty((k + 1, s.shape[1]))                 # [L_1 .. L_K, L_q]
+    t = np.empty_like(s)
     with np.errstate(divide="ignore"):
-        logs = np.column_stack([np.log1p(-s * w_c).sum(axis=1) for w_c in w.T])
-    top = logs[:, :k].max(axis=1)                        # (N,), logs = [L_1 .. L_K, L_q]
-    if np.any(top == -np.inf):
+        for c, neg_w_c in enumerate(-w.T):
+            logs[c] = sum_rows(np.log1p(np.multiply(s, neg_w_c[:, None], out=t), out=t))
+    del t
+    top = logs[:k].max(axis=0)                           # (N,)
+    if (top == -np.inf).any():
         raise TotalConflict("fully confident prototypes exclude every class; pooled mass vanished")
-    unnorm = np.exp(logs - top[:, None])                 # (N, K+1)
+    unnorm = logs - top                                  # (K+1, N)
+    np.exp(unnorm, out=unnorm)
     with np.errstate(invalid="ignore"):
-        singles = unnorm[:, :k] * -np.expm1(logs[:, k:] - logs[:, :k])
-    unnorm[:, :k] = np.where(logs[:, :k] == -np.inf, 0.0, singles)
-    total = unnorm.sum(axis=1)                           # >= 1: the top class and the frame sum to 1
-    mass = unnorm / total[:, None]
+        singles = logs[k] - logs[:k]
+        np.expm1(singles, out=singles)
+        singles *= unnorm[:k]
+    # where L_k = -inf the singleton keeps its exp(L_k - top) = 0
+    np.negative(singles, out=unnorm[:k], where=logs[:k] > -np.inf)
+    total = sum_rows(unnorm)                             # >= 1: the top class and the frame sum to 1
+    unnorm /= total
+    mass = unnorm.T
 
-    cache = {"params": params, "X": X, "d2": d2, "e": e, "s": s, "mass": mass, "total": total}
+    cache = {"params": params, "X": X, "alpha": alpha, "gamma": gamma, "u": u, "w": w,
+             "d2": d2, "e": e, "s": s, "mass": mass, "total": total}
     return mass, cache
 
 
@@ -177,43 +196,43 @@ def enn_backward_batch(params: EnnParams, cache: dict, upstream) -> tuple[dict[s
     if upstream.shape != mass.shape:
         raise DimensionMismatch(f"upstream shape {upstream.shape} vs mass shape {mass.shape}")
 
-    alpha, gamma, u = params.alpha, params.gamma, params.memberships
+    alpha, gamma, u, w = cache["alpha"], cache["gamma"], cache["u"], cache["w"]
     s, e, d2 = cache["s"], cache["e"], cache["d2"]
     k = params.n_classes
+    mass, upstream = mass.T, upstream.T                          # (K+1, N)
 
     # mass = unnorm / total with unnorm = [P_k - Q, Q] on the forward's exp(-top)
     # scale: P_c = exp(L_c - top), Q = exp(L_q - top).  mass does not depend on
     # the scale, so it is held fixed.  d_pq: the gradients in P_1 .. P_K and Q;
     # pq: P_1 .. P_K and Q themselves, sums of the cached nonnegative masses.
-    d_pq = (upstream - np.sum(upstream * mass, axis=1, keepdims=True)) / total[:, None]
-    d_pq[:, k] -= d_pq[:, :k].sum(axis=1)
-    pq = mass * total[:, None]
-    pq[:, :k] += pq[:, k:]
+    d_pq = (upstream - np.sum(upstream * mass, axis=0)) / total
+    d_pq[k] -= d_pq[:k].sum(axis=0)
+    pq = mass * total
+    pq[:k] += pq[k]
 
     # P_c = exp(-top) prod_i t_ic with t_ic = 1 - s_i w_ic, so d(P_c)/d(t_ic) is
     # P_c / t_ic.  Where t_ic = 0 it is taken as 0: there alpha_i = 1,
     # exp(-gamma_i d2) = 1 and u_ic < 2**-53 (or c is the frame), and every chain
     # below scales it by alpha_i (1 - alpha_i) = 0, by u_ic, or by gamma_i d2 < 2**-53
-    w = _factor_weights(u)
     d_s = np.zeros_like(s)
-    d_u = np.empty_like(w)                                       # summed over the batch; frame column unused
+    d_u = np.empty((k + 1, s.shape[0]))                          # summed over the batch; frame row unused
     for c, w_c in enumerate(w.T):
+        w_c = w_c[:, None]
         t = 1.0 - s * w_c
-        d_t = np.divide(pq[:, c:c + 1], t, out=np.zeros_like(t), where=t > 0)
-        d_t *= d_pq[:, c:c + 1]
+        d_t = np.divide(pq[c], t, out=np.zeros_like(t), where=t > 0)
+        d_t *= d_pq[c]
         d_s -= d_t * w_c
-        d_u[:, c] = np.einsum("ni,ni->i", d_t, s)
-    d_u = d_u[:, :k]
+        d_u[c] = np.einsum("in,in->i", d_t, s)
+    d_u = d_u[:k].T
 
-    d_alpha = d_s * e                                            # (N, I)
-    d_gamma = -d_s * s * d2
-    d_d2 = -d_s * s * gamma
+    d_ss = d_s * s                                               # (I, N)
+    d_d2 = d_ss * -gamma[:, None]
 
     d_x, d_proto = sq_dists_backward(d_d2, cache["X"], params.proto)
 
     # chain into the unconstrained parameterization
-    d_alpha_raw = d_alpha.sum(axis=0) * alpha * (1.0 - alpha)
-    d_log_gamma = d_gamma.sum(axis=0) * gamma
+    d_alpha_raw = np.einsum("in,in->i", d_s, e) * alpha * (1.0 - alpha)
+    d_log_gamma = -np.einsum("in,in->i", d_ss, d2) * gamma
     d_u_logit = u * (d_u - np.sum(d_u * u, axis=1, keepdims=True))
 
     grads = {

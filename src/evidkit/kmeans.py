@@ -58,18 +58,27 @@ def kmeans(points, k: int, seed: int = 0) -> KMeansResult:
 
     n_iter = 0
     for n_iter in range(1, MAX_ITER + 1):
-        d2 = sq_dists(points, centroids)
-        new_assign = np.argmin(d2, axis=1)
+        d2 = sq_dists(points, centroids)                  # (k, n)
+        new_assign = np.argmin(d2, axis=0)
 
-        for j in range(k):
-            members = new_assign == j
-            if members.any():
-                centroids[j] = points[members].mean(axis=0)
-            elif not degenerate:
-                # re-seed to the point farthest from its current centroid
-                farthest = int(np.argmax(d2[np.arange(n), new_assign]))
-                centroids[j] = points[farthest]
-                new_assign[farthest] = j
+        counts = np.bincount(new_assign, minlength=k)
+        if counts.all():
+            # each cluster's mean, summed in point order as `mean` over its members
+            # does for two or more features
+            sums = [np.bincount(new_assign, weights=col, minlength=k) for col in points.T]
+            centroids = np.stack(sums, axis=1) / counts[:, None]
+        else:
+            # a re-seed moves a point to the empty cluster, which changes the
+            # members of the clusters after it: keep this order
+            for j in range(k):
+                members = new_assign == j
+                if members.any():
+                    centroids[j] = points[members].mean(axis=0)
+                elif not degenerate:
+                    # re-seed to the point farthest from its current centroid
+                    farthest = int(np.argmax(d2[new_assign, np.arange(n)]))
+                    centroids[j] = points[farthest]
+                    new_assign[farthest] = j
 
         if np.array_equal(new_assign, assignments):
             assignments = new_assign

@@ -55,6 +55,8 @@ def mlp_init(layer_sizes, seed: int) -> MlpParams:
     """Scaled-normal weights (variance 2/fan_in), zero biases, slope 0.25."""
     if len(layer_sizes) < 2:
         raise OutOfRange("need at least input and output sizes")
+    if min(layer_sizes) < 1:
+        raise OutOfRange(f"every layer needs a width of at least 1, got {list(layer_sizes)}")
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for d_in, d_out in zip(layer_sizes, layer_sizes[1:]):

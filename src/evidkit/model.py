@@ -1,8 +1,9 @@
 """Composite classifier: optional feature network feeding an evidential layer.
 
-Parameter arrays are exposed as one flat dict with `layer.` / `mlp.`
-prefixes so the optimizer and the gradient checks treat every model shape
-uniformly.
+Parameter arrays are exposed as one dict with `layer.` / `mlp.` prefixes.
+Training, the optimizer and the gradient checks lay that dict end to end in
+one float64 vector (`training.flat_parameters`), with each named array a
+view into it, so they treat every model shape uniformly.
 
 The two layers, `enn.EnnParams` and `rbf.RbfParams`, share one protocol, so
 outside `make_layer` no code asks which one it holds: `kind` (its key in
@@ -10,8 +11,9 @@ outside `make_layer` no code asks which one it holds: `kind` (its key in
 `n_features`, `n_classes` (2 for `rbf`), `trainable_arrays()`,
 `forward(X) -> (masses (N, K+1), cache)`,
 `backward(cache, upstream) -> (parameter grads, input grads)` and
-`regularizer() -> (value, {array name: gradient})`, the prototype-shrinking
-penalty that every loss weighs by lambda.
+`regularizer(cache) -> (value, {array name: gradient})`, the
+prototype-shrinking penalty that every loss weighs by lambda, read from the
+constrained values a forward pass cached.
 
 Checkpoints store every field of the layer and feature-net dataclasses as
 it was trained (`params_to_dict` / `params_from_dict`), so a reload is

@@ -1,4 +1,19 @@
-"""Small numerical helpers shared by the layer and training modules."""
+"""Small numerical helpers shared by the layer and training modules.
+
+The layer kernels are prototype-major: squared distances, activations and
+the other per-(prototype, input) arrays are (I, N), so a sum over the
+prototypes or a max over the classes runs over rows, across contiguous
+inputs.  `sum_rows` adds those rows in order whatever N is, so an input's
+result does not depend on the batch it came in.
+
+Activations exp(-gamma d^2) go through `exp_neg`, which flushes results
+below the smallest normal double to exactly 0.  numpy's SIMD exp takes a
+slow path on every vector with a result below 2**-1021; the flush keeps far
+inputs, whose activations would be subnormal or underflow, on the fast
+path.  Results at or above the smallest normal double are np.exp's, so
+pooled masses of 1e-300 and more, the range the Dempster oracles check,
+are unaffected.
+"""
 
 from __future__ import annotations
 
@@ -6,16 +21,17 @@ import numpy as np
 
 from .errors import DimensionMismatch, MalformedInput
 
+LOG_TINY = -708.3964185322641  # log of the smallest normal double; exp of it is 2.2250738585072626e-308
+EXP_FAST_MIN = -707.7  # above -1021 ln 2 = -707.7033: numpy's SIMD exp stays on its fast path
+
 
 def sigmoid(z):
-    """Logistic function, stable for large |z|."""
+    """Logistic function, stable for large |z|: 1 / (1 + exp(-z)) for z >= 0,
+    exp(z) / (1 + exp(z)) below."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    ez = np.exp(-np.abs(z))
+    d = 1.0 + ez
+    return np.where(z >= 0, 1.0 / d, ez / d)
 
 
 def logit(p):
@@ -59,31 +75,59 @@ def require_finite(x: np.ndarray, what: str = "inputs") -> np.ndarray:
     return x
 
 
-def sq_dists(X, P) -> np.ndarray:
-    """(N, I) squared distances between the rows of X (N, H) and P (I, H).
+def sum_rows(a: np.ndarray) -> np.ndarray:
+    """Column sums of an (R, N) array, adding the rows in order.  numpy does
+    so for N >= 2 but sums a lone column pairwise, so this keeps a column's
+    sum the same bits whatever N is."""
+    return a.sum(axis=0) if a.shape[1] > 1 else np.cumsum(a, axis=0)[-1]
 
-    Computed as ||x - c||^2 - 2 (X - c)(P - c)^T + ||p - c||^2 and clamped at
-    0, so no (N, I, H) array is built.  c is the mean of P: centering keeps
+
+def exp_neg(z, out=None) -> np.ndarray:
+    """exp(-z), bit for bit wherever that is a normal double, and exactly 0
+    where it would be subnormal or underflow.  `out=z` computes it in place."""
+    a = np.negative(z, out=out)
+    low = a < EXP_FAST_MIN
+    if low.any():
+        below = a[low]
+        normal = below >= LOG_TINY
+        below[normal] = np.exp(below[normal])
+        below[~normal] = 0.0
+        np.maximum(a, EXP_FAST_MIN, out=a)
+        np.exp(a, out=a)
+        a[low] = below
+        return a
+    return np.exp(a, out=a)
+
+
+def sq_dists(X, P) -> np.ndarray:
+    """(I, N) squared distances between the rows of P (I, H) and X (N, H).
+
+    Computed as ||p - c||^2 - 2 (P - c)(X - c)^T + ||x - c||^2 and clamped at
+    0, so no (I, N, H) array is built.  c is the mean of P: centering keeps
     the GEMM form translation invariant, where raw norms of far-off X and P
     would cancel away the digits of small distances.
     """
+    if len(X) == 1:
+        # BLAS multiplies by a lone column through gemv, which rounds otherwise
+        # than gemm: a second copy keeps the row on gemm, as inside a batch
+        return sq_dists(np.vstack([X, X]), P)[:, :1]
     c = P.mean(axis=0)
     Xc, Pc = X - c, P - c
-    d2 = Xc @ Pc.T
+    d2 = Pc @ Xc.T
     d2 *= -2.0
-    d2 += np.einsum("nh,nh->n", Xc, Xc)[:, None]
-    d2 += np.einsum("ih,ih->i", Pc, Pc)
+    d2 += np.einsum("nh,nh->n", Xc, Xc)
+    d2 += np.einsum("ih,ih->i", Pc, Pc)[:, None]
     return np.maximum(d2, 0.0, out=d2)
 
 
 def sq_dists_backward(d_d2, X, P) -> tuple[np.ndarray, np.ndarray]:
     """Gradients with respect to X (N, H) and P (I, H) given d(loss)/d(squared
-    distances) g (N, I), as two matmuls: 2 (rowsum(g) X - g P) and
-    -2 (g^T X - colsum(g) P), with X and P centered as in `sq_dists`."""
+    distances) g (I, N), as two matmuls: 2 (colsum(g) X - g^T P) and
+    -2 (g X - rowsum(g) P), with X and P centered as in `sq_dists`."""
     c = P.mean(axis=0)
     Xc, Pc = X - c, P - c
-    d_x = d_d2.sum(axis=1)[:, None] * Xc - d_d2 @ Pc
-    d_p = d_d2.T @ Xc - d_d2.sum(axis=0)[:, None] * Pc
+    d_x = d_d2.sum(axis=0)[:, None] * Xc - d_d2.T @ Pc
+    d_p = d_d2 @ Xc - d_d2.sum(axis=1)[:, None] * Pc
     return 2.0 * d_x, -2.0 * d_p
 
 

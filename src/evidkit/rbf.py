@@ -17,6 +17,12 @@ stays exact when w+ + w- is large (the naive ratio is 0/0 there).
 
 Gradients use the subgradient 0 at the kinks w_i = 0 and are taken in
 log-gamma space so the scale parameters stay positive.
+
+The kernels are prototype-major (see `evidkit.numeric`): d2, s and w are
+(I, N), and w+ and w- are sums over rows.  Activations below the smallest
+normal double are flushed to 0 (`numeric.exp_neg`), which moves no mass of
+1e-300 or more for weights |v| up to 1e8.  gamma is computed once per
+forward and cached for the backward pass.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, OutOfRange, StaleCache
 from .kmeans import kmeans
-from .numeric import as_batch, sigmoid, sq_dists, sq_dists_backward
+from .numeric import as_batch, exp_neg, sigmoid, sq_dists, sq_dists_backward, sum_rows
 
 INIT_GAMMA = 0.01
 
@@ -76,8 +82,9 @@ class RbfParams:
     def backward(self, cache: dict, upstream) -> tuple[dict[str, np.ndarray], np.ndarray]:
         return rbf_backward_batch(self, cache, upstream)
 
-    def regularizer(self) -> tuple[float, dict[str, np.ndarray]]:
-        """Sum of the squared weights, and its gradient in `v`."""
+    def regularizer(self, cache: dict) -> tuple[float, dict[str, np.ndarray]]:
+        """Sum of the squared weights, and its gradient in `v`; the weights are
+        unconstrained, so nothing is read from the forward cache."""
         return float(np.sum(self.v**2)), {"v": 2.0 * self.v}
 
 
@@ -103,7 +110,11 @@ def _factors(wp: np.ndarray, wm: np.ndarray):
 def _masses_from_totals(wp: np.ndarray, wm: np.ndarray) -> np.ndarray:
     """Exact combined masses, in the factored form of `_factors`."""
     support1, support2, ep, em, frame, denom = _factors(wp, wm)
-    return np.stack([support1 * em, support2 * ep, frame], axis=-1) / denom[..., None]
+    support1 *= em
+    support2 *= ep
+    mass = np.stack([support1, support2, frame], axis=-1)
+    mass /= denom[..., None]
+    return mass
 
 
 def rbf_forward_batch(params: RbfParams, X) -> tuple[np.ndarray, dict]:
@@ -111,18 +122,22 @@ def rbf_forward_batch(params: RbfParams, X) -> tuple[np.ndarray, dict]:
     X = as_batch(X, params.n_features)
     gamma, v = params.gamma, params.v
 
-    d2 = sq_dists(X, params.proto)
-    s = np.exp(-gamma * d2)
-    w = s * v
+    d2 = sq_dists(X, params.proto)                       # (I, N)
+    s = gamma[:, None] * d2
+    exp_neg(s, out=s)
+    w = s * v[:, None]
 
-    wp = np.maximum(w, 0.0).sum(axis=1)
-    wm = np.maximum(-w, 0.0).sum(axis=1)
+    part = np.maximum(w, 0.0)
+    wp = sum_rows(part)
+    wm = sum_rows(np.maximum(np.negative(w, out=part), 0.0, out=part))
+    del part
     mass = _masses_from_totals(wp, wm)
     p1 = sigmoid(wp - wm)
 
     cache = {
         "params": params,
         "X": X,
+        "gamma": gamma,
         "d2": d2,
         "s": s,
         "w": w,
@@ -158,24 +173,23 @@ def rbf_backward_batch(params: RbfParams, cache: dict, upstream) -> tuple[dict[s
         raise StaleCache("cache was produced by different parameters")
     upstream = np.asarray(upstream, dtype=float)
     s, w, d2 = cache["s"], cache["w"], cache["d2"]
-    n = s.shape[0]
+    n = s.shape[1]
 
     if upstream.shape == (n, 3):
         d_wp, d_wm = _totals_grad(cache, upstream)
-        d_w = d_wp[:, None] * (w > 0) - d_wm[:, None] * (w < 0)
+        d_w = d_wp * (w > 0) - d_wm * (w < 0)                # (I, N)
     elif upstream.shape == (n,):
         p1 = cache["p1"]
-        d_z = upstream * p1 * (1.0 - p1)
-        d_w = np.repeat(d_z[:, None], s.shape[1], axis=1)
+        d_w = upstream * p1 * (1.0 - p1)                     # (N,): the same for every prototype
     else:
         raise DimensionMismatch(
             f"upstream must have shape ({n}, 3) for masses or ({n},) for p1, got {upstream.shape}"
         )
 
-    d_v = (d_w * s).sum(axis=0)
-    d_s = d_w * params.v[None, :]
-    d_d2 = -d_s * s * params.gamma
-    d_log_gamma = (d_d2 * d2).sum(axis=0)
+    d_ws = d_w * s
+    d_v = d_ws.sum(axis=1)
+    d_d2 = d_ws * (params.v * -cache["gamma"])[:, None]
+    d_log_gamma = np.einsum("in,in->i", d_d2, d2)
 
     d_x, d_proto = sq_dists_backward(d_d2, cache["X"], params.proto)
 

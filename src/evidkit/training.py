@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -86,23 +87,73 @@ def loss_dice(soft_pred, truth):
 # optimizer
 # --------------------------------------------------------------------------
 
+class ParamVector:
+    """Named float arrays laid end to end in one float64 vector, `vector`;
+    `views[name]` is each array's slice of it in the array's shape."""
+
+    def __init__(self, arrays: dict[str, np.ndarray]):
+        self.vector = np.concatenate([np.ravel(a) for a in arrays.values()]).astype(float, copy=False)
+        ends = np.cumsum([np.size(a) for a in arrays.values()])
+        self.slices = {name: slice(end - np.size(a), end) for (name, a), end in zip(arrays.items(), ends)}
+        self.views = {name: self.vector[sl].reshape(np.shape(arrays[name])) for name, sl in self.slices.items()}
+
+    def flatten(self, grads: dict[str, np.ndarray]) -> np.ndarray:
+        """Same-named arrays (gradients, say) laid out as in `vector`."""
+        return np.concatenate([np.ravel(grads[name]) for name in self.slices])
+
+
+def _array_slots(owner):
+    """(holder, key) of every array of a parameter dataclass: its array
+    fields in the instance dict, and the items of its list fields."""
+    for f in fields(owner):
+        value = getattr(owner, f.name)
+        if isinstance(value, list):
+            yield from ((value, i) for i in range(len(value)))
+        else:
+            yield owner.__dict__, f.name
+
+
+@contextmanager
+def flat_parameters(arrays: dict[str, np.ndarray], *owners):
+    """A `ParamVector` of `arrays` that is, inside the block, the storage of
+    the parameter dataclasses `owners` (None skipped): each of their fields
+    holding one of the arrays is rebound to its view.  On exit each array
+    takes the vector's values and each field gets its own array back, so
+    arrays held from before the block end up with the final values."""
+    flat = ParamVector(arrays)
+    names = {id(a): name for name, a in arrays.items()}
+    slots = [(holder, key, holder[key]) for owner in owners if owner is not None
+             for holder, key in _array_slots(owner) if id(holder[key]) in names]
+    for holder, key, array in slots:
+        holder[key] = flat.views[names[id(array)]]
+    try:
+        yield flat
+    finally:
+        for name, array in arrays.items():
+            array[...] = flat.views[name]
+        for holder, key, array in slots:
+            holder[key] = array
+
+
 class Adam:
-    def __init__(self, arrays: dict, lr: float):
-        self.arrays = arrays
+    """Adam on one float64 parameter vector, updated in place."""
+
+    def __init__(self, vector: np.ndarray, lr: float):
+        self.vector = vector
         self.lr = lr
-        self.m = {k: np.zeros_like(v) for k, v in arrays.items()}
-        self.v = {k: np.zeros_like(v) for k, v in arrays.items()}
+        self.m = np.zeros_like(vector)
+        self.v = np.zeros_like(vector)
         self.t = 0
 
-    def step(self, grads: dict) -> None:
+    def step(self, grad: np.ndarray) -> None:
         self.t += 1
         b1c = 1.0 - ADAM_BETA1**self.t
         b2c = 1.0 - ADAM_BETA2**self.t
-        for name, arr in self.arrays.items():
-            g = grads[name]
-            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
-            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * g**2
-            arr -= self.lr * (self.m[name] / b1c) / (np.sqrt(self.v[name] / b2c) + ADAM_EPS)
+        self.m *= ADAM_BETA1
+        self.m += (1.0 - ADAM_BETA1) * grad
+        self.v *= ADAM_BETA2
+        self.v += (1.0 - ADAM_BETA2) * grad**2
+        self.vector -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + ADAM_EPS)
 
 
 # --------------------------------------------------------------------------
@@ -157,12 +208,13 @@ def _unpack(data) -> tuple[np.ndarray, np.ndarray]:
 # --------------------------------------------------------------------------
 
 def _objective(model: EvidentialModel, masses, layer_cache: dict, y, config: TrainConfig):
-    """Objective value and its gradient with respect to the layer output.
+    """Objective value, its gradient with respect to the layer output, and
+    the layer regularizer's parameter gradients.
 
-    Every objective is a data term plus lam times the layer's regularizer,
-    whose parameter gradient is left to the caller.  The gradient is in mass
-    space, except for cross-entropy, which reads the weight-of-evidence
-    layer's logistic output p1 and returns d/d(p1).
+    Every objective is a data term plus lam times the layer's regularizer.
+    The output gradient is in mass space, except for cross-entropy, which
+    reads the weight-of-evidence layer's logistic output p1 and returns
+    d/d(p1).  The regularizer gradients are not yet scaled by lam.
     """
     if config.loss_kind not in model.layer.losses:
         raise OutOfRange(f"the {config.loss_kind} loss does not train the {model.kind} layer")
@@ -179,15 +231,16 @@ def _objective(model: EvidentialModel, masses, layer_cache: dict, y, config: Tra
         # soft foreground probability: pignistic probability of class 1
         value, d_s = loss_dice(pignistic(masses)[:, 1], np.asarray(y, dtype=float))
         upstream = pignistic_backward(np.column_stack([np.zeros_like(d_s), d_s]))
-    return value + config.lam * model.layer.regularizer()[0], upstream
+    reg_value, reg_grads = model.layer.regularizer(layer_cache)
+    return value + config.lam * reg_value, upstream, reg_grads
 
 
 def model_loss_and_grads(model: EvidentialModel, X, y, config: TrainConfig):
     """Full-batch objective and gradients for every trainable array."""
     masses, caches = model.forward_with_cache(X)
-    value, upstream = _objective(model, masses, caches[1], y, config)
+    value, upstream, reg_grads = _objective(model, masses, caches[1], y, config)
     grads = model.backward(caches, upstream)
-    for name, g in model.layer.regularizer()[1].items():
+    for name, g in reg_grads.items():
         grads[f"layer.{name}"] = grads[f"layer.{name}"] + config.lam * g
     return value, grads, masses
 
@@ -215,53 +268,52 @@ def train(model: EvidentialModel, train_data, config: TrainConfig, val_data=None
     x_val, y_val = _unpack(val_data) if val_data is not None else (None, None)
     _check_labels(model.layer, y_train, y_val)
 
-    arrays = model.trainable_arrays()
-    optimizer = Adam(arrays, config.learning_rate)
-    history = TrainHistory()
+    with flat_parameters(model.trainable_arrays(), model.layer, model.feature_net) as params:
+        optimizer = Adam(params.vector, config.learning_rate)
+        history = TrainHistory()
 
-    best_val = math.inf
-    best_arrays = None
-    plateau_best = math.inf
-    bad_epochs = 0
+        best_val = math.inf
+        best_vector = None
+        plateau_best = math.inf
+        bad_epochs = 0
 
-    for epoch in range(1, config.epochs + 1):
-        value, grads, masses = model_loss_and_grads(model, x_train, y_train, config)
-        if not math.isfinite(value):
-            raise NonFiniteLoss(f"objective became {value} at epoch {epoch}")
+        for epoch in range(1, config.epochs + 1):
+            value, grads, masses = model_loss_and_grads(model, x_train, y_train, config)
+            if not math.isfinite(value):
+                raise NonFiniteLoss(f"objective became {value} at epoch {epoch}")
 
-        train_err = error_rate(np.argmax(masses[:, :-1], axis=1), y_train)
-        ignorance = float(np.mean(masses[:, -1]))
+            train_err = error_rate(np.argmax(masses[:, :-1], axis=1), y_train)
+            ignorance = float(np.mean(masses[:, -1]))
 
-        if value < plateau_best - 1e-15:
-            plateau_best = value
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= PLATEAU_PATIENCE:
-                optimizer.lr = max(optimizer.lr * PLATEAU_FACTOR, MIN_LR)
+            if value < plateau_best - 1e-15:
+                plateau_best = value
                 bad_epochs = 0
+            else:
+                bad_epochs += 1
+                if bad_epochs >= PLATEAU_PATIENCE:
+                    optimizer.lr = max(optimizer.lr * PLATEAU_FACTOR, MIN_LR)
+                    bad_epochs = 0
 
-        optimizer.step(grads)
+            optimizer.step(params.flatten(grads))
 
-        val_err = math.nan
-        if x_val is not None:
-            val_value, val_err = _evaluate(model, x_val, y_val, config)
-            if val_value < best_val:
-                best_val = val_value
-                best_arrays = {k: v.copy() for k, v in arrays.items()}
+            val_err = math.nan
+            if x_val is not None:
+                val_value, val_err = _evaluate(model, x_val, y_val, config)
+                if val_value < best_val:
+                    best_val = val_value
+                    best_vector = params.vector.copy()
 
-        history.records.append(EpochRecord(epoch, value, train_err, val_err, ignorance))
+            history.records.append(EpochRecord(epoch, value, train_err, val_err, ignorance))
 
-    if best_arrays is not None:
-        for name, arr in arrays.items():
-            arr[...] = best_arrays[name]
+        if best_vector is not None:
+            params.vector[...] = best_vector
     return model, history
 
 
 def _evaluate(model: EvidentialModel, X, y, config: TrainConfig) -> tuple[float, float]:
     """Objective value and error rate without touching gradients."""
     masses, (_, layer_cache) = model.forward_with_cache(X)
-    value, _ = _objective(model, masses, layer_cache, y, config)
+    value = _objective(model, masses, layer_cache, y, config)[0]
     return value, error_rate(np.argmax(masses[:, :-1], axis=1), y)
 
 
@@ -277,22 +329,23 @@ def pretrain_feature_net(net, head, train_data, config: TrainConfig):
 
     # net and head both name their arrays W0, b0, ...: prefix the head's
     head_arrays = {f"head.{k}": v for k, v in head.trainable_arrays().items()}
-    optimizer = Adam(net.trainable_arrays() | head_arrays, config.learning_rate)
-    history = TrainHistory()
+    with flat_parameters(net.trainable_arrays() | head_arrays, net, head) as params:
+        optimizer = Adam(params.vector, config.learning_rate)
+        history = TrainHistory()
 
-    for epoch in range(1, config.epochs + 1):
-        feats, cache = mlp_forward_batch(net, x_train)
-        logits, head_cache = mlp_forward_batch(head, feats)
-        probs = softmax_rows(logits)
-        value = float(-np.sum(onehot * log_rows(probs, floor=P_CLAMP)))
-        if not math.isfinite(value):
-            raise NonFiniteLoss(f"pretraining objective became {value} at epoch {epoch}")
-        head_grads, d_feats = mlp_backward_batch(head, head_cache, probs - onehot)
-        net_grads, _ = mlp_backward_batch(net, cache, d_feats)
-        optimizer.step(net_grads | {f"head.{k}": g for k, g in head_grads.items()})
+        for epoch in range(1, config.epochs + 1):
+            feats, cache = mlp_forward_batch(net, x_train)
+            logits, head_cache = mlp_forward_batch(head, feats)
+            probs = softmax_rows(logits)
+            value = float(-np.sum(onehot * log_rows(probs, floor=P_CLAMP)))
+            if not math.isfinite(value):
+                raise NonFiniteLoss(f"pretraining objective became {value} at epoch {epoch}")
+            head_grads, d_feats = mlp_backward_batch(head, head_cache, probs - onehot)
+            net_grads, _ = mlp_backward_batch(net, cache, d_feats)
+            optimizer.step(params.flatten(net_grads | {f"head.{k}": g for k, g in head_grads.items()}))
 
-        err = error_rate(np.argmax(probs, axis=1), y_train)
-        history.records.append(EpochRecord(epoch, value, err, math.nan, math.nan))
+            err = error_rate(np.argmax(probs, axis=1), y_train)
+            history.records.append(EpochRecord(epoch, value, err, math.nan, math.nan))
     return history
 
 
@@ -356,39 +409,36 @@ def four_stage_init(train_data, arch: dict, config: TrainConfig, val_data=None) 
 # gradient checking
 # --------------------------------------------------------------------------
 
-def fd_gradients(loss_fn, arrays: dict, eps: float = 1e-6) -> dict[str, np.ndarray]:
-    """Central finite differences of a scalar loss with respect to every entry
-    of every array in `arrays` (dict name -> ndarray, perturbed in place)."""
-    grads = {}
-    for name, arr in arrays.items():
-        g = np.zeros_like(arr)
-        flat = arr.ravel()
-        gflat = g.ravel()
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + eps
-            up = loss_fn()
-            flat[idx] = orig - eps
-            down = loss_fn()
-            flat[idx] = orig
-            gflat[idx] = (up - down) / (2.0 * eps)
-        grads[name] = g
-    return grads
+def fd_gradients(loss_fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+    """Central finite differences of a scalar loss with respect to every
+    entry of the contiguous float array `x`, perturbed in place and restored."""
+    flat = x.reshape(-1)
+    grad = np.zeros_like(flat)
+    for idx in range(flat.size):
+        orig = flat[idx]
+        flat[idx] = orig + eps
+        up = loss_fn()
+        flat[idx] = orig - eps
+        down = loss_fn()
+        flat[idx] = orig
+        grad[idx] = (up - down) / (2.0 * eps)
+    return grad.reshape(x.shape)
 
 
 def grad_check(model: EvidentialModel, X, y, config: TrainConfig, eps: float = 1e-6) -> float:
     """Worst relative error between analytic and central-difference gradients.
 
-    The comparison is a norm ratio per parameter array; arrays whose analytic
-    and numeric gradients are both below the finite-difference noise floor
-    count as exact.
+    The differences run over the model's parameters as one vector.  The
+    comparison is a norm ratio per named parameter array; arrays whose
+    analytic and numeric gradients are both below the finite-difference
+    noise floor count as exact.
     """
-    _, analytic, _ = model_loss_and_grads(model, X, y, config)
-    numeric = fd_gradients(lambda: model_loss_and_grads(model, X, y, config)[0],
-                           model.trainable_arrays(), eps)
+    with flat_parameters(model.trainable_arrays(), model.layer, model.feature_net) as params:
+        analytic = params.flatten(model_loss_and_grads(model, X, y, config)[1])
+        numeric = fd_gradients(lambda: model_loss_and_grads(model, X, y, config)[0], params.vector, eps)
     worst = 0.0
-    for name, num in numeric.items():
-        a, n = np.asarray(analytic[name]).ravel(), num.ravel()
+    for sl in params.slices.values():
+        a, n = analytic[sl], numeric[sl]
         denom = max(np.linalg.norm(a) + np.linalg.norm(n), 1e-5)
         worst = max(worst, float(np.linalg.norm(a - n) / denom))
     return worst
@@ -402,6 +452,7 @@ __all__ = [
     "TrainHistory",
     "fd_gradients",
     "four_stage_init",
+    "flat_parameters",
     "grad_check",
     "loss_ce",
     "loss_dice",

@@ -1,7 +1,15 @@
-"""Shared test oracles: a gradient comparison and a brute-force k-NN baseline.
-Finite differences come from `evidkit.training.fd_gradients`."""
+"""Shared test oracles: a gradient comparison, finite differences by array
+name (from `evidkit.training.fd_gradients`) and a brute-force k-NN baseline."""
 
 import numpy as np
+
+from evidkit.training import fd_gradients
+
+
+def fd_by_name(loss_fn, arrays):
+    """Central differences of `loss_fn` with respect to each named array,
+    perturbed in place one array at a time."""
+    return {name: fd_gradients(loss_fn, a) for name, a in arrays.items()}
 
 
 def grad_rel_error(analytic, numeric):

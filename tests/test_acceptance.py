@@ -227,13 +227,13 @@ def test_criterion_04_gradient_suite():
         p = rng.uniform(0.05, 0.95, size=(5, 2))
         y = np.eye(2)[rng.integers(0, 2, size=5)]
         _, d_p = loss_sse(p, y)
-        num = fd_gradients(lambda: loss_sse(p, y)[0], {"p": p})
+        num = {"p": fd_gradients(lambda: loss_sse(p, y)[0], p)}
         worst["loss gradients"] = max(worst["loss gradients"],
                                       grad_rel_error({"p": d_p}, num))
         p1 = rng.uniform(0.05, 0.95, size=5)
         yb = rng.integers(0, 2, size=5).astype(float)
         _, d_p1 = loss_ce(p1, yb)
-        num = fd_gradients(lambda: loss_ce(p1, yb)[0], {"p": p1})
+        num = {"p": fd_gradients(lambda: loss_ce(p1, yb)[0], p1)}
         worst["loss gradients"] = max(worst["loss gradients"],
                                       grad_rel_error({"p": d_p1}, num))
         s = rng.uniform(0.05, 0.95, size=6)
@@ -241,7 +241,7 @@ def test_criterion_04_gradient_suite():
         if g.sum() == 0:
             g[0] = 1.0
         _, d_s = loss_dice(s, g)
-        num = fd_gradients(lambda: loss_dice(s, g)[0], {"p": s})
+        num = {"p": fd_gradients(lambda: loss_dice(s, g)[0], s)}
         worst["loss gradients"] = max(worst["loss gradients"],
                                       grad_rel_error({"p": d_s}, num))
 

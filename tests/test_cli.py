@@ -354,6 +354,25 @@ def test_eval_zero_ece_bins(data_dir, checkpoint, tmp_path, capsys):
                      "--ece-bins", "0", "--out-dir", str(tmp_path / "out")], "OutOfRange", capsys)
 
 
+def test_eval_zero_ece_bins_without_in_distribution_labels(data_dir, checkpoint, tmp_path, capsys):
+    # no label of ood.csv is in the layer's classes, so no calibration is computed
+    assert_category(["eval", "--checkpoint", str(checkpoint), "--data", str(data_dir / "ood.csv"),
+                     "--ece-bins", "0", "--out-dir", str(tmp_path / "out")], "OutOfRange", capsys)
+    assert not (tmp_path / "out" / "report.csv").exists()
+
+
+@pytest.mark.parametrize("init", ["random", "kmeans"])
+def test_train_zero_hidden_width(init, data_dir, tmp_path, capsys):
+    assert_category(["train", "--data", str(data_dir / "train.csv"), "--feature-net", "--hidden", "0",
+                     "--init", init, "--epochs", "1", "--out-dir", str(tmp_path / "out")], "OutOfRange", capsys)
+
+
+def test_gen_data_negative_task_count(tmp_path, capsys):
+    assert_category(["gen-data", "--seg", "--n-tasks", "-1", "--width", "16", "--height", "16",
+                     "--out-dir", str(tmp_path / "out")], "OutOfRange", capsys)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("noise", ["-0.5", "nan"])
 def test_gen_data_noise_below_zero_or_nan(noise, tmp_path, capsys):
     assert_category(["gen-data", "--noise", noise, "--out-dir", str(tmp_path / "out")], "OutOfRange", capsys)

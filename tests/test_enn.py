@@ -3,7 +3,7 @@ analytic gradients vs finite differences, initializers, invariances."""
 
 import numpy as np
 import pytest
-from helpers import grad_rel_error
+from helpers import fd_by_name, grad_rel_error
 
 from evidkit import dst
 from evidkit.enn import (
@@ -156,7 +156,7 @@ class TestBackward:
                 m, _ = enn_forward_batch(p, x[None])
                 return float(np.dot(upstream, m[0]))
 
-            numeric = fd_gradients(loss, arrays)
+            numeric = fd_by_name(loss, arrays)
             worst = max(worst, grad_rel_error(analytic, numeric))
         assert worst < 1e-4, f"worst relative gradient error {worst}"
 
@@ -173,7 +173,7 @@ class TestBackward:
             def loss():
                 return float(np.dot(upstream, mass_of(p, x)))
 
-            fd = fd_gradients(loss, {"alpha_raw": p.alpha_raw})["alpha_raw"]
+            fd = fd_gradients(loss, p.alpha_raw)
             for i in range(3):
                 if abs(fd[i]) > 1e-7:
                     assert np.sign(grads["alpha_raw"][i]) == np.sign(fd[i])

@@ -1,6 +1,7 @@
 """The shared distance kernel and the log-domain pooling of both layers:
 exact oracles at extreme activations and evidence weights, many prototypes,
-translation invariance, O(N*I) caches, and gradients at H > 2."""
+translation invariance, batch invariance, the flushed far field, O(N*I)
+caches, and gradients at H > 2."""
 
 import decimal
 from decimal import Decimal
@@ -14,6 +15,7 @@ from helpers import grad_rel_error
 from evidkit.enn import enn_backward_batch, enn_forward_batch, enn_from_constrained
 from evidkit.errors import TotalConflict
 from evidkit.model import EvidentialModel
+from evidkit.numeric import LOG_TINY, exp_neg
 from evidkit.rbf import rbf_forward_batch, rbf_from_constrained
 from evidkit.training import TrainConfig, fd_gradients, grad_check
 
@@ -64,7 +66,7 @@ class TestExactRationalOracle:
                 conflicts += 1
                 continue
             mass, cache = enn_forward_batch(params, np.zeros((1, 1)))
-            assert np.array_equal(cache["s"][0], params.alpha)  # the oracle saw the layer's own activations
+            assert np.array_equal(cache["s"][:, 0], params.alpha)  # the oracle saw the layer's own activations
             for got, want in zip(mass[0], exact):
                 if want >= Fraction(1e-300):
                     assert abs(Fraction(got) - want) <= Fraction(1e-12) * want, (alpha, got, float(want))
@@ -79,7 +81,7 @@ class TestExactRationalOracle:
         x = np.array([[np.sqrt(-np.log(6e-11) / 0.1)]])
         mass, cache = enn_forward_batch(params, x)
         assert 1e-11 < cache["s"][0, 0] < 1e-10
-        exact = exact_enn_masses(cache["s"][0], params.memberships)
+        exact = exact_enn_masses(cache["s"][:, 0], params.memberships)
         for got, want in zip(mass[0], exact):
             assert abs(Fraction(got) - want) <= Fraction(1e-12) * want
 
@@ -146,7 +148,7 @@ class TestManyPrototypes:
         mass, cache = enn_forward_batch(params, X)
         assert np.all(mass >= 0)
         np.testing.assert_allclose(mass.sum(axis=1), 1.0, atol=1e-12)
-        exact = exact_enn_masses(cache["s"][0], params.memberships)
+        exact = exact_enn_masses(cache["s"][:, 0], params.memberships)
         for got, want in zip(mass[0], exact):
             if want >= Fraction(1e-300):
                 assert abs(Fraction(got) - want) <= Fraction(1e-12) * want
@@ -157,9 +159,9 @@ class TestManyPrototypes:
         _, cache = enn_forward_batch(params, X)
         grads, d_x = enn_backward_batch(params, cache, upstream)
         assert all(np.all(np.isfinite(g)) for g in grads.values())
-        numeric = fd_gradients(lambda: float(np.sum(upstream * enn_forward_batch(params, X)[0])), {"x": X})
+        numeric = fd_gradients(lambda: float(np.sum(upstream * enn_forward_batch(params, X)[0])), X)
         assert np.linalg.norm(d_x) > 0
-        assert grad_rel_error({"x": d_x}, numeric) < 1e-6
+        assert grad_rel_error({"x": d_x}, {"x": numeric}) < 1e-6
 
 
 def random_enn(rng, n_proto, n_feat, n_classes=3):
@@ -190,6 +192,71 @@ def test_translation_invariance(kind):
     params.proto += 1e3
     after = forward(params, X + 1e3)[0]
     np.testing.assert_allclose(after, before, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(LAYERS))
+@pytest.mark.parametrize("n_proto", [6, 256])
+def test_a_row_gets_the_same_masses_alone_and_in_a_batch(kind, n_proto):
+    # at H = 2, where BLAS's GEMM rounds each distance the same wherever its
+    # column sits; wider GEMM tiles round by position, to an ulp
+    make, forward = LAYERS[kind]
+    rng = np.random.default_rng(45)
+    params = make(rng, n_proto, 2)
+    X = np.vstack([rng.standard_normal((30, 2)), 40.0 * rng.standard_normal((10, 2))])
+    batch = forward(params, X)[0]
+    alone = np.vstack([forward(params, x)[0] for x in X])
+    assert alone.tobytes() == batch.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(LAYERS))
+def test_an_empty_batch_gives_no_masses(kind):
+    make, forward = LAYERS[kind]
+    params = make(np.random.default_rng(48), 3, 2)
+    mass, _ = forward(params, np.zeros((0, 2)))
+    assert mass.shape == (0, params.n_classes + 1)
+
+
+TINY = np.finfo(float).tiny
+
+
+@pytest.mark.parametrize("kind", list(LAYERS))
+def test_far_field_is_exactly_vacuous(kind):
+    make, forward = LAYERS[kind]
+    rng = np.random.default_rng(46)
+    params = make(rng, 6, 2)
+    directions = rng.standard_normal((40, 2))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    reach = np.linalg.norm(params.proto, axis=1).max()
+    # gamma d^2 >= 746 for every prototype, then rows whose nearest prototype
+    # is at 709 <= gamma d^2 < 746, where np.exp would return subnormals
+    far = directions[:20] * (reach + np.sqrt(746.0 / params.gamma.min()))
+    near = params.proto[0] + directions[20:] * np.sqrt(np.linspace(709.0, 745.0, 20) / params.gamma[0])[:, None]
+    mass, cache = forward(params, far)
+    assert np.all(params.gamma[:, None] * cache["d2"] >= 746.0)
+    vacuous = np.zeros(mass.shape[1])
+    vacuous[-1] = 1.0
+    assert np.array_equal(mass, np.tile(vacuous, (20, 1)))
+    _, near_cache = forward(params, near)
+    for c in (cache, near_cache):
+        activations = np.concatenate([c[name].ravel() for name in ("e", "s") if name in c])
+        assert not np.any((activations != 0.0) & (np.abs(activations) < TINY))
+    assert np.all(near_cache["s"][0] == 0.0)
+
+
+def test_exp_helper_is_np_exp_down_to_the_smallest_normal():
+    rng = np.random.default_rng(47)
+    edge = -LOG_TINY
+    z = np.concatenate([
+        rng.uniform(0.0, 800.0, 4000), np.linspace(700.0, 750.0, 4001), [0.0, 1e-300, 745.2, 1e6, np.inf],
+        [np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf), 707.7, np.nextafter(707.7, np.inf)],
+    ])
+    with np.errstate(under="ignore"):
+        want = np.exp(-z)
+    normal = want >= TINY
+    for got in (exp_neg(z), exp_neg(z.copy(), out=z.copy())):
+        assert got[normal].tobytes() == want[normal].tobytes()
+        assert np.all(got[~normal] == 0.0)
+    assert normal[-4] and not normal[-3]  # the clamp sits at the last normal result
 
 
 @pytest.mark.parametrize("kind", list(LAYERS))

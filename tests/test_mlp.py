@@ -3,7 +3,7 @@ one-layer softmax head used for pretraining."""
 
 import numpy as np
 import pytest
-from helpers import grad_rel_error
+from helpers import fd_by_name, grad_rel_error
 
 from evidkit.errors import DimensionMismatch
 from evidkit.mlp import (
@@ -15,7 +15,6 @@ from evidkit.mlp import (
 )
 from evidkit.model import params_from_dict, params_to_dict
 from evidkit.numeric import softmax_rows
-from evidkit.training import fd_gradients
 
 
 class TestForward:
@@ -67,7 +66,7 @@ class TestBackward:
             f, _ = mlp_forward_batch(p, x)
             return float(np.sum(upstream * f))
 
-        numeric = fd_gradients(loss, arrays)
+        numeric = fd_by_name(loss, arrays)
         assert grad_rel_error(analytic, numeric) < 1e-4
 
     def test_zero_upstream(self):
@@ -135,7 +134,7 @@ class TestSoftmaxHead:
             p = head_probs(head, feats)
             return float(-np.sum(onehot * np.log(p)))
 
-        numeric = fd_gradients(loss, arrays)
+        numeric = fd_by_name(loss, arrays)
         assert grad_rel_error(analytic, numeric) < 1e-4
 
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import grad_rel_error
+from helpers import fd_by_name, grad_rel_error
 
 from evidkit import dst
 from evidkit.errors import DimensionMismatch, StaleCache
@@ -19,7 +19,6 @@ from evidkit.rbf import (
     rbf_init_kmeans,
     rbf_init_random,
 )
-from evidkit.training import fd_gradients
 
 FRAME = dst.Frame(2)
 
@@ -171,7 +170,7 @@ class TestBackward:
         analytic["x"] = dx[0]
         arrays = dict(p.trainable_arrays())
         arrays["x"] = x
-        numeric = fd_gradients(loss, arrays)
+        numeric = fd_by_name(loss, arrays)
         return grad_rel_error(analytic, numeric)
 
     def test_mass_upstream_matches_finite_differences(self):
@@ -194,7 +193,7 @@ class TestBackward:
             grads, _ = rbf_backward_batch(p, cache, np.ones(1))
             p1 = cache["p1"][0]
             np.testing.assert_allclose(
-                grads["v"], cache["s"][0] * p1 * (1.0 - p1), atol=1e-14
+                grads["v"], cache["s"][:, 0] * p1 * (1.0 - p1), atol=1e-14
             )
 
     def test_stale_cache(self):

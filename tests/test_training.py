@@ -12,9 +12,10 @@ from evidkit import training
 from evidkit.datasets import gen_half_moons
 from evidkit.enn import enn_init_kmeans, enn_init_random
 from evidkit.errors import AllZeroDenominator, NonFiniteLoss, OutOfRange, ShapeMismatch
-from evidkit.kmeans import kmeans
+from evidkit.kmeans import MAX_ITER, _plusplus_seed, kmeans
 from evidkit.mlp import mlp_init
 from evidkit.model import EvidentialModel
+from evidkit.numeric import sq_dists
 from evidkit.rbf import rbf_from_constrained, rbf_init_kmeans, rbf_init_random
 from evidkit.training import (
     Adam,
@@ -60,8 +61,8 @@ class TestLossSse:
         y = np.eye(3)[rng.integers(0, 3, size=6)]
 
         _, d_p = loss_sse(p, y)
-        numeric = fd_gradients(lambda: loss_sse(p, y)[0], {"p": p})
-        assert grad_rel_error({"p": d_p}, {"p": numeric["p"]}) < 1e-6
+        numeric = fd_gradients(lambda: loss_sse(p, y)[0], p)
+        assert grad_rel_error({"p": d_p}, {"p": numeric}) < 1e-6
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
@@ -94,8 +95,8 @@ class TestLossCe:
         p = rng.uniform(0.05, 0.95, size=10)
         y = rng.integers(0, 2, size=10).astype(float)
         _, d_p = loss_ce(p, y)
-        numeric = fd_gradients(lambda: loss_ce(p, y)[0], {"p": p})
-        assert grad_rel_error({"p": d_p}, {"p": numeric["p"]}) < 1e-6
+        numeric = fd_gradients(lambda: loss_ce(p, y)[0], p)
+        assert grad_rel_error({"p": d_p}, {"p": numeric}) < 1e-6
 
 
 class TestLossDice:
@@ -120,8 +121,8 @@ class TestLossDice:
         s = rng.uniform(0.01, 0.99, size=12)
         g = rng.integers(0, 2, size=12).astype(float)
         _, d_s = loss_dice(s, g)
-        numeric = fd_gradients(lambda: loss_dice(s, g)[0], {"s": s})
-        assert grad_rel_error({"s": d_s}, {"s": numeric["s"]}) < 1e-6
+        numeric = fd_gradients(lambda: loss_dice(s, g)[0], s)
+        assert grad_rel_error({"s": d_s}, {"s": numeric}) < 1e-6
 
     def test_all_zero_denominator(self):
         with pytest.raises(AllZeroDenominator):
@@ -171,6 +172,56 @@ class TestKmeans:
         with pytest.raises(OutOfRange):
             kmeans(np.zeros((3, 2)), 4)
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_update_matches_the_per_cluster_loop(self, seed, dim):
+        rng = np.random.default_rng(100 + seed)
+        pts = rng.standard_normal((300, dim)) + 4.0 * rng.integers(0, 3, size=(300, 1))
+        expect_same_as_loop(pts, 6, seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_empty_cluster_matches_the_per_cluster_loop(self, seed):
+        # 3 locations, 10 points each, 5 clusters: seeding has to repeat a
+        # location, and the repeat's cluster is empty after the first assignment
+        rng = np.random.default_rng(200 + seed)
+        pts = np.repeat(rng.standard_normal((3, 2)), 10, axis=0)
+        first = np.argmin(sq_dists(pts, _plusplus_seed(pts, 5, np.random.default_rng(seed))), axis=0)
+        assert len(np.unique(first)) < 5
+        expect_same_as_loop(pts, 5, seed)
+
+
+def kmeans_by_loop(points, k, seed):
+    """Lloyd's iterations with one mean per cluster, the way `kmeans` updated
+    its centroids before the bincount form: (centroids, assignments, n_iter)."""
+    rng = np.random.default_rng(seed)
+    degenerate = k > 1 and bool(np.all(points == points[0]))
+    centroids = _plusplus_seed(points, k, rng)
+    n = len(points)
+    assignments = np.full(n, -1)
+    for n_iter in range(1, MAX_ITER + 1):
+        d2 = sq_dists(points, centroids).T
+        new_assign = np.argmin(d2, axis=1)
+        for j in range(k):
+            members = new_assign == j
+            if members.any():
+                centroids[j] = points[members].mean(axis=0)
+            elif not degenerate:
+                farthest = int(np.argmax(d2[np.arange(n), new_assign]))
+                centroids[j] = points[farthest]
+                new_assign[farthest] = j
+        if np.array_equal(new_assign, assignments):
+            break
+        assignments = new_assign
+    return centroids, new_assign, n_iter
+
+
+def expect_same_as_loop(points, k, seed):
+    centroids, assignments, n_iter = kmeans_by_loop(points, k, seed)
+    res = kmeans(points, k, seed=seed)
+    assert res.centroids.tobytes() == centroids.tobytes()
+    assert np.array_equal(res.assignments, assignments)
+    assert res.n_iter == n_iter
+
 
 class TestOptimizers:
     def quadratic(self, x, c):
@@ -180,12 +231,11 @@ class TestOptimizers:
         rng = np.random.default_rng(8)
         c = rng.standard_normal(6)
         x = rng.standard_normal(6)
-        arrays = {"x": x}
-        opt = Adam(arrays, lr=0.05)
+        opt = Adam(x, lr=0.05)
         losses = []
         for _ in range(2000):
             losses.append(self.quadratic(x, c))
-            opt.step({"x": 2.0 * (x - c)})
+            opt.step(2.0 * (x - c))
         losses.append(self.quadratic(x, c))
         # monotone after warm-up (adaptive steps may bounce by O(lr^2) near
         # the optimum) and essentially at the optimum
@@ -221,6 +271,17 @@ class TestTrainLoop:
             model, cfg = make_banana_model(kind, seed, ds)
             model, hist = train(model, ds, cfg)
             assert hist.records[-1].loss < hist.records[0].loss
+
+    def test_arrays_held_before_training_get_the_trained_values(self):
+        ds = gen_half_moons(60, 0.1, seed=18)
+        model = EvidentialModel("enn", enn_init_kmeans(ds.points, ds.labels, 3, 2, seed=0), mlp_init([2, 4, 2], seed=0))
+        held = model.trainable_arrays()
+        before = {k: v.copy() for k, v in held.items()}
+        model, _ = train(model, ds, TrainConfig(epochs=5, learning_rate=1e-2, loss_kind="sse"))
+        after = model.trainable_arrays()
+        for name, array in held.items():
+            assert after[name] is array, name
+            assert not np.array_equal(array, before[name]), name
 
     def test_history_is_reproducible(self):
         ds = gen_half_moons(120, 0.1, seed=11)
