@@ -169,11 +169,11 @@ def enn_forward_batch(params: EnnParams, X) -> tuple[np.ndarray, dict]:
     unnorm = logs - top                                  # (K+1, N)
     np.exp(unnorm, out=unnorm)
     with np.errstate(invalid="ignore"):
-        singles = logs[k] - logs[:k]
-        np.expm1(singles, out=singles)
-        singles *= unnorm[:k]
-    # where L_k = -inf the singleton keeps its exp(L_k - top) = 0
-    np.negative(singles, out=unnorm[:k], where=logs[:k] > -np.inf)
+        singles = logs[k] - logs[:k]                     # NaN where L_k = L_q = -inf
+    np.fmax(singles, -np.inf, out=singles)               # there -expm1(-inf) * exp(L_k - top) = 0
+    np.expm1(singles, out=singles)
+    singles *= unnorm[:k]
+    np.negative(singles, out=unnorm[:k])
     total = sum_rows(unnorm)                             # >= 1: the top class and the frame sum to 1
     unnorm /= total
     mass = unnorm.T
@@ -216,13 +216,15 @@ def enn_backward_batch(params: EnnParams, cache: dict, upstream) -> tuple[dict[s
     # below scales it by alpha_i (1 - alpha_i) = 0, by u_ic, or by gamma_i d2 < 2**-53
     d_s = np.zeros_like(s)
     d_u = np.empty((k + 1, s.shape[0]))                          # summed over the batch; frame row unused
+    d_t = np.empty_like(s)                                       # t, then d(P_c)/d(t)
     for c, w_c in enumerate(w.T):
         w_c = w_c[:, None]
-        t = 1.0 - s * w_c
-        d_t = np.divide(pq[c], t, out=np.zeros_like(t), where=t > 0)
+        np.subtract(1.0, np.multiply(s, w_c, out=d_t), out=d_t)
+        np.divide(pq[c], d_t, out=d_t, where=d_t > 0)            # t = 0 lanes stay 0
         d_t *= d_pq[c]
-        d_s -= d_t * w_c
         d_u[c] = np.einsum("in,in->i", d_t, s)
+        d_t *= w_c
+        d_s -= d_t
     d_u = d_u[:k].T
 
     d_ss = d_s * s                                               # (I, N)

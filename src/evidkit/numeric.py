@@ -31,7 +31,7 @@ def sigmoid(z):
     z = np.asarray(z, dtype=float)
     ez = np.exp(-np.abs(z))
     d = 1.0 + ez
-    return np.where(z >= 0, 1.0 / d, ez / d)
+    return np.maximum(ez, z >= 0) / d  # ez <= 1: numerator 1 for z >= 0, ez below
 
 
 def logit(p):
@@ -84,19 +84,24 @@ def sum_rows(a: np.ndarray) -> np.ndarray:
 
 def exp_neg(z, out=None) -> np.ndarray:
     """exp(-z), bit for bit wherever that is a normal double, and exactly 0
-    where it would be subnormal or underflow.  `out=z` computes it in place."""
+    where it would be subnormal or underflow.  `out=z` computes it in place.
+    No lane is gathered or stored by mask: all take one exp clamped at
+    EXP_FAST_MIN times 1 or 0, and the rare lanes in [LOG_TINY, EXP_FAST_MIN)
+    are patched by index."""
     a = np.negative(z, out=out)
-    low = a < EXP_FAST_MIN
-    if low.any():
-        below = a[low]
-        normal = below >= LOG_TINY
-        below[normal] = np.exp(below[normal])
-        below[~normal] = 0.0
-        np.maximum(a, EXP_FAST_MIN, out=a)
-        np.exp(a, out=a)
-        a[low] = below
-        return a
-    return np.exp(a, out=a)
+    keep = a >= EXP_FAST_MIN
+    if keep.all():  # no far lane, as in training: nothing to flush
+        return np.exp(a, out=a)
+    near = a >= LOG_TINY
+    near ^= keep
+    rare = np.flatnonzero(near) if near.any() else None  # C order, as `a.flat` indexes
+    patch = None if rare is None else np.exp(a.flat[rare])
+    np.maximum(a, EXP_FAST_MIN, out=a)
+    np.exp(a, out=a)
+    a *= keep
+    if rare is not None:
+        a.flat[rare] = patch
+    return a
 
 
 def sq_dists(X, P) -> np.ndarray:
@@ -111,7 +116,7 @@ def sq_dists(X, P) -> np.ndarray:
         # BLAS multiplies by a lone column through gemv, which rounds otherwise
         # than gemm: a second copy keeps the row on gemm, as inside a batch
         return sq_dists(np.vstack([X, X]), P)[:, :1]
-    c = P.mean(axis=0)
+    c = P.sum(axis=0) / len(P)  # P.mean's bits, without its Python wrapper
     Xc, Pc = X - c, P - c
     d2 = Pc @ Xc.T
     d2 *= -2.0
@@ -124,7 +129,7 @@ def sq_dists_backward(d_d2, X, P) -> tuple[np.ndarray, np.ndarray]:
     """Gradients with respect to X (N, H) and P (I, H) given d(loss)/d(squared
     distances) g (I, N), as two matmuls: 2 (colsum(g) X - g^T P) and
     -2 (g X - rowsum(g) P), with X and P centered as in `sq_dists`."""
-    c = P.mean(axis=0)
+    c = P.sum(axis=0) / len(P)
     Xc, Pc = X - c, P - c
     d_x = d_d2.sum(axis=0)[:, None] * Xc - d_d2.T @ Pc
     d_p = d_d2 @ Xc - d_d2.sum(axis=1)[:, None] * Pc

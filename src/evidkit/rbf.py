@@ -16,12 +16,15 @@ p1 = sigmoid(sum_i v_i s_i).  Masses are evaluated in a factored form that
 stays exact when w+ + w- is large (the naive ratio is 0/0 there).
 
 Gradients use the subgradient 0 at the kinks w_i = 0 and are taken in
-log-gamma space so the scale parameters stay positive.
+log-gamma space so the scale parameters stay positive.  A weight v_i = 0
+puts w_i on the kink at every input, so under a loss on the masses (Dice)
+its gradient is 0 at every step and it stays 0; cross-entropy reads p1,
+smooth in v_i, and moves it.
 
-The kernels are prototype-major (see `evidkit.numeric`): d2, s and w are
-(I, N), and w+ and w- are sums over rows.  Activations below the smallest
-normal double are flushed to 0 (`numeric.exp_neg`), which moves no mass of
-1e-300 or more for weights |v| up to 1e8.  gamma is computed once per
+The kernels are prototype-major (see `evidkit.numeric`): d2 and s are
+(I, N), and w+ and w- are row sums of s_i max(+-v_i, 0).  Activations below
+the smallest normal double are flushed to 0 (`numeric.exp_neg`), which moves
+no mass of 1e-300 or more for weights |v| up to 1e8.  gamma is computed once per
 forward and cached for the backward pass.
 """
 
@@ -125,11 +128,10 @@ def rbf_forward_batch(params: RbfParams, X) -> tuple[np.ndarray, dict]:
     d2 = sq_dists(X, params.proto)                       # (I, N)
     s = gamma[:, None] * d2
     exp_neg(s, out=s)
-    w = s * v[:, None]
 
-    part = np.maximum(w, 0.0)
-    wp = sum_rows(part)
-    wm = sum_rows(np.maximum(np.negative(w, out=part), 0.0, out=part))
+    part = np.empty_like(s)                              # s >= 0: the parts of w = s v
+    wp = sum_rows(np.multiply(s, np.maximum(v, 0.0)[:, None], out=part))
+    wm = sum_rows(np.multiply(s, np.maximum(-v, 0.0)[:, None], out=part))
     del part
     mass = _masses_from_totals(wp, wm)
     p1 = sigmoid(wp - wm)
@@ -140,7 +142,6 @@ def rbf_forward_batch(params: RbfParams, X) -> tuple[np.ndarray, dict]:
         "gamma": gamma,
         "d2": d2,
         "s": s,
-        "w": w,
         "wp": wp,
         "wm": wm,
         "p1": p1,
@@ -172,12 +173,12 @@ def rbf_backward_batch(params: RbfParams, cache: dict, upstream) -> tuple[dict[s
     if cache.get("params") is not params:
         raise StaleCache("cache was produced by different parameters")
     upstream = np.asarray(upstream, dtype=float)
-    s, w, d2 = cache["s"], cache["w"], cache["d2"]
+    s, d2, v = cache["s"], cache["d2"], params.v
     n = s.shape[1]
 
     if upstream.shape == (n, 3):
         d_wp, d_wm = _totals_grad(cache, upstream)
-        d_w = d_wp * (w > 0) - d_wm * (w < 0)                # (I, N)
+        d_w = (v > 0)[:, None] * d_wp - (v < 0)[:, None] * d_wm    # (I, N); s = 0 zeroes lanes below
     elif upstream.shape == (n,):
         p1 = cache["p1"]
         d_w = upstream * p1 * (1.0 - p1)                     # (N,): the same for every prototype
@@ -188,7 +189,7 @@ def rbf_backward_batch(params: RbfParams, cache: dict, upstream) -> tuple[dict[s
 
     d_ws = d_w * s
     d_v = d_ws.sum(axis=1)
-    d_d2 = d_ws * (params.v * -cache["gamma"])[:, None]
+    d_d2 = d_ws * (v * -cache["gamma"])[:, None]
     d_log_gamma = np.einsum("in,in->i", d_d2, d2)
 
     d_x, d_proto = sq_dists_backward(d_d2, cache["X"], params.proto)

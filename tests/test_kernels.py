@@ -15,7 +15,7 @@ from helpers import grad_rel_error
 from evidkit.enn import enn_backward_batch, enn_forward_batch, enn_from_constrained
 from evidkit.errors import TotalConflict
 from evidkit.model import EvidentialModel
-from evidkit.numeric import LOG_TINY, exp_neg
+from evidkit.numeric import EXP_FAST_MIN, LOG_TINY, exp_neg, sigmoid
 from evidkit.rbf import rbf_forward_batch, rbf_from_constrained
 from evidkit.training import TrainConfig, fd_gradients, grad_check
 
@@ -257,6 +257,62 @@ def test_exp_helper_is_np_exp_down_to_the_smallest_normal():
         assert got[normal].tobytes() == want[normal].tobytes()
         assert np.all(got[~normal] == 0.0)
     assert normal[-4] and not normal[-3]  # the clamp sits at the last normal result
+
+
+def exp_neg_by_gather(z):
+    """`exp_neg` as a gather of the lanes below EXP_FAST_MIN and a scatter
+    back, the form it had before its mask-free kernel: the bitwise reference."""
+    a = -np.asarray(z, dtype=float)
+    low = a < EXP_FAST_MIN
+    below = a[low]
+    normal = below >= LOG_TINY
+    below[normal] = np.exp(below[normal])
+    below[~normal] = 0.0
+    np.maximum(a, EXP_FAST_MIN, out=a)
+    np.exp(a, out=a)
+    a[low] = below
+    return a
+
+
+def test_exp_helper_matches_the_gather_form_on_strided_arrays():
+    rng = np.random.default_rng(49)
+    # near and far lanes interleaved, some in (-EXP_FAST_MIN, -LOG_TINY],
+    # where exp is normal but off its fast path
+    z = rng.permutation(np.concatenate([
+        rng.uniform(0.0, 30.0, 1500), rng.uniform(30.0, 1600.0, 1400),
+        rng.uniform(-EXP_FAST_MIN, -LOG_TINY, 94), [-EXP_FAST_MIN, -LOG_TINY, 0.0, 1e6, np.inf, 745.2],
+    ])).reshape(6, 500)
+    want = exp_neg_by_gather(z)
+    assert np.any((want > 0.0) & (z > -EXP_FAST_MIN))
+    assert exp_neg(z).tobytes() == want.tobytes()
+    assert np.array_equal(exp_neg(z.T), want.T)
+    # in place on a strided view: every other column of a wider buffer
+    buf = np.zeros((6, 1000))
+    view = buf[:, ::2]
+    view[...] = z
+    assert exp_neg(view, out=view) is view
+    assert np.ascontiguousarray(view).tobytes() == want.tobytes()
+    assert not buf[:, 1::2].any()
+    buf = np.zeros((500, 6))
+    assert exp_neg(z, out=buf.T).base is buf and buf.tobytes() == want.T.copy().tobytes()
+
+
+def sigmoid_two_branch(z):
+    """1 / (1 + exp(-|z|)) for z >= 0 and exp(-|z|) / (1 + exp(-|z|)) below,
+    selected by np.where: the bitwise reference."""
+    z = np.asarray(z, dtype=float)
+    ez = np.exp(-np.abs(z))
+    d = 1.0 + ez
+    return np.where(z >= 0, 1.0 / d, ez / d)
+
+
+@pytest.mark.parametrize("z", [0.0, -0.0, 700.0, -700.0, np.inf, -np.inf, np.array(-2.5),
+                               np.array([-np.inf, -700.0, -36.0, -1.0, -1e-300, -0.0, 0.0, 1e-300,
+                                         0.5, 36.0, 700.0, np.inf])])
+def test_sigmoid_is_the_two_branch_form_bit_for_bit(z):
+    got, want = sigmoid(z), sigmoid_two_branch(z)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kind", list(LAYERS))

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from helpers import fd_by_name, grad_rel_error
 
-from evidkit import dst
+from evidkit import dst, training
 from evidkit.errors import DimensionMismatch, StaleCache
-from evidkit.model import params_from_dict, params_to_dict
+from evidkit.model import EvidentialModel, params_from_dict, params_to_dict
 from evidkit.numeric import sigmoid
 from evidkit.rbf import (
     RbfParams,
@@ -149,7 +149,7 @@ class TestBackward:
             p = random_params(rng, n_proto=int(rng.integers(1, 5)))
             x = rng.standard_normal(2)
             _, cache = rbf_forward_batch(p, x[None])
-            if np.all(np.abs(cache["w"]) > 1e-3):
+            if np.all(np.abs(cache["s"][:, 0] * p.v) > 1e-3):
                 break
         if upstream_kind == "mass":
             upstream = rng.standard_normal(3)[None, :]
@@ -195,6 +195,31 @@ class TestBackward:
             np.testing.assert_allclose(
                 grads["v"], cache["s"][:, 0] * p1 * (1.0 - p1), atol=1e-14
             )
+
+    @pytest.mark.parametrize("loss", ["dice", "cross-entropy"])
+    def test_a_zero_weight_moves_only_under_cross_entropy(self, monkeypatch, loss):
+        # v_i = 0 puts w_i on the kink at every input: a loss on the masses
+        # gets the subgradient 0 there, the logistic p1 is smooth in v_i
+        rng = np.random.default_rng(53)
+        X = rng.standard_normal((40, 2))
+        y = (X[:, 0] > 0).astype(int)
+        layer = random_params(rng, n_proto=4)
+        layer.v[1] = 0.0
+        d_v, loss_and_grads = [], training.model_loss_and_grads
+
+        def recorded(*args):
+            value, grads, masses = loss_and_grads(*args)
+            d_v.append(grads["layer.v"][1])
+            return value, grads, masses
+
+        monkeypatch.setattr(training, "model_loss_and_grads", recorded)
+        config = training.TrainConfig(loss_kind=loss, epochs=20, learning_rate=1e-2)
+        model, _ = training.train(EvidentialModel("rbf", layer), (X, y), config)
+        assert len(d_v) == 20
+        if loss == "dice":
+            assert all(g == 0.0 for g in d_v) and model.layer.v[1] == 0.0
+        else:
+            assert d_v[0] != 0.0 and model.layer.v[1] != 0.0
 
     def test_stale_cache(self):
         rng = np.random.default_rng(4)
