@@ -29,13 +29,14 @@ steps preserve the constraints.
 
 Forward/backward take a batch (N, H), or a single row (H,) as N = 1; the
 math is vectorized numpy.  Inside, the kernels are prototype-major (see
-`evidkit.numeric`): d2, e, s and the Dempster factors are (I, N), the log
-sums L, the unnormalized masses and their gradients (K+1, N); only the
-masses, `upstream` and the input gradient are (N, ...).  Activations below
-the smallest normal double are flushed to 0 (`numeric.exp_neg`), which moves
-no pooled mass of 1e-300 or more.  alpha, gamma, the memberships and the
-factor weights are computed once per forward and cached for the backward
-pass and the regularizer.
+`evidkit.numeric`): d2, s and the Dempster factors are (I, N), the log sums
+L, the unnormalized masses and their gradients (K+1, N), and the backward
+pass stacks all K+1 factors as (K+1, I, N); only the masses, `upstream` and
+the input gradient are (N, ...).  Activations below the smallest normal
+double are flushed to 0 (`numeric.exp_neg`), which moves no pooled mass of
+1e-300 or more.  alpha, gamma, the memberships, the factor weights and the
+centred inputs and prototypes are computed once per forward and cached for
+the backward pass and the regularizer.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ class EnnParams:
         """Sum of the reliabilities, and its gradient in `alpha_raw`, from the
         reliabilities a forward pass cached."""
         alpha = cache["alpha"]
-        return float(np.sum(alpha)), {"alpha_raw": alpha * (1.0 - alpha)}
+        return float(alpha.sum()), {"alpha_raw": alpha * (1.0 - alpha)}
 
 
 def enn_from_constrained(proto, alpha, gamma, memberships) -> EnnParams:
@@ -140,9 +141,9 @@ def enn_from_constrained(proto, alpha, gamma, memberships) -> EnnParams:
 
 
 def _factor_weights(u) -> np.ndarray:
-    """(I, K+1) weights w of the Dempster factors t = 1 - s w: 1 - u_ik for
+    """(K+1, I) weights w of the Dempster factors t = 1 - s w: 1 - u_ik for
     each class k, then 1 for the frame."""
-    return np.concatenate([1.0 - u, np.ones((u.shape[0], 1))], axis=1)
+    return np.concatenate([1.0 - u.T, np.ones((1, len(u)))])
 
 
 def enn_forward_batch(params: EnnParams, X) -> tuple[np.ndarray, dict]:
@@ -151,24 +152,23 @@ def enn_forward_batch(params: EnnParams, X) -> tuple[np.ndarray, dict]:
     alpha, gamma, u = params.alpha, params.gamma, params.memberships
     k = params.n_classes
 
-    d2 = sq_dists(X, params.proto)                       # (I, N)
-    e = gamma[:, None] * d2
-    exp_neg(e, out=e)
-    s = alpha[:, None] * e
+    d2, Xc, Pc = sq_dists(X, params.proto)               # d2 (I, N)
+    s = gamma[:, None] * d2
+    exp_neg(s, out=s)
+    s *= alpha[:, None]
 
     w = _factor_weights(u)
     logs = np.empty((k + 1, s.shape[1]))                 # [L_1 .. L_K, L_q]
     t = np.empty_like(s)
-    with np.errstate(divide="ignore"):
-        for c, neg_w_c in enumerate(-w.T):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c, neg_w_c in enumerate(-w):
             logs[c] = sum_rows(np.log1p(np.multiply(s, neg_w_c[:, None], out=t), out=t))
-    del t
-    top = logs[:k].max(axis=0)                           # (N,)
-    if (top == -np.inf).any():
-        raise TotalConflict("fully confident prototypes exclude every class; pooled mass vanished")
-    unnorm = logs - top                                  # (K+1, N)
-    np.exp(unnorm, out=unnorm)
-    with np.errstate(invalid="ignore"):
+        del t
+        top = logs[:k].max(axis=0)                       # (N,)
+        if (top == -np.inf).any():
+            raise TotalConflict("fully confident prototypes exclude every class; pooled mass vanished")
+        unnorm = logs - top                              # (K+1, N)
+        np.exp(unnorm, out=unnorm)
         singles = logs[k] - logs[:k]                     # NaN where L_k = L_q = -inf
     np.fmax(singles, -np.inf, out=singles)               # there -expm1(-inf) * exp(L_k - top) = 0
     np.expm1(singles, out=singles)
@@ -178,8 +178,8 @@ def enn_forward_batch(params: EnnParams, X) -> tuple[np.ndarray, dict]:
     unnorm /= total
     mass = unnorm.T
 
-    cache = {"params": params, "X": X, "alpha": alpha, "gamma": gamma, "u": u, "w": w,
-             "d2": d2, "e": e, "s": s, "mass": mass, "total": total}
+    cache = {"params": params, "Xc": Xc, "Pc": Pc, "alpha": alpha, "gamma": gamma, "u": u, "w": w,
+             "d2": d2, "s": s, "mass": mass, "total": total}
     return mass, cache
 
 
@@ -197,7 +197,7 @@ def enn_backward_batch(params: EnnParams, cache: dict, upstream) -> tuple[dict[s
         raise DimensionMismatch(f"upstream shape {upstream.shape} vs mass shape {mass.shape}")
 
     alpha, gamma, u, w = cache["alpha"], cache["gamma"], cache["u"], cache["w"]
-    s, e, d2 = cache["s"], cache["e"], cache["d2"]
+    s, d2 = cache["s"], cache["d2"]
     k = params.n_classes
     mass, upstream = mass.T, upstream.T                          # (K+1, N)
 
@@ -205,7 +205,7 @@ def enn_backward_batch(params: EnnParams, cache: dict, upstream) -> tuple[dict[s
     # scale: P_c = exp(L_c - top), Q = exp(L_q - top).  mass does not depend on
     # the scale, so it is held fixed.  d_pq: the gradients in P_1 .. P_K and Q;
     # pq: P_1 .. P_K and Q themselves, sums of the cached nonnegative masses.
-    d_pq = (upstream - np.sum(upstream * mass, axis=0)) / total
+    d_pq = (upstream - (upstream * mass).sum(axis=0)) / total
     d_pq[k] -= d_pq[:k].sum(axis=0)
     pq = mass * total
     pq[:k] += pq[k]
@@ -213,37 +213,30 @@ def enn_backward_batch(params: EnnParams, cache: dict, upstream) -> tuple[dict[s
     # P_c = exp(-top) prod_i t_ic with t_ic = 1 - s_i w_ic, so d(P_c)/d(t_ic) is
     # P_c / t_ic.  Where t_ic = 0 it is taken as 0: there alpha_i = 1,
     # exp(-gamma_i d2) = 1 and u_ic < 2**-53 (or c is the frame), and every chain
-    # below scales it by alpha_i (1 - alpha_i) = 0, by u_ic, or by gamma_i d2 < 2**-53
-    d_s = np.zeros_like(s)
-    d_u = np.empty((k + 1, s.shape[0]))                          # summed over the batch; frame row unused
-    d_t = np.empty_like(s)                                       # t, then d(P_c)/d(t)
-    for c, w_c in enumerate(w.T):
-        w_c = w_c[:, None]
-        np.subtract(1.0, np.multiply(s, w_c, out=d_t), out=d_t)
-        np.divide(pq[c], d_t, out=d_t, where=d_t > 0)            # t = 0 lanes stay 0
-        d_t *= d_pq[c]
-        d_u[c] = np.einsum("in,in->i", d_t, s)
-        d_t *= w_c
-        d_s -= d_t
-    d_u = d_u[:k].T
-
-    d_ss = d_s * s                                               # (I, N)
+    # below scales it by 1 - alpha_i = 0, by u_ic, or by gamma_i d2 < 2**-53.
+    # All K+1 factors at once, (K+1, I, N): t, then d(loss)/d(t)
+    w = w[:, :, None]
+    d_t = np.multiply(s, w)
+    np.subtract(1.0, d_t, out=d_t)
+    np.divide(pq[:, None], d_t, out=d_t, where=d_t > 0)  # t = 0 lanes stay 0
+    d_t *= d_pq[:, None]
+    d_u = np.einsum("cin,in->ci", d_t[:k], s).T  # summed over the batch
+    d_t *= w
+    d_ss = 0.0 - d_t[0]                                          # d_s, the classes in order
+    for c in range(1, k + 1):
+        d_ss -= d_t[c]
+    del d_t
+    d_ss *= s                                                    # (I, N)
     d_d2 = d_ss * -gamma[:, None]
 
-    d_x, d_proto = sq_dists_backward(d_d2, cache["X"], params.proto)
+    d_x, d_proto = sq_dists_backward(d_d2, cache["Xc"], cache["Pc"])
 
-    # chain into the unconstrained parameterization
-    d_alpha_raw = np.einsum("in,in->i", d_s, e) * alpha * (1.0 - alpha)
+    # chain into the unconstrained parameterization; d(s)/d(alpha_raw) = s (1 - alpha)
+    d_alpha_raw = d_ss.sum(axis=1) * (1.0 - alpha)
     d_log_gamma = -np.einsum("in,in->i", d_ss, d2) * gamma
-    d_u_logit = u * (d_u - np.sum(d_u * u, axis=1, keepdims=True))
+    d_u_logit = u * (d_u - (d_u * u).sum(axis=1, keepdims=True))
 
-    grads = {
-        "proto": d_proto,
-        "alpha_raw": d_alpha_raw,
-        "log_gamma": d_log_gamma,
-        "u_logit": d_u_logit,
-    }
-    return grads, d_x
+    return {"proto": d_proto, "alpha_raw": d_alpha_raw, "log_gamma": d_log_gamma, "u_logit": d_u_logit}, d_x
 
 
 def _initial(proto, memberships) -> EnnParams:

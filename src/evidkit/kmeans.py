@@ -1,9 +1,10 @@
 """Lloyd's k-means with k-means++ seeding.
 
-Deterministic per seed.  Empty clusters are repaired by re-seeding the
-centroid to the point farthest from its assigned centroid.  If all points
-are identical and k > 1, duplicate centroids are unavoidable; the result
-carries a `degenerate` flag instead of failing.
+Deterministic per seed; seeds are drawn as `rng.choice(n, p=...)` draws.
+Empty clusters are repaired by re-seeding the centroid to the point
+farthest from its assigned centroid.  If all points are identical and
+k > 1, duplicate centroids are unavoidable; the result carries a
+`degenerate` flag instead of failing.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ def _plusplus_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
             # remaining points coincide with chosen centroids
             centroids[j] = points[rng.integers(n)]
             continue
-        probs = closest / total
-        centroids[j] = points[rng.choice(n, p=probs)]
+        cdf = np.cumsum(closest / total)
+        cdf /= cdf[-1]
+        centroids[j] = points[cdf.searchsorted(rng.random(), side="right")]
         closest = np.minimum(closest, np.sum((points - centroids[j]) ** 2, axis=1))
     return centroids
 
@@ -55,18 +57,21 @@ def kmeans(points, k: int, seed: int = 0) -> KMeansResult:
     degenerate = k > 1 and bool(np.all(points == points[0]))
     centroids = _plusplus_seed(points, k, rng)
     assignments = np.full(n, -1)
+    columns = np.ascontiguousarray(points.T)
+    sums = np.empty((k, len(columns)))
 
     n_iter = 0
     for n_iter in range(1, MAX_ITER + 1):
-        d2 = sq_dists(points, centroids)                  # (k, n)
+        d2 = sq_dists(points, centroids)[0]  # (k, n)
         new_assign = np.argmin(d2, axis=0)
 
         counts = np.bincount(new_assign, minlength=k)
         if counts.all():
             # each cluster's mean, summed in point order as `mean` over its members
             # does for two or more features
-            sums = [np.bincount(new_assign, weights=col, minlength=k) for col in points.T]
-            centroids = np.stack(sums, axis=1) / counts[:, None]
+            for h, col in enumerate(columns):
+                sums[:, h] = np.bincount(new_assign, weights=col, minlength=k)
+            centroids = np.divide(sums, counts[:, None], out=sums)
         else:
             # a re-seed moves a point to the empty cluster, which changes the
             # members of the clusters after it: keep this order
@@ -80,7 +85,7 @@ def kmeans(points, k: int, seed: int = 0) -> KMeansResult:
                     centroids[j] = points[farthest]
                     new_assign[farthest] = j
 
-        if np.array_equal(new_assign, assignments):
+        if (new_assign == assignments).all():
             assignments = new_assign
             break
         assignments = new_assign

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import enn, mlp, rbf
-from .errors import DimensionMismatch, EvidkitError, MalformedInput, OutOfRange
+from .errors import DimensionMismatch, Empty, EvidkitError, MalformedInput, OutOfRange
 from .numeric import as_batch, require_finite
 
 LAYERS = {"enn": enn.EnnParams, "rbf": rbf.RbfParams}
@@ -38,6 +38,8 @@ CHECKPOINT_FORMAT = 2
 
 def class_count(labels) -> int:
     """Classes implied by integer labels: the largest label plus one, at least 2."""
+    if not np.size(labels):
+        raise Empty("no labels")
     if np.min(labels) < 0:
         raise OutOfRange(f"labels must be non-negative, got {np.min(labels)}")
     return max(int(np.max(labels)) + 1, 2)
@@ -110,15 +112,9 @@ class EvidentialModel:
             out.update({f"mlp.{k}": v for k, v in self.feature_net.trainable_arrays().items()})
         return out
 
-    def _features(self, X) -> tuple[np.ndarray, dict | None]:
-        """Layer inputs for X, and the feature net's cache (None without one)."""
-        X = require_finite(as_batch(X, self.n_features))
-        if self.feature_net is None:
-            return X, None
-        return mlp.mlp_forward_batch(self.feature_net, X)
-
     def features(self, X) -> np.ndarray:
-        return self._features(X)[0]
+        X = require_finite(as_batch(X, self.n_features))
+        return X if self.feature_net is None else mlp.mlp_forward_batch(self.feature_net, X)[0]
 
     def masses(self, X) -> np.ndarray:
         """(N, K+1) output masses; evaluation only."""
@@ -135,8 +131,14 @@ class EvidentialModel:
         return np.argmax(m[:, :-1], axis=1)
 
     def forward_with_cache(self, X):
-        feats, mlp_cache = self._features(X)
-        masses, layer_cache = self.layer.forward(feats)
+        return self.forward_checked(require_finite(as_batch(X, self.n_features)))
+
+    def forward_checked(self, X):
+        """`forward_with_cache` of a finite (N, n_features) float batch."""
+        mlp_cache = None
+        if self.feature_net is not None:
+            X, mlp_cache = mlp.mlp_forward_batch(self.feature_net, X)
+        masses, layer_cache = self.layer.forward(X)
         return masses, (mlp_cache, layer_cache)
 
     def backward(self, caches, upstream) -> dict[str, np.ndarray]:

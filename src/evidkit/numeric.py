@@ -7,12 +7,8 @@ inputs.  `sum_rows` adds those rows in order whatever N is, so an input's
 result does not depend on the batch it came in.
 
 Activations exp(-gamma d^2) go through `exp_neg`, which flushes results
-below the smallest normal double to exactly 0.  numpy's SIMD exp takes a
-slow path on every vector with a result below 2**-1021; the flush keeps far
-inputs, whose activations would be subnormal or underflow, on the fast
-path.  Results at or above the smallest normal double are np.exp's, so
-pooled masses of 1e-300 and more, the range the Dempster oracles check,
-are unaffected.
+below the smallest normal double to 0 and so keeps far inputs on numpy's
+fast SIMD exp path; pooled masses of 1e-300 and more are unaffected.
 """
 
 from __future__ import annotations
@@ -104,33 +100,32 @@ def exp_neg(z, out=None) -> np.ndarray:
     return a
 
 
-def sq_dists(X, P) -> np.ndarray:
-    """(I, N) squared distances between the rows of P (I, H) and X (N, H).
+def sq_dists(X, P) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(I, N) squared distances between the rows of P (I, H) and X (N, H),
+    and the centred X - c and P - c for `sq_dists_backward`.
 
     Computed as ||p - c||^2 - 2 (P - c)(X - c)^T + ||x - c||^2 and clamped at
     0, so no (I, N, H) array is built.  c is the mean of P: centering keeps
     the GEMM form translation invariant, where raw norms of far-off X and P
     would cancel away the digits of small distances.
     """
-    if len(X) == 1:
-        # BLAS multiplies by a lone column through gemv, which rounds otherwise
-        # than gemm: a second copy keeps the row on gemm, as inside a batch
-        return sq_dists(np.vstack([X, X]), P)[:, :1]
     c = P.sum(axis=0) / len(P)  # P.mean's bits, without its Python wrapper
     Xc, Pc = X - c, P - c
-    d2 = Pc @ Xc.T
+    # BLAS multiplies by a lone column through gemv, which rounds otherwise
+    # than gemm: a second copy keeps the row on gemm, as inside a batch
+    Xg = np.vstack([Xc, Xc]) if len(X) == 1 else Xc
+    d2 = Pc @ Xg.T
     d2 *= -2.0
-    d2 += np.einsum("nh,nh->n", Xc, Xc)
+    d2 += np.einsum("nh,nh->n", Xg, Xg)
     d2 += np.einsum("ih,ih->i", Pc, Pc)[:, None]
-    return np.maximum(d2, 0.0, out=d2)
+    np.maximum(d2, 0.0, out=d2)
+    return d2[:, :len(X)], Xc, Pc
 
 
-def sq_dists_backward(d_d2, X, P) -> tuple[np.ndarray, np.ndarray]:
+def sq_dists_backward(d_d2, Xc, Pc) -> tuple[np.ndarray, np.ndarray]:
     """Gradients with respect to X (N, H) and P (I, H) given d(loss)/d(squared
-    distances) g (I, N), as two matmuls: 2 (colsum(g) X - g^T P) and
-    -2 (g X - rowsum(g) P), with X and P centered as in `sq_dists`."""
-    c = P.sum(axis=0) / len(P)
-    Xc, Pc = X - c, P - c
+    distances) g (I, N) and the centred Xc and Pc of `sq_dists`, as two
+    matmuls: 2 (colsum(g) Xc - g^T Pc) and -2 (g Xc - rowsum(g) Pc)."""
     d_x = d_d2.sum(axis=0)[:, None] * Xc - d_d2.T @ Pc
     d_p = d_d2 @ Xc - d_d2.sum(axis=1)[:, None] * Pc
     return 2.0 * d_x, -2.0 * d_p

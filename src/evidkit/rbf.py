@@ -22,10 +22,11 @@ its gradient is 0 at every step and it stays 0; cross-entropy reads p1,
 smooth in v_i, and moves it.
 
 The kernels are prototype-major (see `evidkit.numeric`): d2 and s are
-(I, N), and w+ and w- are row sums of s_i max(+-v_i, 0).  Activations below
-the smallest normal double are flushed to 0 (`numeric.exp_neg`), which moves
-no mass of 1e-300 or more for weights |v| up to 1e8.  gamma is computed once per
-forward and cached for the backward pass.
+(I, N), and the totals (w+, w-) are one (2, N) array of row sums of
+s_i max(+-v_i, 0).  Activations below the smallest normal double are flushed
+to 0 (`numeric.exp_neg`), which moves no mass of 1e-300 or more for weights
+|v| up to 1e8.  gamma and the centred inputs and prototypes are cached for
+the backward pass.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class RbfParams:
     def regularizer(self, cache: dict) -> tuple[float, dict[str, np.ndarray]]:
         """Sum of the squared weights, and its gradient in `v`; the weights are
         unconstrained, so nothing is read from the forward cache."""
-        return float(np.sum(self.v**2)), {"v": 2.0 * self.v}
+        return float((self.v**2).sum()), {"v": 2.0 * self.v}
 
 
 def rbf_from_constrained(proto, gamma, v) -> RbfParams:
@@ -98,26 +99,27 @@ def rbf_from_constrained(proto, gamma, v) -> RbfParams:
     return RbfParams(np.asarray(proto, dtype=float), np.log(gamma), np.asarray(v, dtype=float))
 
 
-def _factors(wp: np.ndarray, wm: np.ndarray):
-    """(1 - exp(-w+), 1 - exp(-w-), ep, em, frame, denom) with ep = exp(-w+),
-    em = exp(-w-), frame = exp(-w+ - w-) and denom = 1 - kappa, the last four
-    multiplied by exp(min(w+, w-)): one of ep, em is then exactly 1, and
-    large totals cannot underflow to 0/0."""
-    c = np.minimum(wp, wm)
-    ep = np.exp(-(wp - c))
-    em = np.exp(-(wm - c))
-    frame = np.exp(-(wp + wm - c))
-    return -np.expm1(-wp), -np.expm1(-wm), ep, em, frame, ep + em - frame
+def _factors(w: np.ndarray):
+    """(1 - exp(-w), e, frame, denom) of the (2, N) totals w = (w+, w-), with
+    e = (exp(-w+), exp(-w-)), frame = exp(-w+ - w-) and denom = 1 - kappa,
+    the last three multiplied by exp(min(w+, w-)): one row of e is then
+    exactly 1, and large totals cannot underflow to 0/0."""
+    c = w.min(axis=0)
+    e = c - w
+    np.exp(e, out=e)
+    frame = np.exp(np.subtract(c, w.sum(axis=0), out=c), out=c)
+    support = np.expm1(-w)
+    return np.negative(support, out=support), e, frame, e.sum(axis=0) - frame
 
 
-def _masses_from_totals(wp: np.ndarray, wm: np.ndarray) -> np.ndarray:
-    """Exact combined masses, in the factored form of `_factors`."""
-    support1, support2, ep, em, frame, denom = _factors(wp, wm)
-    support1 *= em
-    support2 *= ep
-    mass = np.stack([support1, support2, frame], axis=-1)
-    mass /= denom[..., None]
-    return mass
+def _masses_from_totals(w: np.ndarray) -> np.ndarray:
+    """Exact masses (N, 3) of the (2, N) totals, factored as in `_factors`."""
+    support, e, frame, denom = _factors(w)
+    support *= e[::-1]
+    del e
+    mass = np.concatenate([support, frame[None]])
+    mass /= denom
+    return mass.T
 
 
 def rbf_forward_batch(params: RbfParams, X) -> tuple[np.ndarray, dict]:
@@ -125,42 +127,31 @@ def rbf_forward_batch(params: RbfParams, X) -> tuple[np.ndarray, dict]:
     X = as_batch(X, params.n_features)
     gamma, v = params.gamma, params.v
 
-    d2 = sq_dists(X, params.proto)                       # (I, N)
+    d2, Xc, Pc = sq_dists(X, params.proto)               # d2 (I, N)
     s = gamma[:, None] * d2
     exp_neg(s, out=s)
 
     part = np.empty_like(s)                              # s >= 0: the parts of w = s v
-    wp = sum_rows(np.multiply(s, np.maximum(v, 0.0)[:, None], out=part))
-    wm = sum_rows(np.multiply(s, np.maximum(-v, 0.0)[:, None], out=part))
-    del part
-    mass = _masses_from_totals(wp, wm)
-    p1 = sigmoid(wp - wm)
+    totals = np.array([sum_rows(np.multiply(s, np.maximum(sv, 0.0)[:, None], out=part)) for sv in (v, -v)])
+    del part  # totals: (w+, w-)
+    mass = _masses_from_totals(totals)
+    p1 = sigmoid(totals[0] - totals[1])
 
-    cache = {
-        "params": params,
-        "X": X,
-        "gamma": gamma,
-        "d2": d2,
-        "s": s,
-        "wp": wp,
-        "wm": wm,
-        "p1": p1,
-        "mass": mass,
-    }
+    cache = {"params": params, "Xc": Xc, "Pc": Pc, "gamma": gamma, "d2": d2, "s": s,
+             "totals": totals, "p1": p1, "mass": mass}
     return mass, cache
 
 
-def _totals_grad(cache: dict, up_mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """d(loss)/d(w+), d(loss)/d(w-) given d(loss)/d(mass)."""
-    wp, wm = cache["wp"], cache["wm"]
-    support1, support2, _, _, _, denom = _factors(wp, wm)
+def _totals_grad(cache: dict, up_mass: np.ndarray) -> np.ndarray:
+    """(2, N) d(loss)/d(w+), d(loss)/d(w-) given d(loss)/d(mass)."""
+    w = cache["totals"]
+    support, _, _, denom = _factors(w)
     # exp(-w+) exp(-w-) / (1-kappa)^2, factored like the forward pass
-    g = np.exp(-np.abs(wp - wm)) / denom**2
-    a = np.exp(-wp)  # may underflow; only appears as a bounded factor
-    b = np.exp(-wm)
-    d_wp = g * (up_mass[:, 0] - up_mass[:, 1] * support2 - up_mass[:, 2] * b)
-    d_wm = g * (-up_mass[:, 0] * support1 + up_mass[:, 1] - up_mass[:, 2] * a)
-    return d_wp, d_wm
+    g = np.exp(-np.abs(w[0] - w[1])) / denom**2
+    ew = np.exp(-w)  # may underflow; only appears as a bounded factor
+    up = up_mass.T
+    # d(w+): u1 - u2 (1 - exp(-w-)) - u3 exp(-w-); d(w-) the same, mirrored
+    return g * (up[:2] - up[1::-1] * support[::-1] - up[2] * ew[::-1])
 
 
 def rbf_backward_batch(params: RbfParams, cache: dict, upstream) -> tuple[dict[str, np.ndarray], np.ndarray]:
@@ -192,7 +183,7 @@ def rbf_backward_batch(params: RbfParams, cache: dict, upstream) -> tuple[dict[s
     d_d2 = d_ws * (v * -cache["gamma"])[:, None]
     d_log_gamma = np.einsum("in,in->i", d_d2, d2)
 
-    d_x, d_proto = sq_dists_backward(d_d2, cache["X"], params.proto)
+    d_x, d_proto = sq_dists_backward(d_d2, cache["Xc"], cache["Pc"])
 
     grads = {"proto": d_proto, "log_gamma": d_log_gamma, "v": d_v}
     return grads, d_x

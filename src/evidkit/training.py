@@ -19,11 +19,11 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import AllZeroDenominator, NonFiniteLoss, OutOfRange, ShapeMismatch
+from .errors import AllZeroDenominator, Empty, NonFiniteLoss, OutOfRange, ShapeMismatch
 from .mlp import head_init, mlp_backward_batch, mlp_forward_batch, mlp_init
 from .metrics import error_rate
 from .model import EvidentialModel, class_count, make_layer
-from .numeric import log_rows, pignistic, pignistic_backward, require_finite, softmax_rows
+from .numeric import as_batch, log_rows, pignistic, pignistic_backward, require_finite, softmax_rows
 
 P_CLAMP = 1e-12
 PLATEAU_PATIENCE = 10  # epochs without a lower objective before the learning rate is cut
@@ -32,9 +32,7 @@ MIN_LR = 1e-6
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-# --------------------------------------------------------------------------
-# losses
-# --------------------------------------------------------------------------
+# --- losses
 
 def loss_sse(probs, onehot):
     """Summed squared error on probability outputs.
@@ -46,7 +44,7 @@ def loss_sse(probs, onehot):
     if probs.shape != onehot.shape:
         raise ShapeMismatch(f"{probs.shape} vs {onehot.shape}")
     diff = probs - onehot
-    return float(np.sum(diff**2)), 2.0 * diff
+    return float((diff**2).sum()), 2.0 * diff
 
 
 def loss_ce(p1, targets):
@@ -60,7 +58,7 @@ def loss_ce(p1, targets):
     if p1.shape != targets.shape:
         raise ShapeMismatch(f"{p1.shape} vs {targets.shape}")
     p = np.clip(p1, P_CLAMP, 1.0 - P_CLAMP)
-    value = float(-np.sum(targets * np.log(p) + (1.0 - targets) * np.log1p(-p)))
+    value = -float((targets * np.log(p) + (1.0 - targets) * np.log1p(-p)).sum())
     d_p1 = (p - targets) / (p * (1.0 - p))
     return value, d_p1
 
@@ -74,18 +72,16 @@ def loss_dice(soft_pred, truth):
     g = np.asarray(truth, dtype=float)
     if s.shape != g.shape:
         raise ShapeMismatch(f"{s.shape} vs {g.shape}")
-    denom = float(np.sum(s) + np.sum(g))
+    denom = float(s.sum() + g.sum())
     if denom == 0.0:
         raise AllZeroDenominator("prediction and ground truth are both empty")
-    overlap = float(np.sum(s * g))
+    overlap = float((s * g).sum())
     value = 1.0 - 2.0 * overlap / denom
     d_s = 2.0 * overlap / denom**2 - 2.0 * g / denom
     return value, d_s
 
 
-# --------------------------------------------------------------------------
-# optimizer
-# --------------------------------------------------------------------------
+# --- optimizer
 
 class ParamVector:
     """Named float arrays laid end to end in one float64 vector, `vector`;
@@ -99,7 +95,7 @@ class ParamVector:
 
     def flatten(self, grads: dict[str, np.ndarray]) -> np.ndarray:
         """Same-named arrays (gradients, say) laid out as in `vector`."""
-        return np.concatenate([np.ravel(grads[name]) for name in self.slices])
+        return np.concatenate([grads[name] for name in self.slices], axis=None)
 
 
 def _array_slots(owner):
@@ -156,9 +152,7 @@ class Adam:
         self.vector -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + ADAM_EPS)
 
 
-# --------------------------------------------------------------------------
-# configuration and history
-# --------------------------------------------------------------------------
+# --- configuration and history
 
 @dataclass
 class TrainConfig:
@@ -199,55 +193,80 @@ class TrainHistory:
 
 
 def _unpack(data) -> tuple[np.ndarray, np.ndarray]:
+    """Finite inputs (N >= 1, H) and N labels, from `points` and `labels` or a pair."""
     x, y = (data.points, data.labels) if hasattr(data, "points") else data
-    return require_finite(np.asarray(x, dtype=float)), np.asarray(y)
+    x, y = require_finite(np.atleast_2d(np.asarray(x, dtype=float))), np.asarray(y)
+    if y.shape != (len(x),):
+        raise ShapeMismatch(f"{len(x)} input rows but labels of shape {y.shape}")
+    if not len(y):
+        raise Empty("no rows to train on")
+    return x, y
 
 
-# --------------------------------------------------------------------------
-# loss glue: model masses -> objective value and parameter gradients
-# --------------------------------------------------------------------------
+# --- loss glue: masses -> objective and gradients
 
-def _objective(model: EvidentialModel, masses, layer_cache: dict, y, config: TrainConfig):
+@dataclass
+class _FitSet:
+    """Checked inputs `x`, labels `y` and their loss target: one-hot rows
+    (sse), the first-class indicator (cross-entropy) or the truth (dice)."""
+
+    x: np.ndarray
+    y: np.ndarray
+    target: np.ndarray
+
+    def error_rate(self, masses) -> float:
+        return np.count_nonzero(np.argmax(masses[:, :-1], axis=1) != self.y) / len(self.y)
+
+
+def _fit_set(model: EvidentialModel, data, config: TrainConfig) -> _FitSet:
+    """`data` (see `_unpack`) checked against the model and loss."""
+    x, y = _unpack(data)
+    _check_labels(model.layer, y)
+    kind = config.loss_kind
+    if kind not in model.layer.losses:
+        raise OutOfRange(f"the {kind} loss does not train the {model.kind} layer")
+    if kind == "dice" and model.n_classes != 2:
+        raise OutOfRange("the overlap loss is defined for binary frames")
+    target = (np.eye(model.n_classes)[y.astype(int)] if kind == "sse" else
+              (y == 0).astype(float) if kind == "cross-entropy" else y.astype(float))
+    return _FitSet(as_batch(x, model.n_features), y, target)
+
+
+def _objective(model: EvidentialModel, masses, layer_cache: dict, target, config: TrainConfig):
     """Objective value, its gradient with respect to the layer output, and
-    the layer regularizer's parameter gradients.
+    the layer regularizer's parameter gradients, against a `_FitSet` target.
 
     Every objective is a data term plus lam times the layer's regularizer.
     The output gradient is in mass space, except for cross-entropy, which
     reads the weight-of-evidence layer's logistic output p1 and returns
     d/d(p1).  The regularizer gradients are not yet scaled by lam.
     """
-    if config.loss_kind not in model.layer.losses:
-        raise OutOfRange(f"the {config.loss_kind} loss does not train the {model.kind} layer")
     if config.loss_kind == "sse":
-        onehot = np.eye(model.n_classes)[np.asarray(y, dtype=int)]
-        value, d_p = loss_sse(pignistic(masses), onehot)
+        value, d_p = loss_sse(pignistic(masses), target)
         upstream = pignistic_backward(d_p)
     elif config.loss_kind == "cross-entropy":
-        targets = (np.asarray(y) == 0).astype(float)  # first class means label 0
-        value, upstream = loss_ce(layer_cache["p1"], targets)
+        value, upstream = loss_ce(layer_cache["p1"], target)
     else:
-        if model.n_classes != 2:
-            raise OutOfRange("the overlap loss is defined for binary frames")
         # soft foreground probability: pignistic probability of class 1
-        value, d_s = loss_dice(pignistic(masses)[:, 1], np.asarray(y, dtype=float))
+        value, d_s = loss_dice(pignistic(masses)[:, 1], target)
         upstream = pignistic_backward(np.column_stack([np.zeros_like(d_s), d_s]))
     reg_value, reg_grads = model.layer.regularizer(layer_cache)
     return value + config.lam * reg_value, upstream, reg_grads
 
 
 def model_loss_and_grads(model: EvidentialModel, X, y, config: TrainConfig):
-    """Full-batch objective and gradients for every trainable array."""
-    masses, caches = model.forward_with_cache(X)
-    value, upstream, reg_grads = _objective(model, masses, caches[1], y, config)
+    """Full-batch objective and gradients of every trainable array, at
+    inputs X and labels y or at the `_FitSet` y."""
+    fit = y if isinstance(y, _FitSet) else _fit_set(model, (X, y), config)
+    masses, caches = model.forward_checked(fit.x)
+    value, upstream, reg_grads = _objective(model, masses, caches[1], fit.target, config)
     grads = model.backward(caches, upstream)
     for name, g in reg_grads.items():
         grads[f"layer.{name}"] = grads[f"layer.{name}"] + config.lam * g
     return value, grads, masses
 
 
-# --------------------------------------------------------------------------
-# training loop
-# --------------------------------------------------------------------------
+# --- training loop
 
 def _check_labels(layer, *label_sets) -> None:
     """OutOfRange unless every label set (None skipped) lies in the layer's classes."""
@@ -264,9 +283,8 @@ def train(model: EvidentialModel, train_data, config: TrainConfig, val_data=None
     returned model carries the parameters that scored the best validation
     objective; otherwise the final parameters.
     """
-    x_train, y_train = _unpack(train_data)
-    x_val, y_val = _unpack(val_data) if val_data is not None else (None, None)
-    _check_labels(model.layer, y_train, y_val)
+    fit = _fit_set(model, train_data, config)
+    val = _fit_set(model, val_data, config) if val_data is not None else None
 
     with flat_parameters(model.trainable_arrays(), model.layer, model.feature_net) as params:
         optimizer = Adam(params.vector, config.learning_rate)
@@ -278,12 +296,12 @@ def train(model: EvidentialModel, train_data, config: TrainConfig, val_data=None
         bad_epochs = 0
 
         for epoch in range(1, config.epochs + 1):
-            value, grads, masses = model_loss_and_grads(model, x_train, y_train, config)
+            value, grads, masses = model_loss_and_grads(model, fit.x, fit, config)
             if not math.isfinite(value):
                 raise NonFiniteLoss(f"objective became {value} at epoch {epoch}")
 
-            train_err = error_rate(np.argmax(masses[:, :-1], axis=1), y_train)
-            ignorance = float(np.mean(masses[:, -1]))
+            train_err = fit.error_rate(masses)
+            ignorance = float(masses[:, -1].sum()) / len(fit.y)
 
             if value < plateau_best - 1e-15:
                 plateau_best = value
@@ -297,8 +315,8 @@ def train(model: EvidentialModel, train_data, config: TrainConfig, val_data=None
             optimizer.step(params.flatten(grads))
 
             val_err = math.nan
-            if x_val is not None:
-                val_value, val_err = _evaluate(model, x_val, y_val, config)
+            if val is not None:
+                val_value, val_err = _evaluate(model, val.x, val, config)
                 if val_value < best_val:
                     best_val = val_value
                     best_vector = params.vector.copy()
@@ -311,15 +329,14 @@ def train(model: EvidentialModel, train_data, config: TrainConfig, val_data=None
 
 
 def _evaluate(model: EvidentialModel, X, y, config: TrainConfig) -> tuple[float, float]:
-    """Objective value and error rate without touching gradients."""
-    masses, (_, layer_cache) = model.forward_with_cache(X)
-    value = _objective(model, masses, layer_cache, y, config)[0]
-    return value, error_rate(np.argmax(masses[:, :-1], axis=1), y)
+    """Objective value and error rate, without gradients."""
+    fit = y if isinstance(y, _FitSet) else _fit_set(model, (X, y), config)
+    masses, (_, layer_cache) = model.forward_checked(fit.x)
+    value = _objective(model, masses, layer_cache, fit.target, config)[0]
+    return value, fit.error_rate(masses)
 
 
-# --------------------------------------------------------------------------
-# feature-net pretraining and the staged initialization protocol
-# --------------------------------------------------------------------------
+# --- feature-net pretraining and the staged initialization protocol
 
 def pretrain_feature_net(net, head, train_data, config: TrainConfig):
     """Train the feature network by summed cross-entropy through a one-layer
@@ -405,9 +422,7 @@ def four_stage_init(train_data, arch: dict, config: TrainConfig, val_data=None) 
     )
 
 
-# --------------------------------------------------------------------------
-# gradient checking
-# --------------------------------------------------------------------------
+# --- gradient checking
 
 def fd_gradients(loss_fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Central finite differences of a scalar loss with respect to every

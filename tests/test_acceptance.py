@@ -158,8 +158,8 @@ def test_criterion_03_latent_mass_and_logistic_identities():
         x = rng.standard_normal(2)
         mass, out = rbf_forward_batch(params, x[None])
         combined = dst.combine_dempster(
-            dst.expand_simple(dst.WeightedSimpleMass(frame, 0b01, float(out["wp"][0]))),
-            dst.expand_simple(dst.WeightedSimpleMass(frame, 0b10, float(out["wm"][0]))),
+            dst.expand_simple(dst.WeightedSimpleMass(frame, 0b01, float(out["totals"][0, 0]))),
+            dst.expand_simple(dst.WeightedSimpleMass(frame, 0b10, float(out["totals"][1, 0]))),
         )
         oracle = np.array([combined[0b01], combined[0b10], combined[0b11]])
         worst_mass = max(worst_mass, float(np.max(np.abs(mass[0] - oracle))))

@@ -121,7 +121,7 @@ class TestSerialization:
         task = gen_toy_segmentation(32, 24, 2, seed=3)
         save_seg_task(tmp_path / "seg", task)
         back = load_seg_task(tmp_path / "seg")
-        np.testing.assert_allclose(back.image, task.image, atol=1e-15)
+        np.testing.assert_array_equal(back.image, task.image)
         np.testing.assert_array_equal(back.mask, task.mask)
 
 

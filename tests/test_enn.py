@@ -16,6 +16,7 @@ from evidkit.enn import (
 )
 from evidkit.errors import DimensionMismatch, StaleCache
 from evidkit.model import params_from_dict, params_to_dict
+from evidkit.numeric import sq_dists_backward
 from evidkit.training import fd_gradients
 
 
@@ -125,6 +126,41 @@ class TestForward:
             enn_forward_batch(p, np.zeros((1, 5)))
 
 
+def per_class_backward(params, cache, upstream):
+    """`enn_backward_batch` with the Dempster factors taken one class at a
+    time, the reference for the stacked (K+1, I, N) form."""
+    alpha, gamma, u, w = cache["alpha"], cache["gamma"], cache["u"], cache["w"]
+    s, d2, mass, total = cache["s"], cache["d2"], cache["mass"].T, cache["total"]
+    k = params.n_classes
+    upstream = upstream.T
+    d_pq = (upstream - np.sum(upstream * mass, axis=0)) / total
+    d_pq[k] -= d_pq[:k].sum(axis=0)
+    pq = mass * total
+    pq[:k] += pq[k]
+
+    d_s = np.zeros_like(s)
+    d_u = np.empty((k + 1, s.shape[0]))
+    d_t = np.empty_like(s)
+    for c, w_c in enumerate(w):
+        w_c = w_c[:, None]
+        np.subtract(1.0, np.multiply(s, w_c, out=d_t), out=d_t)
+        np.divide(pq[c], d_t, out=d_t, where=d_t > 0)
+        d_t *= d_pq[c]
+        d_u[c] = np.einsum("in,in->i", d_t, s)
+        d_t *= w_c
+        d_s -= d_t
+    d_u = d_u[:k].T
+
+    d_ss = d_s * s
+    d_x, d_proto = sq_dists_backward(d_ss * -gamma[:, None], cache["Xc"], cache["Pc"])
+    return {
+        "proto": d_proto,
+        "alpha_raw": d_ss.sum(axis=1) * (1.0 - alpha),
+        "log_gamma": -np.einsum("in,in->i", d_ss, d2) * gamma,
+        "u_logit": u * (d_u - np.sum(d_u * u, axis=1, keepdims=True)),
+    }, d_x
+
+
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(2)
@@ -179,6 +215,30 @@ class TestBackward:
                     assert np.sign(grads["alpha_raw"][i]) == np.sign(fd[i])
                     checked += 1
         assert checked > 50
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    @pytest.mark.parametrize("n_rows", [1, 7])
+    @pytest.mark.parametrize("n_proto", [1, 5])
+    def test_stacked_factors_are_the_per_class_loop_bit_for_bit(self, n_classes, n_rows, n_proto):
+        rng = np.random.default_rng(10 + n_classes + n_rows + n_proto)
+        u = rng.uniform(0.05, 1.0, size=(n_proto, n_classes))
+        u[0, 0] = 0.0  # with alpha = 1 and a row on it, prototype 0 zeroes a factor
+        u /= u.sum(axis=1, keepdims=True)
+        # the last prototype is out of every row's reach: its activations are 0
+        proto = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, -1.0], [50.0, 50.0]])[:n_proto]
+        alpha, gamma = [1.0, 0.3, 0.7, 0.9, 0.6][:n_proto], [0.5, 1.0, 2.0, 0.2, 2.0][:n_proto]
+        params = enn_from_constrained(proto, alpha, gamma, u)
+        X = np.vstack([proto[:1], rng.standard_normal((n_rows - 1, 2))])
+        _, cache = enn_forward_batch(params, X)
+        t = 1.0 - cache["s"] * cache["w"][:, :, None]
+        assert (t == 0.0).any() and (t > 0.0).any()
+        upstream = rng.standard_normal((n_rows, n_classes + 1))
+
+        grads, d_x = enn_backward_batch(params, cache, upstream)
+        want, want_x = per_class_backward(params, cache, upstream)
+        assert d_x.tobytes() == want_x.tobytes()
+        for name in want:
+            assert grads[name].tobytes() == want[name].tobytes(), name
 
     def test_stale_cache_rejected(self):
         rng = np.random.default_rng(1)

@@ -7,7 +7,7 @@ from helpers import fd_by_name
 
 from evidkit.datasets import gen_half_moons
 from evidkit.enn import enn_forward_batch, enn_init_random
-from evidkit.errors import DimensionMismatch, MalformedInput, OutOfRange
+from evidkit.errors import DimensionMismatch, Empty, MalformedInput, OutOfRange
 from evidkit.mlp import mlp_init
 from evidkit.model import LAYERS, EvidentialModel, class_count, make_layer
 from evidkit.rbf import rbf_forward_batch, rbf_init_random
@@ -41,6 +41,10 @@ class TestMakeLayer:
     def test_class_count_is_at_least_two(self):
         assert class_count(np.zeros(5, dtype=int)) == 2
         assert class_count(np.array([0, 2, 1])) == 3
+
+    def test_class_count_of_no_labels(self):
+        with pytest.raises(Empty):
+            class_count(np.zeros(0, dtype=int))
 
     def test_class_count_rejects_negative_labels(self):
         with pytest.raises(OutOfRange):

@@ -35,7 +35,7 @@ def one_row(params, x):
     """Masses (3,) of one input row through a 1-row batch, and that row's
     w+, w-, p1 and conflict kappa = (1 - exp(-w+)) (1 - exp(-w-))."""
     mass, c = rbf_forward_batch(params, np.asarray(x, dtype=float)[None])
-    wp, wm = float(c["wp"][0]), float(c["wm"][0])
+    wp, wm = float(c["totals"][0, 0]), float(c["totals"][1, 0])
     kappa = float(-np.expm1(-wp) * -np.expm1(-wm))
     return mass[0], {"wplus": wp, "wminus": wm, "p1": float(c["p1"][0]), "kappa": kappa}
 

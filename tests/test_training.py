@@ -11,7 +11,7 @@ from helpers import grad_rel_error
 from evidkit import training
 from evidkit.datasets import gen_half_moons
 from evidkit.enn import enn_init_kmeans, enn_init_random
-from evidkit.errors import AllZeroDenominator, NonFiniteLoss, OutOfRange, ShapeMismatch
+from evidkit.errors import AllZeroDenominator, Empty, NonFiniteLoss, OutOfRange, ShapeMismatch
 from evidkit.kmeans import MAX_ITER, _plusplus_seed, kmeans
 from evidkit.mlp import mlp_init
 from evidkit.model import EvidentialModel
@@ -185,9 +185,40 @@ class TestKmeans:
         # location, and the repeat's cluster is empty after the first assignment
         rng = np.random.default_rng(200 + seed)
         pts = np.repeat(rng.standard_normal((3, 2)), 10, axis=0)
-        first = np.argmin(sq_dists(pts, _plusplus_seed(pts, 5, np.random.default_rng(seed))), axis=0)
+        first = np.argmin(sq_dists(pts, _plusplus_seed(pts, 5, np.random.default_rng(seed)))[0], axis=0)
         assert len(np.unique(first)) < 5
         expect_same_as_loop(pts, 5, seed)
+
+
+def plusplus_seed_by_choice(points, k, rng):
+    """k-means++ seeding with each draw made by `rng.choice(n, p=...)`, the
+    reference for `_plusplus_seed`'s inverse-CDF draw."""
+    n = len(points)
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[rng.integers(n)]
+    closest = np.sum((points - centroids[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = closest.sum()
+        if total <= 0.0:
+            centroids[j] = points[rng.integers(n)]
+            continue
+        centroids[j] = points[rng.choice(n, p=closest / total)]
+        closest = np.minimum(closest, np.sum((points - centroids[j]) ** 2, axis=1))
+    return centroids
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_plusplus_draws_the_points_rng_choice_draws(seed, dim):
+    rng = np.random.default_rng(300 + 10 * seed + dim)
+    spread = rng.standard_normal((60, dim)) * rng.uniform(0.01, 100.0, size=dim)
+    # 3 locations for 5 seeds: the last draws see no weight left (total <= 0)
+    repeats = np.repeat(rng.standard_normal((3, dim)), 4, axis=0)
+    for points, k in ((spread, 8), (repeats, 5), (np.zeros((5, dim)), 3)):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _plusplus_seed(points, k, got_rng)
+        assert got.tobytes() == plusplus_seed_by_choice(points, k, want_rng).tobytes()
+        assert got_rng.random() == want_rng.random()  # both drew the same numbers
 
 
 def kmeans_by_loop(points, k, seed):
@@ -199,7 +230,7 @@ def kmeans_by_loop(points, k, seed):
     n = len(points)
     assignments = np.full(n, -1)
     for n_iter in range(1, MAX_ITER + 1):
-        d2 = sq_dists(points, centroids).T
+        d2 = sq_dists(points, centroids)[0].T
         new_assign = np.argmin(d2, axis=1)
         for j in range(k):
             members = new_assign == j
@@ -329,6 +360,38 @@ class TestTrainLoop:
         rbf_model, _ = make_banana_model("rbf", 0, ds)
         with pytest.raises(OutOfRange):
             train(rbf_model, ds, TrainConfig(epochs=1, loss_kind="sse"))
+
+
+class TestDataSets:
+    EMPTY = (np.zeros((0, 2)), np.zeros(0, dtype=int))
+
+    def test_empty_training_or_validation_set(self):
+        ds = gen_half_moons(30, 0.1, seed=5)
+        for kind in ("enn", "rbf"):
+            model, cfg = make_banana_model(kind, 0, ds)
+            with pytest.raises(Empty):
+                train(model, self.EMPTY, cfg)
+            with pytest.raises(Empty):
+                train(model, ds, cfg, self.EMPTY)
+
+    def test_four_stage_init_on_an_empty_set(self, monkeypatch):
+        monkeypatch.setattr(training, "pretrain_feature_net", lambda *args: pytest.fail("pretrained"))
+        ds = gen_half_moons(30, 0.1, seed=6)
+        arch = {"kind": "enn", "n_prototypes": 3, "n_features": 2}
+        for data, val in ((self.EMPTY, None), (ds, self.EMPTY)):
+            with pytest.raises(Empty):
+                four_stage_init(data, arch, TrainConfig(epochs=3), val)
+
+    @pytest.mark.parametrize("n_labels", [29, 31])
+    def test_points_and_labels_of_different_lengths(self, n_labels, monkeypatch):
+        monkeypatch.setattr(training, "model_loss_and_grads", lambda *args: pytest.fail("an epoch ran"))
+        ds = gen_half_moons(30, 0.1, seed=7)
+        short = (ds.points, np.resize(ds.labels, n_labels))
+        model, cfg = make_banana_model("enn", 0, ds)
+        with pytest.raises(ShapeMismatch):
+            train(model, short, cfg)
+        with pytest.raises(ShapeMismatch):
+            train(model, ds, cfg, short)
 
 
 @pytest.fixture(scope="module")
