@@ -9,6 +9,7 @@ and seeds.  Exit code 0 on success; failures print a machine-readable
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -39,9 +40,7 @@ def _write_lines(path: Path, lines) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-# --------------------------------------------------------------------------
-# gen-data
-# --------------------------------------------------------------------------
+# --- gen-data
 
 def cmd_gen_data(args) -> int:
     if args.seg and args.n_tasks < 1:
@@ -64,9 +63,7 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-# --------------------------------------------------------------------------
-# train
-# --------------------------------------------------------------------------
+# --- train
 
 def _default_loss(model_kind: str, seg: bool) -> str:
     return "dice" if seg else LAYERS[model_kind].losses[0]
@@ -142,9 +139,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-# --------------------------------------------------------------------------
-# sweep
-# --------------------------------------------------------------------------
+# --- sweep
 
 def _sweep_point(payload: dict) -> tuple:
     """One (model, lambda, seed) grid point; returns a result row."""
@@ -209,9 +204,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-# --------------------------------------------------------------------------
-# eval
-# --------------------------------------------------------------------------
+# --- eval
 
 def _classification_report(model: EvidentialModel, points, labels, n_bins: int) -> dict:
     masses = model.masses(points)
@@ -272,9 +265,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-# --------------------------------------------------------------------------
-# contours
-# --------------------------------------------------------------------------
+# --- contours
 
 def cmd_contours(args) -> int:
     model = EvidentialModel.load(args.checkpoint)
@@ -287,15 +278,14 @@ def cmd_contours(args) -> int:
     return 0
 
 
-# --------------------------------------------------------------------------
-# argument parsing
-# --------------------------------------------------------------------------
+# --- argument parsing
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=".", help="directory for output files")
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every main call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="evidkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -121,46 +121,53 @@ def seg_task_as_samples(task: ToySegTask) -> tuple[np.ndarray, np.ndarray]:
 
 def save_labeled(path, ds: LabeledSet) -> None:
     path = Path(path)
-    dim = ds.points.shape[1]
+    points = np.asarray(ds.points, dtype=float)
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j + 1}" for j in range(dim)] + ["label"])
-        for row, label in zip(ds.points, ds.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+        writer = csv.writer(fh)  # floats as repr, CRLF line ends
+        writer.writerow([f"x{j + 1}" for j in range(points.shape[1])] + ["label"])
+        writer.writerows(row + [label] for row, label in zip(points.tolist(), map(int, ds.labels.tolist())))
 
 
 def load_labeled(path) -> LabeledSet:
     """Read a `save_labeled` CSV; blank lines are skipped, any other bad line
-    (a negative label included) raises MalformedInput."""
+    (a negative label included) raises MalformedInput, as does a file that is
+    not text in the default encoding."""
     path = Path(path)
     with path.open() as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        dim = len(header) - 1
-        if dim < 1:
-            raise MalformedInput(f"{path}: no header with feature and label columns")
         points, labels = [], []
-        for row in filter(None, reader):
-            try:
+        try:
+            dim = len(next(reader, [])) - 1
+            if dim < 1:
+                raise MalformedInput(f"{path}: no header with feature and label columns")
+            for row in filter(None, reader):
                 if len(row) != dim + 1:
                     raise ValueError(f"expected {dim + 1} fields, got {len(row)}")
-                points.append([float(v) for v in row[:dim]])
+                points.append(list(map(float, row[:dim])))
                 labels.append(int(row[dim]))
                 if labels[-1] < 0:
                     raise ValueError(f"negative label {labels[-1]}")
-            except ValueError as exc:
-                raise MalformedInput(f"{path}, line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise MalformedInput(f"{path}: not {exc.encoding} text: {exc.reason}") from None
+        except (ValueError, csv.Error) as exc:
+            raise MalformedInput(f"{path}, line {reader.line_num}: {exc}") from None
     if not labels:
         raise MalformedInput(f"{path}: no data rows")
     return LabeledSet(np.asarray(points), np.asarray(labels, dtype=int))
 
 
+def _save_grid(path: Path, grid: np.ndarray, fmt: str) -> None:
+    """The text `np.savetxt(path, grid, fmt=fmt, delimiter=",")` writes, formatted in one step."""
+    rows, cols = grid.shape
+    path.write_text(((",".join([fmt] * cols) + "\n") * rows) % tuple(grid.ravel().tolist()))
+
+
 def save_seg_task(directory, task: ToySegTask) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    np.savetxt(directory / "channel1.csv", task.image[:, :, 0], delimiter=",", fmt="%.17g")
-    np.savetxt(directory / "channel2.csv", task.image[:, :, 1], delimiter=",", fmt="%.17g")
-    np.savetxt(directory / "mask.csv", task.mask, delimiter=",", fmt="%d")
+    _save_grid(directory / "channel1.csv", task.image[:, :, 0], "%.17g")
+    _save_grid(directory / "channel2.csv", task.image[:, :, 1], "%.17g")
+    _save_grid(directory / "mask.csv", task.mask, "%d")
 
 
 def _load_grid(path: Path) -> np.ndarray:

@@ -153,11 +153,13 @@ class ContourGrid:
     masses: np.ndarray  # (ny, nx, K+1), row-major over y then x
 
     def csv_rows(self):
-        yield "x,y," + ",".join(f"m{k + 1}" for k in range(self.masses.shape[2] - 1)) + ",mOmega"
-        for iy, y in enumerate(self.ys.tolist()):
-            for ix, x in enumerate(self.xs.tolist()):
-                vals = ",".join(repr(float(v)) for v in self.masses[iy, ix])
-                yield f"{x!r},{y!r},{vals}"
+        n_masses = self.masses.shape[2]
+        yield "x,y," + ",".join(f"m{k + 1}" for k in range(n_masses - 1)) + ",mOmega"
+        xs = list(map(repr, self.xs.tolist()))
+        cells = iter(self.masses.reshape(-1, n_masses).tolist())
+        for y in map(repr, self.ys.tolist()):
+            for x, m in zip(xs, cells):  # ends with xs, before taking from cells
+                yield f"{x},{y},{','.join(map(repr, m))}"
 
 
 def contour_grid(model, x_range, y_range, resolution: int = 200) -> ContourGrid:

@@ -5,10 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from evidkit.cli import main
+from evidkit.cli import build_parser, main
+from evidkit.datasets import LabeledSet, ToySegTask, save_labeled, save_seg_task
 from evidkit.enn import enn_init_random
+from evidkit.metrics import ContourGrid
 from evidkit.mlp import mlp_init
 from evidkit.model import EvidentialModel, params_to_dict
+from evidkit.training import EpochRecord, TrainHistory
 
 
 def run(argv):
@@ -193,15 +196,62 @@ def test_contour_rows_are_plain_numbers(tmp_path):
     assert rows[0][:2] == [-2.0, -1.5] and rows[-1][:2] == [3.0, 2.0]
 
 
+def test_file_formats_byte_for_byte(tmp_path):
+    # datasets: shortest-repr floats, CRLF; grids: %.17g / %d, LF; contours and history: shortest repr
+    save_labeled(tmp_path / "a.csv", LabeledSet(np.array([[1e-05, -0.0], [1e+16, 5e-324], [0.1, 2.0]]),
+                                                np.array([0, 1, 2])))
+    assert (tmp_path / "a.csv").read_bytes() == (
+        b"x1,x2,label\r\n1e-05,-0.0,0\r\n1e+16,5e-324,1\r\n0.1,2.0,2\r\n")
+
+    image = np.stack([[[0.1, 1 / 3, -0.0], [1e+16, 5e-324, 2.0]],
+                      [[1e-05, 0.5, 1.0], [-2.5, 7.0, 1e300]]], axis=-1)
+    save_seg_task(tmp_path / "task", ToySegTask(image, np.array([[0, 1, 1], [1, 0, 0]])))
+    assert (tmp_path / "task" / "channel1.csv").read_bytes() == (
+        b"0.10000000000000001,0.33333333333333331,-0\n10000000000000000,4.9406564584124654e-324,2\n")
+    assert (tmp_path / "task" / "channel2.csv").read_bytes() == (
+        b"1.0000000000000001e-05,0.5,1\n-2.5,7,1.0000000000000001e+300\n")
+    assert (tmp_path / "task" / "mask.csv").read_bytes() == b"0,1,1\n1,0,0\n"
+
+    masses = np.array([[[0.0, 5e-324, 1.0], [0.25, 0.5, 0.25]], [[1 / 3, 0.0, 2 / 3], [5e-324, 0.0, 1.0]]])
+    grid = ContourGrid(np.array([-2.0, 0.1]), np.array([1e-05, 3.0]), masses)
+    assert list(grid.csv_rows()) == [
+        "x,y,m1,m2,mOmega",
+        "-2.0,1e-05,0.0,5e-324,1.0",
+        "0.1,1e-05,0.25,0.5,0.25",
+        "-2.0,3.0,0.3333333333333333,0.0,0.6666666666666666",
+        "0.1,3.0,5e-324,0.0,1.0",
+    ]
+    history = TrainHistory([EpochRecord(0, 0.6931471805599453, 0.5, float("nan"), 1.0),
+                            EpochRecord(1, 1e-05, 0.0, 0.25, 5e-324)])
+    assert list(history.csv_rows()) == [
+        "epoch,loss,train_err,val_err,mean_ignorance",
+        "0,0.6931471805599453,0.5,nan,1.0",
+        "1,1e-05,0.0,0.25,5e-324",
+    ]
+
+
+def test_one_parser_serves_every_call(data_dir, tmp_path):
+    assert build_parser() is build_parser()
+    train = ["train", "--data", str(data_dir / "train.csv"), "--epochs", "3", "--seed", "2"]
+    assert run([*train, "--val", str(data_dir / "test.csv"), "--out-dir", str(tmp_path / "val")]) == 0
+    assert run([*train, "--out-dir", str(tmp_path / "after")]) == 0
+    build_parser.cache_clear()  # the same command on a parser that never saw --val
+    assert run([*train, "--out-dir", str(tmp_path / "first")]) == 0
+    after, first = ((tmp_path / d / "history.csv").read_bytes() for d in ("after", "first"))
+    assert after == first and b",nan," in after
+
+
 # --------------------------------------------------------------------------
 # bad input files: rc 1 and an error_category=MalformedInput line, no traceback
 # --------------------------------------------------------------------------
 
 BAD_CSV = {
-    "empty": "",
-    "short-row": "x1,x2,label\n0.1,0.2,0\n0.3,1\n",
-    "non-numeric": "x1,x2,label\n0.1,0.2,0\n0.3,abc,1\n",
-    "nan-feature": "x1,x2,label\n0.1,0.2,0\n0.3,nan,1\n",
+    "empty": b"",
+    "short-row": b"x1,x2,label\n0.1,0.2,0\n0.3,1\n",
+    "non-numeric": b"x1,x2,label\n0.1,0.2,0\n0.3,abc,1\n",
+    "nan-feature": b"x1,x2,label\n0.1,0.2,0\n0.3,nan,1\n",
+    "not-utf8": b"x1,x2,label\n0.1,0.2,0\n0.3,\xff,1\n",
+    "oversized-field": b"x1,x2,label\n0.1,0.2,0\n" + b"1" * 131073 + b",0.2,1\n",  # csv's limit is 131072
 }
 BAD_GRID = {
     "empty": "",
@@ -238,9 +288,18 @@ def checkpoint(tmp_path):
 @pytest.mark.parametrize("bad", list(BAD_CSV))
 def test_malformed_csv(command, bad, checkpoint, tmp_path, capsys):
     data = tmp_path / "bad.csv"
-    data.write_text(BAD_CSV[bad])
+    data.write_bytes(BAD_CSV[bad])
     extra = ["--checkpoint", str(checkpoint)] if command == "eval" else ["--epochs", "1"]
     assert_malformed([command, "--data", str(data), "--out-dir", str(tmp_path / "out"), *extra], capsys)
+
+
+@pytest.mark.parametrize("bad, where", [("not-utf8", ": not utf-8 text: "), ("oversized-field", ", line 3: ")])
+def test_unreadable_csv_names_the_file(bad, where, checkpoint, tmp_path, capsys):
+    data = tmp_path / "bad.csv"
+    data.write_bytes(BAD_CSV[bad])
+    assert run(["eval", "--checkpoint", str(checkpoint), "--data", str(data),
+                "--out-dir", str(tmp_path / "out")]) == 1
+    assert f"error_category=MalformedInput: {data}{where}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
@@ -254,7 +313,7 @@ def test_malformed_segmentation_task(command, bad, checkpoint, tmp_path, capsys)
 
 def test_malformed_validation_csv(data_dir, tmp_path, capsys):
     val = tmp_path / "val.csv"
-    val.write_text(BAD_CSV["short-row"])
+    val.write_bytes(BAD_CSV["short-row"])
     assert_malformed(["train", "--data", str(data_dir / "train.csv"), "--val", str(val),
                       "--epochs", "1", "--out-dir", str(tmp_path / "out")], capsys)
 
