@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -160,9 +161,42 @@ def _sweep_point(payload: dict) -> tuple:
     layer = make_layer(kind, payload["I"], 2, class_count(train_ds.labels), seed, kmeans_data)
     model = EvidentialModel(kind, layer)
     model, _ = train(model, train_ds, config)
-    err = error_rate(model.predict(test_ds.points), test_ds.labels)
-    ign = mean_ignorance(model.masses(test_ds.points))
-    return (kind, payload["lam"], seed, err, ign)
+    masses = model.masses(test_ds.points)
+    err = error_rate(np.argmax(masses[:, :-1], axis=1), test_ds.labels)  # model.predict's labels
+    return (kind, payload["lam"], seed, err, mean_ignorance(masses))
+
+
+SWEEP_DEFAULTS = {"I": 6, "init": "kmeans", "epochs": 100, "lr": 1e-3,
+                  "data": {"n_train": 300, "n_test": 1000, "noise": 0.1, "seed": 123}}
+
+
+def _count(x) -> bool:
+    return type(x) is int and x >= 0  # JSON true and false are not counts
+
+
+def _real(x) -> bool:
+    return type(x) in (int, float) and 0 <= x < math.inf
+
+
+def _sweep_settings(spec, where) -> dict:
+    """The spec with its defaults, every value checked before any fit runs:
+    MalformedInput names the first key that does not fit."""
+    s = {**SWEEP_DEFAULTS, **spec} if isinstance(spec, dict) else {}
+    data = s.get("data") if isinstance(s.get("data"), dict) else {}
+    kinds = list(LAYERS)
+    for key, value, ok in (
+        ("models", s.get("models"), lambda v: isinstance(v, list) and all(m in kinds for m in v)),
+        ("lambdas", s.get("lambdas"), lambda v: isinstance(v, list) and all(map(_real, v))),
+        ("seeds", s.get("seeds"), lambda v: isinstance(v, list) and all(map(_count, v))),
+        ("I", s.get("I"), _count),
+        ("init", s.get("init"), lambda v: v in ("random", "kmeans")),
+        ("epochs", s.get("epochs"), _count),
+        ("lr", s.get("lr"), lambda v: _real(v) and v > 0),
+        *((f"data.{k}", data.get(k), _real if k == "noise" else _count) for k in SWEEP_DEFAULTS["data"]),
+    ):
+        if not ok(value):
+            raise MalformedInput(f"{where}: bad or missing {key}: {value!r}")
+    return s
 
 
 def cmd_sweep(args) -> int:
@@ -170,26 +204,10 @@ def cmd_sweep(args) -> int:
         spec = json.loads(Path(args.spec).read_text())
     except ValueError as exc:  # not JSON, or not text
         raise MalformedInput(f"{args.spec}: not JSON: {exc}") from None
-    for key in ("models", "lambdas", "seeds"):
-        if not isinstance(spec, dict) or not isinstance(spec.get(key), list):
-            raise MalformedInput(f"{args.spec}: need a JSON object with a list of {key}")
-    points = [
-        {
-            "model": kind,
-            "lam": lam,
-            "seed": seed,
-            "I": spec.get("I", 6),
-            "init": spec.get("init", "kmeans"),
-            "epochs": spec.get("epochs", 100),
-            "lr": spec.get("lr", 1e-3),
-            "data": spec.get(
-                "data", {"n_train": 300, "n_test": 1000, "noise": 0.1, "seed": 123}
-            ),
-        }
-        for kind in spec["models"]
-        for lam in spec["lambdas"]
-        for seed in spec["seeds"]
-    ]
+    s = _sweep_settings(spec, args.spec)
+    fixed = {key: s[key] for key in SWEEP_DEFAULTS}
+    points = [{"model": kind, "lam": lam, "seed": seed, **fixed}
+              for kind in s["models"] for lam in s["lambdas"] for seed in s["seeds"]]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_sweep_point, points))

@@ -128,18 +128,30 @@ def save_labeled(path, ds: LabeledSet) -> None:
         writer.writerows(row + [label] for row, label in zip(points.tolist(), map(int, ds.labels.tolist())))
 
 
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 def load_labeled(path) -> LabeledSet:
     """Read a `save_labeled` CSV; blank lines are skipped, any other bad line
     (a negative label included) raises MalformedInput, as does a file that is
-    not text in the default encoding."""
+    not text in the default encoding or whose first line is all numbers
+    rather than a header."""
     path = Path(path)
     with path.open() as fh:
         reader = csv.reader(fh)
         points, labels = [], []
         try:
-            dim = len(next(reader, [])) - 1
+            header = next(reader, [])
+            dim = len(header) - 1
             if dim < 1:
                 raise MalformedInput(f"{path}: no header with feature and label columns")
+            if all(map(_is_number, header)):
+                raise MalformedInput(f"{path}: no header: line 1 holds only numbers")
             for row in filter(None, reader):
                 if len(row) != dim + 1:
                     raise ValueError(f"expected {dim + 1} fields, got {len(row)}")

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, OutOfRange, StaleCache, TotalConflict
-from .kmeans import kmeans
+from .kmeans import cluster_label_counts, kmeans
 from .numeric import (
     as_batch, exp_neg, log_rows, logit, sigmoid, softmax_rows, sq_dists, sq_dists_backward, sum_rows,
 )
@@ -205,8 +205,8 @@ def enn_backward_batch(params: EnnParams, cache: dict, upstream) -> tuple[dict[s
     # scale: P_c = exp(L_c - top), Q = exp(L_q - top).  mass does not depend on
     # the scale, so it is held fixed.  d_pq: the gradients in P_1 .. P_K and Q;
     # pq: P_1 .. P_K and Q themselves, sums of the cached nonnegative masses.
-    d_pq = (upstream - (upstream * mass).sum(axis=0)) / total
-    d_pq[k] -= d_pq[:k].sum(axis=0)
+    d_pq = (upstream - np.add.reduce(upstream * mass, axis=0)) / total
+    d_pq[k] -= np.add.reduce(d_pq[:k], axis=0)
     pq = mass * total
     pq[:k] += pq[k]
 
@@ -222,17 +222,16 @@ def enn_backward_batch(params: EnnParams, cache: dict, upstream) -> tuple[dict[s
     d_t *= d_pq[:, None]
     d_u = np.einsum("cin,in->ci", d_t[:k], s).T  # summed over the batch
     d_t *= w
-    d_ss = 0.0 - d_t[0]                                          # d_s, the classes in order
-    for c in range(1, k + 1):
-        d_ss -= d_t[c]
+    d_ss = np.add.reduce(d_t, axis=0)                            # the classes in order
     del d_t
+    np.negative(d_ss, out=d_ss)                                  # d_s
     d_ss *= s                                                    # (I, N)
     d_d2 = d_ss * -gamma[:, None]
 
     d_x, d_proto = sq_dists_backward(d_d2, cache["Xc"], cache["Pc"])
 
     # chain into the unconstrained parameterization; d(s)/d(alpha_raw) = s (1 - alpha)
-    d_alpha_raw = d_ss.sum(axis=1) * (1.0 - alpha)
+    d_alpha_raw = np.add.reduce(d_ss, axis=1) * (1.0 - alpha)
     d_log_gamma = -np.einsum("in,in->i", d_ss, d2) * gamma
     d_u_logit = u * (d_u - (d_u * u).sum(axis=1, keepdims=True))
 
@@ -259,13 +258,8 @@ def enn_init_kmeans(features, labels, n_prototypes: int, n_classes: int, seed: i
 
     A cluster with no assigned points gets a uniform membership row.
     """
-    features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels, dtype=int)
     result = kmeans(features, n_prototypes, seed=seed)
-    u = np.full((n_prototypes, n_classes), 1.0 / n_classes)
-    for i in range(n_prototypes):
-        members = labels[result.assignments == i]
-        if members.size:
-            counts = np.bincount(members, minlength=n_classes).astype(float)
-            u[i] = counts / counts.sum()
+    counts = cluster_label_counts(result.assignments, labels, n_prototypes, n_classes)
+    sizes = counts.sum(axis=1, keepdims=True)
+    u = np.divide(counts, sizes, out=np.full(counts.shape, 1.0 / n_classes), where=sizes > 0)
     return _initial(result.centroids, u)

@@ -5,11 +5,17 @@ Empty clusters are repaired by re-seeding the centroid to the point
 farthest from its assigned centroid.  If all points are identical and
 k > 1, duplicate centroids are unavoidable; the result carries a
 `degenerate` flag instead of failing.
+
+Results are memoized per process, keyed by a blake2b digest of the points
+with their shape, `k` and an integer `seed`; the CACHE_SIZE newest are kept,
+and each call returns its own copies of the centroids and assignments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
+import threading
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,6 +23,7 @@ from .errors import OutOfRange
 from .numeric import require_finite, sq_dists
 
 MAX_ITER = 100  # Lloyd iterations before giving up on convergence
+CACHE_SIZE = 8  # memoized clusterings; the oldest is evicted first
 
 
 @dataclass
@@ -45,14 +52,33 @@ def _plusplus_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centroids
 
 
+_cache: dict[tuple, KMeansResult] = {}  # insertion order: oldest first
+_cache_lock = threading.Lock()  # threads may share the cache
+
+
 def kmeans(points, k: int, seed: int = 0) -> KMeansResult:
     points = require_finite(np.asarray(points, dtype=float), "points")
     if points.ndim != 2:
         raise OutOfRange(f"points must be a 2-d array, got shape {points.shape}")
-    n = points.shape[0]
-    if not 1 <= k <= n:
-        raise OutOfRange(f"need 1 <= k <= {n} points, got k={k}")
+    if not 1 <= k <= len(points):
+        raise OutOfRange(f"need 1 <= k <= {len(points)} points, got k={k}")
+    points = np.ascontiguousarray(points)
+    if not isinstance(seed, (int, np.integer)):  # None or a generator: not reproducible
+        return _lloyd(points, k, seed)
 
+    key = (hashlib.blake2b(points).digest(), points.shape, k, seed)
+    result = _cache.get(key)
+    if result is None:
+        result = _lloyd(points, k, seed)
+        with _cache_lock:
+            _cache[key] = result
+            if len(_cache) > CACHE_SIZE:
+                del _cache[next(iter(_cache))]
+    return replace(result, centroids=result.centroids.copy(), assignments=result.assignments.copy())
+
+
+def _lloyd(points: np.ndarray, k: int, seed) -> KMeansResult:
+    n = points.shape[0]
     rng = np.random.default_rng(seed)
     degenerate = k > 1 and bool(np.all(points == points[0]))
     centroids = _plusplus_seed(points, k, rng)
@@ -91,3 +117,11 @@ def kmeans(points, k: int, seed: int = 0) -> KMeansResult:
         assignments = new_assign
 
     return KMeansResult(centroids=centroids, assignments=assignments, n_iter=n_iter, degenerate=degenerate)
+
+
+def cluster_label_counts(assignments, labels, k: int, n_classes: int) -> np.ndarray:
+    """(k, n_classes) counts of each label in each cluster; OutOfRange for a label outside the classes."""
+    labels = np.asarray(labels, dtype=int)
+    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+        raise OutOfRange(f"labels {labels.min()}..{labels.max()} outside the classes 0..{n_classes - 1}")
+    return np.bincount(assignments * n_classes + labels, minlength=k * n_classes).reshape(k, n_classes)

@@ -75,7 +75,7 @@ def sum_rows(a: np.ndarray) -> np.ndarray:
     """Column sums of an (R, N) array, adding the rows in order.  numpy does
     so for N >= 2 but sums a lone column pairwise, so this keeps a column's
     sum the same bits whatever N is."""
-    return a.sum(axis=0) if a.shape[1] > 1 else np.cumsum(a, axis=0)[-1]
+    return np.add.reduce(a, axis=0) if a.shape[1] > 1 else np.cumsum(a, axis=0)[-1]
 
 
 def exp_neg(z, out=None) -> np.ndarray:
@@ -109,7 +109,7 @@ def sq_dists(X, P) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the GEMM form translation invariant, where raw norms of far-off X and P
     would cancel away the digits of small distances.
     """
-    c = P.sum(axis=0) / len(P)  # P.mean's bits, without its Python wrapper
+    c = np.add.reduce(P, axis=0) / len(P)  # P.mean's bits, without its Python wrapper
     Xc, Pc = X - c, P - c
     # BLAS multiplies by a lone column through gemv, which rounds otherwise
     # than gemm: a second copy keeps the row on gemm, as inside a batch
@@ -126,8 +126,8 @@ def sq_dists_backward(d_d2, Xc, Pc) -> tuple[np.ndarray, np.ndarray]:
     """Gradients with respect to X (N, H) and P (I, H) given d(loss)/d(squared
     distances) g (I, N) and the centred Xc and Pc of `sq_dists`, as two
     matmuls: 2 (colsum(g) Xc - g^T Pc) and -2 (g Xc - rowsum(g) Pc)."""
-    d_x = d_d2.sum(axis=0)[:, None] * Xc - d_d2.T @ Pc
-    d_p = d_d2 @ Xc - d_d2.sum(axis=1)[:, None] * Pc
+    d_x = np.add.reduce(d_d2, axis=0)[:, None] * Xc - d_d2.T @ Pc
+    d_p = d_d2 @ Xc - np.add.reduce(d_d2, axis=1)[:, None] * Pc
     return 2.0 * d_x, -2.0 * d_p
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, OutOfRange, StaleCache
-from .kmeans import kmeans
+from .kmeans import cluster_label_counts, kmeans
 from .numeric import as_batch, exp_neg, sigmoid, sq_dists, sq_dists_backward, sum_rows
 
 INIT_GAMMA = 0.01
@@ -179,7 +179,7 @@ def rbf_backward_batch(params: RbfParams, cache: dict, upstream) -> tuple[dict[s
         )
 
     d_ws = d_w * s
-    d_v = d_ws.sum(axis=1)
+    d_v = np.add.reduce(d_ws, axis=1)
     d_d2 = d_ws * (v * -cache["gamma"])[:, None]
     d_log_gamma = np.einsum("in,in->i", d_d2, d2)
 
@@ -201,12 +201,7 @@ def rbf_init_random(n_prototypes: int, n_features: int, seed: int) -> RbfParams:
 
 def rbf_init_kmeans(features, labels, n_prototypes: int, seed: int = 0) -> RbfParams:
     """Prototypes from k-means; v_i = +1 when the cluster majority is class 0, else -1."""
-    features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels, dtype=int)
     result = kmeans(features, n_prototypes, seed=seed)
-    v = np.ones(n_prototypes)
-    for i in range(n_prototypes):
-        members = labels[result.assignments == i]
-        if members.size and np.mean(members == 0) < 0.5:
-            v[i] = -1.0
+    counts = cluster_label_counts(result.assignments, labels, n_prototypes, 2)
+    v = np.where(counts[:, 0] < counts[:, 1], -1.0, 1.0)
     return rbf_from_constrained(result.centroids, np.full(n_prototypes, INIT_GAMMA), v)

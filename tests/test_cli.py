@@ -252,6 +252,7 @@ BAD_CSV = {
     "nan-feature": b"x1,x2,label\n0.1,0.2,0\n0.3,nan,1\n",
     "not-utf8": b"x1,x2,label\n0.1,0.2,0\n0.3,\xff,1\n",
     "oversized-field": b"x1,x2,label\n0.1,0.2,0\n" + b"1" * 131073 + b",0.2,1\n",  # csv's limit is 131072
+    "no-header": b"0.1,0.2,0\n0.3,0.4,1\n0.5,0.6,1\n",  # the first row is data, not a header
 }
 BAD_GRID = {
     "empty": "",
@@ -448,6 +449,11 @@ BAD_SPEC = {
     "no-models": json.dumps({"lambdas": [0.0], "seeds": [0]}),
     "lambdas-not-a-list": json.dumps({"models": ["enn"], "lambdas": 0.1, "seeds": [0]}),
     "no-seeds": json.dumps({"models": ["enn"], "lambdas": [0.0]}),
+    "unknown-model": json.dumps({"models": ["knn"], "lambdas": [0.0], "seeds": [0]}),
+    "I-not-a-number": json.dumps({"models": ["enn"], "lambdas": [0.0], "seeds": [0], "I": "six"}),
+    "lambda-not-a-number": json.dumps({"models": ["enn"], "lambdas": ["a"], "seeds": [0]}),
+    "partial-data": json.dumps({"models": ["enn"], "lambdas": [0.0], "seeds": [0], "data": {"n_train": 50}}),
+    "fractional-seed": json.dumps({"models": ["enn"], "lambdas": [0.0], "seeds": [0.5]}),
 }
 
 
@@ -456,6 +462,17 @@ def test_malformed_sweep_spec(bad, tmp_path, capsys):
     spec = tmp_path / "sweep.json"
     spec.write_text(BAD_SPEC[bad])
     assert_malformed(["sweep", "--spec", str(spec), "--out-dir", str(tmp_path / "out")], capsys)
+
+
+@pytest.mark.parametrize("bad, key", [("unknown-model", "models"), ("I-not-a-number", "I"),
+                                      ("lambda-not-a-number", "lambdas"), ("partial-data", "data.n_test"),
+                                      ("fractional-seed", "seeds")])
+def test_sweep_spec_error_names_the_key(bad, key, tmp_path, capsys):
+    spec = tmp_path / "sweep.json"
+    spec.write_text(BAD_SPEC[bad])
+    assert run(["sweep", "--spec", str(spec), "--out-dir", str(tmp_path / "out")]) == 1
+    assert f"error_category=MalformedInput: {spec}: bad or missing {key}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_refuses_a_second_data_path(data_dir, checkpoint, tmp_path, capsys):

@@ -2,20 +2,23 @@
 and the package-side gradient checker."""
 
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from helpers import grad_rel_error
 
-from evidkit import training
+from evidkit import enn, rbf, training
+from evidkit import kmeans as kmeans_module
 from evidkit.datasets import gen_half_moons
 from evidkit.enn import enn_init_kmeans, enn_init_random
-from evidkit.errors import AllZeroDenominator, Empty, NonFiniteLoss, OutOfRange, ShapeMismatch
-from evidkit.kmeans import MAX_ITER, _plusplus_seed, kmeans
+from evidkit.errors import AllZeroDenominator, Empty, MalformedInput, NonFiniteLoss, OutOfRange, ShapeMismatch
+from evidkit.kmeans import CACHE_SIZE, MAX_ITER, KMeansResult, _plusplus_seed, kmeans
 from evidkit.mlp import mlp_init
 from evidkit.model import EvidentialModel
-from evidkit.numeric import sq_dists
+from evidkit.numeric import log_rows, sq_dists
 from evidkit.rbf import rbf_from_constrained, rbf_init_kmeans, rbf_init_random
 from evidkit.training import (
     Adam,
@@ -152,7 +155,9 @@ class TestKmeans:
     def test_deterministic(self):
         rng = np.random.default_rng(6)
         pts = rng.standard_normal((40, 3))
-        r1, r2 = kmeans(pts, 4, seed=9), kmeans(pts, 4, seed=9)
+        r1 = kmeans(pts, 4, seed=9)
+        kmeans_module._cache.clear()  # the second call clusters again
+        r2 = kmeans(pts, 4, seed=9)
         assert np.array_equal(r1.centroids, r2.centroids)
         assert np.array_equal(r1.assignments, r2.assignments)
 
@@ -171,6 +176,83 @@ class TestKmeans:
     def test_k_bounds(self):
         with pytest.raises(OutOfRange):
             kmeans(np.zeros((3, 2)), 4)
+
+    def test_repeat_call_returns_new_arrays(self):
+        pts = np.random.default_rng(9).standard_normal((40, 2))
+        first = kmeans(pts, 4, seed=2)
+        centroids, assignments = first.centroids.copy(), first.assignments.copy()
+        first.centroids[:] = 0.0  # as training does to the prototypes it was given
+        first.assignments[:] = -1
+        again = kmeans(pts, 4, seed=2)
+        kmeans_module._cache.clear()
+        fresh = kmeans(pts, 4, seed=2)
+        assert again.centroids is not first.centroids and again.assignments is not first.assignments
+        for res in (again, fresh):
+            assert res.centroids.tobytes() == centroids.tobytes()
+            assert np.array_equal(res.assignments, assignments)
+            assert res.n_iter == first.n_iter
+
+    @pytest.mark.parametrize("others, computed", [(CACHE_SIZE - 1, CACHE_SIZE), (CACHE_SIZE, CACHE_SIZE + 2)])
+    def test_oldest_entry_evicted(self, others, computed, monkeypatch):
+        calls = []
+        lloyd = kmeans_module._lloyd
+        monkeypatch.setattr(kmeans_module, "_lloyd", lambda *args: calls.append(args) or lloyd(*args))
+        kmeans_module._cache.clear()
+        pts = np.random.default_rng(10).standard_normal((30, 2))
+        kmeans(pts, 3, seed=0)
+        for seed in range(1, others + 1):
+            kmeans(pts, 3, seed=seed)
+        kmeans(pts, 3, seed=0)  # a hit while it is among the CACHE_SIZE newest
+        assert len(calls) == computed
+        assert len(kmeans_module._cache) <= CACHE_SIZE
+
+    def test_key_is_the_content(self):
+        pts = np.random.default_rng(11).standard_normal((30, 2))
+        kmeans_module._cache.clear()
+        ref = kmeans(pts, 3, seed=4)
+        for same in (pts.copy(), np.asfortranarray(pts), pts.tolist()):
+            assert kmeans(same, 3, seed=4).centroids.tobytes() == ref.centroids.tobytes()
+        assert len(kmeans_module._cache) == 1
+        kmeans(pts[::-1], 3, seed=4)  # other points
+        kmeans(pts.reshape(20, 3), 3, seed=4)  # the same bytes in another shape
+        kmeans(pts, 2, seed=4)
+        kmeans(pts, 3, seed=5)
+        assert len(kmeans_module._cache) == 5
+
+    def test_threads_share_the_cache(self):
+        pts = np.random.default_rng(13).standard_normal((24, 2))
+        want = {seed: kmeans_by_loop(pts, 3, seed)[0].tobytes() for seed in range(2 * CACHE_SIZE)}
+        errors = []
+
+        def work(offset):
+            try:
+                for i in range(6 * CACHE_SIZE):
+                    seed = (i + offset) % (2 * CACHE_SIZE)
+                    assert kmeans(pts, 3, seed=seed).centroids.tobytes() == want[seed]
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(3 * j,)) for j in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert len(kmeans_module._cache) <= CACHE_SIZE
+
+    def test_nan_points_raise_on_every_call(self):
+        pts = np.random.default_rng(12).standard_normal((20, 2))
+        kmeans(pts, 3, seed=0)
+        pts[4, 1] = np.nan
+        for _ in range(2):
+            with pytest.raises(MalformedInput):
+                kmeans(pts, 3, seed=0)
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("dim", [2, 3])
@@ -244,6 +326,62 @@ def kmeans_by_loop(points, k, seed):
             break
         assignments = new_assign
     return centroids, new_assign, n_iter
+
+
+def label_stats_by_loop(assignments, labels, k, n_classes):
+    """`enn` memberships and `rbf` signs by one cluster at a time, the way
+    the two k-means inits computed them before the bincount form."""
+    u = np.full((k, n_classes), 1.0 / n_classes)
+    v = np.ones(k)
+    for i in range(k):
+        members = labels[assignments == i]
+        if members.size:
+            counts = np.bincount(members, minlength=n_classes).astype(float)
+            u[i] = counts / counts.sum()
+            if np.mean(members == 0) < 0.5:
+                v[i] = -1.0
+    return u, v
+
+
+LABEL_CASES = {
+    "random": lambda rng: (rng.integers(0, 7, size=90), rng.integers(0, 2, size=90)),
+    "empty-clusters": lambda rng: (rng.choice([1, 4, 5], size=50), rng.integers(0, 2, size=50)),
+    "one-class": lambda rng: (rng.integers(0, 7, size=40), np.zeros(40, dtype=int)),
+    "other-class": lambda rng: (rng.integers(0, 7, size=40), np.ones(40, dtype=int)),
+    "ties": lambda rng: (np.repeat(np.arange(7), 4), np.tile([0, 1], 14)),
+}
+
+
+@pytest.mark.parametrize("case", list(LABEL_CASES))
+@pytest.mark.parametrize("seed", range(3))
+def test_init_label_stats_match_the_loop(case, seed, monkeypatch):
+    rng = np.random.default_rng(400 + seed)
+    assignments, labels = LABEL_CASES[case](rng)
+    points = rng.standard_normal((len(labels), 2))
+
+    def fake(pts, k, seed=0):  # a clustering with the case's assignments
+        return KMeansResult(pts[:k].copy(), assignments, 1)
+
+    monkeypatch.setattr(enn, "kmeans", fake)
+    monkeypatch.setattr(rbf, "kmeans", fake)
+    u, v = label_stats_by_loop(assignments, labels, 7, 2)
+    assert enn_init_kmeans(points, labels, 7, 2).u_logit.tobytes() == log_rows(u).tobytes()
+    assert np.array_equal(rbf_init_kmeans(points, labels, 7).v, v)
+    if case == "random":
+        labels3 = rng.integers(0, 3, size=len(labels))
+        u3, _ = label_stats_by_loop(assignments, labels3, 7, 3)
+        assert enn_init_kmeans(points, labels3, 7, 3).u_logit.tobytes() == log_rows(u3).tobytes()
+
+
+@pytest.mark.parametrize("bad", [-1, 2, 3])
+@pytest.mark.parametrize("init", [lambda x, y: enn_init_kmeans(x, y, 3, 2), lambda x, y: rbf_init_kmeans(x, y, 3)],
+                         ids=["enn", "rbf"])
+def test_init_labels_outside_the_classes(init, bad):
+    ds = gen_half_moons(30, 0.1, seed=3)
+    labels = ds.labels.copy()
+    labels[7] = bad
+    with pytest.raises(OutOfRange):
+        init(ds.points, labels)
 
 
 def expect_same_as_loop(points, k, seed):
