@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -36,9 +37,16 @@ from .numeric import pignistic
 from .training import TrainConfig, four_stage_init, train
 
 
+WRITE_CHUNK_LINES = 1024
+
+
 def _write_lines(path: Path, lines) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    lines = iter(lines)
+    with path.open("w") as fh:
+        while chunk := list(itertools.islice(lines, WRITE_CHUNK_LINES)):
+            fh.write("\n".join(chunk))
+            fh.write("\n")
 
 
 # --- gen-data

@@ -1,15 +1,13 @@
 """Evidential prototype layer with distance-discounted Bayesian masses.
 
-Each prototype i carries a reliability alpha_i in [0, 1], a scale gamma_i > 0
-and a membership row u_i on the class simplex.  An input x activates
-prototype i as
+Prototype i has a reliability alpha_i in [0, 1], a scale gamma_i > 0 and a
+membership row u_i on the class simplex.  Input x activates it as
 
     s_i = alpha_i * exp(-gamma_i * ||x - pi_i||^2),
 
-which discounts the prototype's Bayesian mass (u_i1 s_i, ..., u_iK s_i)
-leaving 1 - s_i on the whole frame.  The I discounted masses are pooled by
-Dempster's rule; because every focal set is a singleton or the frame, the
-pooled mass has a closed form, evaluated in the log domain:
+discounting its Bayesian mass (u_i1 s_i, ..., u_iK s_i) and leaving 1 - s_i
+on the frame.  Dempster's rule pools the I masses; with singleton and frame
+focal sets only, the pooled mass has a closed form, taken in the log domain:
 
     L_k     =  sum_i log1p(-s_i (1 - u_ik)),   L_q = sum_i log1p(-s_i)
     top     =  max_k L_k
@@ -23,20 +21,20 @@ underflow for many prototypes, and the scaled total is at least 1.  Only when
 every L_k is -inf, fully confident prototypes excluding every class, is the
 evidence in total conflict.
 
-Gradients are taken with respect to the unconstrained parameterization
-(prototypes, logit(alpha), log(gamma), membership logits) so plain gradient
-steps preserve the constraints.
+Gradients are taken in the unconstrained parameters (prototypes,
+logit(alpha), log(gamma), membership logits), so plain steps keep the
+constraints.
 
-Forward/backward take a batch (N, H), or a single row (H,) as N = 1; the
-math is vectorized numpy.  Inside, the kernels are prototype-major (see
-`evidkit.numeric`): d2, s and the Dempster factors are (I, N), the log sums
-L, the unnormalized masses and their gradients (K+1, N), and the backward
-pass stacks all K+1 factors as (K+1, I, N); only the masses, `upstream` and
-the input gradient are (N, ...).  Activations below the smallest normal
-double are flushed to 0 (`numeric.exp_neg`), which moves no pooled mass of
-1e-300 or more.  alpha, gamma, the memberships, the factor weights and the
-centred inputs and prototypes are computed once per forward and cached for
-the backward pass and the regularizer.
+Forward/backward take a batch (N, H), or a row (H,) as N = 1.  The kernels
+are prototype-major (`evidkit.numeric`): d2, s and the Dempster factors are
+(I, N), L and the unnormalized masses (K+1, N), the backward's factor stack
+(K+1, I, N); only the masses, `upstream` and the input gradient are
+(N, ...).  Activations below the smallest normal double flush to 0
+(`numeric.exp_neg`), which moves no pooled mass of 1e-300 or more.  The
+forward caches alpha, gamma, the memberships, the factor weights and the
+centred inputs and prototypes for the backward pass and the regularizer;
+with `keep_cache=False` (inference) it caches nothing, s overwrites d2 and
+the centred arrays go once d2 exists.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, OutOfRange, StaleCache, TotalConflict
-from .kmeans import cluster_label_counts, kmeans
+from .kmeans import cluster_label_counts, kmeans, require_label_per_point
 from .numeric import (
     as_batch, exp_neg, log_rows, logit, sigmoid, softmax_rows, sq_dists, sq_dists_backward, sum_rows,
 )
@@ -112,8 +110,8 @@ class EnnParams:
             "u_logit": self.u_logit,
         }
 
-    def forward(self, X) -> tuple[np.ndarray, dict]:
-        return enn_forward_batch(self, X)
+    def forward(self, X, keep_cache: bool = True) -> tuple[np.ndarray, dict]:
+        return enn_forward_batch(self, X, keep_cache)
 
     def backward(self, cache: dict, upstream) -> tuple[dict[str, np.ndarray], np.ndarray]:
         return enn_backward_batch(self, cache, upstream)
@@ -146,18 +144,21 @@ def _factor_weights(u) -> np.ndarray:
     return np.concatenate([1.0 - u.T, np.ones((1, len(u)))])
 
 
-def enn_forward_batch(params: EnnParams, X) -> tuple[np.ndarray, dict]:
-    """Evaluate a batch (N, H) -> masses (N, K+1) plus the backward cache."""
+def enn_forward_batch(params: EnnParams, X, keep_cache: bool = True) -> tuple[np.ndarray, dict]:
+    """Evaluate a batch (N, H) -> masses (N, K+1) plus the backward cache ({} without `keep_cache`)."""
     X = as_batch(X, params.n_features)
     alpha, gamma, u = params.alpha, params.gamma, params.memberships
     k = params.n_classes
+    w = _factor_weights(u)
 
     d2, Xc, Pc = sq_dists(X, params.proto)               # d2 (I, N)
-    s = gamma[:, None] * d2
+    s = np.multiply(gamma[:, None], d2, out=None if keep_cache else d2)
     exp_neg(s, out=s)
     s *= alpha[:, None]
+    cache = {"params": params, "Xc": Xc, "Pc": Pc, "alpha": alpha, "gamma": gamma, "u": u, "w": w,
+             "d2": d2, "s": s} if keep_cache else {}
+    del Xc, Pc
 
-    w = _factor_weights(u)
     logs = np.empty((k + 1, s.shape[1]))                 # [L_1 .. L_K, L_q]
     t = np.empty_like(s)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -167,9 +168,9 @@ def enn_forward_batch(params: EnnParams, X) -> tuple[np.ndarray, dict]:
         top = logs[:k].max(axis=0)                       # (N,)
         if (top == -np.inf).any():
             raise TotalConflict("fully confident prototypes exclude every class; pooled mass vanished")
-        unnorm = logs - top                              # (K+1, N)
-        np.exp(unnorm, out=unnorm)
         singles = logs[k] - logs[:k]                     # NaN where L_k = L_q = -inf
+        unnorm = np.subtract(logs, top, out=logs)        # (K+1, N)
+        np.exp(unnorm, out=unnorm)
     np.fmax(singles, -np.inf, out=singles)               # there -expm1(-inf) * exp(L_k - top) = 0
     np.expm1(singles, out=singles)
     singles *= unnorm[:k]
@@ -178,8 +179,8 @@ def enn_forward_batch(params: EnnParams, X) -> tuple[np.ndarray, dict]:
     unnorm /= total
     mass = unnorm.T
 
-    cache = {"params": params, "Xc": Xc, "Pc": Pc, "alpha": alpha, "gamma": gamma, "u": u, "w": w,
-             "d2": d2, "s": s, "mass": mass, "total": total}
+    if keep_cache:
+        cache.update(mass=mass, total=total)
     return mass, cache
 
 
@@ -258,6 +259,7 @@ def enn_init_kmeans(features, labels, n_prototypes: int, n_classes: int, seed: i
 
     A cluster with no assigned points gets a uniform membership row.
     """
+    require_label_per_point(features, labels)
     result = kmeans(features, n_prototypes, seed=seed)
     counts = cluster_label_counts(result.assignments, labels, n_prototypes, n_classes)
     sizes = counts.sum(axis=1, keepdims=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import OutOfRange
+from .errors import OutOfRange, ShapeMismatch
 from .numeric import require_finite, sq_dists
 
 MAX_ITER = 100  # Lloyd iterations before giving up on convergence
@@ -117,6 +117,11 @@ def _lloyd(points: np.ndarray, k: int, seed) -> KMeansResult:
         assignments = new_assign
 
     return KMeansResult(centroids=centroids, assignments=assignments, n_iter=n_iter, degenerate=degenerate)
+
+
+def require_label_per_point(points, labels) -> None:
+    if np.shape(labels) != np.shape(points)[:1]:
+        raise ShapeMismatch(f"points of shape {np.shape(points)}, labels {np.shape(labels)}")
 
 
 def cluster_label_counts(assignments, labels, k: int, n_classes: int) -> np.ndarray:

@@ -156,9 +156,8 @@ class ContourGrid:
         n_masses = self.masses.shape[2]
         yield "x,y," + ",".join(f"m{k + 1}" for k in range(n_masses - 1)) + ",mOmega"
         xs = list(map(repr, self.xs.tolist()))
-        cells = iter(self.masses.reshape(-1, n_masses).tolist())
-        for y in map(repr, self.ys.tolist()):
-            for x, m in zip(xs, cells):  # ends with xs, before taking from cells
+        for y, row in zip(map(repr, self.ys.tolist()), self.masses):
+            for x, m in zip(xs, row.tolist()):  # tolist() one grid row at a time
                 yield f"{x},{y},{','.join(map(repr, m))}"
 
 

@@ -9,7 +9,8 @@ The two layers, `enn.EnnParams` and `rbf.RbfParams`, share one protocol, so
 outside `make_layer` no code asks which one it holds: `kind` (its key in
 `LAYERS`), `losses` (the loss names it trains with, the default first),
 `n_features`, `n_classes` (2 for `rbf`), `trainable_arrays()`,
-`forward(X) -> (masses (N, K+1), cache)`,
+`forward(X, keep_cache=True) -> (masses (N, K+1), cache)`, the cache {}
+when `keep_cache` is false (`masses`),
 `backward(cache, upstream) -> (parameter grads, input grads)` and
 `regularizer(cache) -> (value, {array name: gradient})`, the
 prototype-shrinking penalty that every loss weighs by lambda, read from the
@@ -117,8 +118,8 @@ class EvidentialModel:
         return X if self.feature_net is None else mlp.mlp_forward_batch(self.feature_net, X)[0]
 
     def masses(self, X) -> np.ndarray:
-        """(N, K+1) output masses; evaluation only."""
-        return self.layer.forward(self.features(X))[0]
+        """(N, K+1) output masses; evaluation only, with no cache."""
+        return self.layer.forward(self.features(X), keep_cache=False)[0]
 
     def predict(self, X) -> np.ndarray:
         """Class indexes by maximal singleton mass (ties to the lowest index).

@@ -1,32 +1,31 @@
 """Gaussian prototype layer whose signed activations act as evidence weights.
 
 Binary frame only.  Prototype i activates as s_i = exp(-gamma_i d_i^2) and
-contributes w_i = s_i v_i: positive w_i is weight of evidence for the first
-class, negative for the second.  Pooling all prototypes gives the totals
-w+ = sum of positive parts and w- = sum of negative parts, whose combined
-mass function is
+gives w_i = s_i v_i: weight of evidence for the first class when positive,
+for the second when negative.  The pooled totals w+ and w- (sums of the
+positive and of the negative parts) combine to
 
     m({w1})    = (1 - exp(-w+)) exp(-w-) / (1 - kappa)
     m({w2})    = (1 - exp(-w-)) exp(-w+) / (1 - kappa)
     m(frame)   = exp(-w+ - w-) / (1 - kappa)
     kappa      = (1 - exp(-w+)) (1 - exp(-w-))
 
-The normalized plausibility of the first class collapses to a logistic unit:
-p1 = sigmoid(sum_i v_i s_i).  Masses are evaluated in a factored form that
-stays exact when w+ + w- is large (the naive ratio is 0/0 there).
+and the normalized plausibility of the first class is the logistic unit
+p1 = sigmoid(sum_i v_i s_i).  A factored form keeps the masses exact when
+w+ + w- is large (the naive ratio is 0/0 there).
 
 Gradients use the subgradient 0 at the kinks w_i = 0 and are taken in
-log-gamma space so the scale parameters stay positive.  A weight v_i = 0
-puts w_i on the kink at every input, so under a loss on the masses (Dice)
-its gradient is 0 at every step and it stays 0; cross-entropy reads p1,
-smooth in v_i, and moves it.
+log-gamma space so the scales stay positive.  A weight v_i = 0 sits on the
+kink at every input, so a loss on the masses (Dice) never moves it;
+cross-entropy reads p1, smooth in v_i, and does.
 
-The kernels are prototype-major (see `evidkit.numeric`): d2 and s are
-(I, N), and the totals (w+, w-) are one (2, N) array of row sums of
-s_i max(+-v_i, 0).  Activations below the smallest normal double are flushed
-to 0 (`numeric.exp_neg`), which moves no mass of 1e-300 or more for weights
-|v| up to 1e8.  gamma and the centred inputs and prototypes are cached for
-the backward pass.
+The kernels are prototype-major (`evidkit.numeric`): d2 and s are
+(I, N), and (w+, w-) is one (2, N) einsum of s_i max(+-v_i, 0).  Activations
+below the smallest normal double flush to 0 (`numeric.exp_neg`), which moves
+no mass of 1e-300 or more for |v| up to 1e8.  gamma and the centred inputs
+and prototypes are cached for the backward pass; with `keep_cache=False`
+(inference) nothing is: s overwrites d2, the centred arrays and s go once
+read, and p1 is skipped.
 """
 
 from __future__ import annotations
@@ -36,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, OutOfRange, StaleCache
-from .kmeans import cluster_label_counts, kmeans
-from .numeric import as_batch, exp_neg, sigmoid, sq_dists, sq_dists_backward, sum_rows
+from .kmeans import cluster_label_counts, kmeans, require_label_per_point
+from .numeric import as_batch, exp_neg, sigmoid, sq_dists, sq_dists_backward
 
 INIT_GAMMA = 0.01
 
@@ -80,8 +79,8 @@ class RbfParams:
     def trainable_arrays(self) -> dict[str, np.ndarray]:
         return {"proto": self.proto, "log_gamma": self.log_gamma, "v": self.v}
 
-    def forward(self, X) -> tuple[np.ndarray, dict]:
-        return rbf_forward_batch(self, X)
+    def forward(self, X, keep_cache: bool = True) -> tuple[np.ndarray, dict]:
+        return rbf_forward_batch(self, X, keep_cache)
 
     def backward(self, cache: dict, upstream) -> tuple[dict[str, np.ndarray], np.ndarray]:
         return rbf_backward_batch(self, cache, upstream)
@@ -122,23 +121,30 @@ def _masses_from_totals(w: np.ndarray) -> np.ndarray:
     return mass.T
 
 
-def rbf_forward_batch(params: RbfParams, X) -> tuple[np.ndarray, dict]:
-    """Evaluate a batch (N, H) -> masses (N, 3) plus the backward cache."""
+def _totals(s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(2, N) totals (w+, w-): the rows of s max(+-v, 0) added in order."""
+    parts = np.maximum(np.stack([v, -v], axis=1), 0.0)   # (I, 2)
+    if s.shape[1] == 1:  # einsum would add a lone column pairwise
+        return np.cumsum(parts * s, axis=0)[-1][:, None]
+    return np.einsum("ij,in->jn", parts, s)
+
+
+def rbf_forward_batch(params: RbfParams, X, keep_cache: bool = True) -> tuple[np.ndarray, dict]:
+    """Evaluate a batch (N, H) -> masses (N, 3) plus the backward cache ({} without `keep_cache`)."""
     X = as_batch(X, params.n_features)
-    gamma, v = params.gamma, params.v
+    gamma = params.gamma
 
     d2, Xc, Pc = sq_dists(X, params.proto)               # d2 (I, N)
-    s = gamma[:, None] * d2
+    s = np.multiply(gamma[:, None], d2, out=None if keep_cache else d2)
     exp_neg(s, out=s)
-
-    part = np.empty_like(s)                              # s >= 0: the parts of w = s v
-    totals = np.array([sum_rows(np.multiply(s, np.maximum(sv, 0.0)[:, None], out=part)) for sv in (v, -v)])
-    del part  # totals: (w+, w-)
+    cache = {"params": params, "Xc": Xc, "Pc": Pc, "gamma": gamma, "d2": d2, "s": s} if keep_cache else {}
+    del Xc, Pc
+    totals = _totals(s, params.v)
+    del d2, s
     mass = _masses_from_totals(totals)
-    p1 = sigmoid(totals[0] - totals[1])
 
-    cache = {"params": params, "Xc": Xc, "Pc": Pc, "gamma": gamma, "d2": d2, "s": s,
-             "totals": totals, "p1": p1, "mass": mass}
+    if keep_cache:
+        cache.update(totals=totals, p1=sigmoid(totals[0] - totals[1]), mass=mass)
     return mass, cache
 
 
@@ -201,6 +207,7 @@ def rbf_init_random(n_prototypes: int, n_features: int, seed: int) -> RbfParams:
 
 def rbf_init_kmeans(features, labels, n_prototypes: int, seed: int = 0) -> RbfParams:
     """Prototypes from k-means; v_i = +1 when the cluster majority is class 0, else -1."""
+    require_label_per_point(features, labels)
     result = kmeans(features, n_prototypes, seed=seed)
     counts = cluster_label_counts(result.assignments, labels, n_prototypes, 2)
     v = np.where(counts[:, 0] < counts[:, 1], -1.0, 1.0)

@@ -1,11 +1,12 @@
 """End-to-end CLI runs in temporary directories: outputs, determinism, exit codes."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from evidkit.cli import build_parser, main
+from evidkit.cli import WRITE_CHUNK_LINES, _write_lines, build_parser, main
 from evidkit.datasets import LabeledSet, ToySegTask, save_labeled, save_seg_task
 from evidkit.enn import enn_init_random
 from evidkit.metrics import ContourGrid
@@ -194,6 +195,25 @@ def test_contour_rows_are_plain_numbers(tmp_path):
     assert header == "x,y,m1,m2,mOmega"
     assert len(rows) == 25 and all(len(r) == 5 for r in rows)
     assert rows[0][:2] == [-2.0, -1.5] and rows[-1][:2] == [3.0, 2.0]
+
+
+def test_contours_at_the_readme_resolution_hold_under_twice_the_file(checkpoint, tmp_path):
+    argv = ["contours", "--checkpoint", str(checkpoint), "--resolution", "200", "--out-dir", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "contours.csv").stat().st_size
+    assert size > 3_000_000 and peak < 2 * size
+
+
+@pytest.mark.parametrize("n_lines", [1, WRITE_CHUNK_LINES - 1, WRITE_CHUNK_LINES, 2 * WRITE_CHUNK_LINES + 1])
+def test_lines_written_in_chunks_are_the_joined_text(n_lines, tmp_path):
+    lines = [f"{i},{i / 7!r}" for i in range(n_lines)]
+    _write_lines(tmp_path / "out" / "lines.csv", iter(lines))
+    assert (tmp_path / "out" / "lines.csv").read_text() == "\n".join(lines) + "\n"
 
 
 def test_file_formats_byte_for_byte(tmp_path):

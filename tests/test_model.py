@@ -1,13 +1,15 @@
 """The composite model and the layer protocol: construction, kind checks,
 input validation, checkpoints, and the shared objective."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import fd_by_name
 
 from evidkit.datasets import gen_half_moons
-from evidkit.enn import enn_forward_batch, enn_init_random
-from evidkit.errors import DimensionMismatch, Empty, MalformedInput, OutOfRange
+from evidkit.enn import enn_forward_batch, enn_from_constrained, enn_init_random
+from evidkit.errors import DimensionMismatch, Empty, MalformedInput, OutOfRange, TotalConflict
 from evidkit.mlp import mlp_init
 from evidkit.model import LAYERS, EvidentialModel, class_count, make_layer
 from evidkit.rbf import rbf_forward_batch, rbf_init_random
@@ -141,3 +143,45 @@ def test_training_and_evaluation_share_the_objective(kind, loss, moons):
     eval_value, err = _evaluate(model, moons.points, moons.labels, config)
     assert eval_value == value
     assert err == np.mean(np.argmax(masses[:, :-1], axis=1) != moons.labels)
+
+
+class TestCacheFreeMasses:
+    """`masses` runs the layer forward without its backward cache: the same
+    bits as the cached forward, an empty cache, and less memory."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("with_net", [False, True])
+    @pytest.mark.parametrize("n_proto, n_feat", [(6, 2), (256, 64)])
+    def test_same_bits_as_the_cached_forward(self, kind, with_net, n_proto, n_feat):
+        rng = np.random.default_rng(n_proto + with_net)
+        net = mlp_init([3, 8, n_feat], seed=1) if with_net else None
+        model = EvidentialModel(kind, make_layer(kind, n_proto, n_feat, 3, seed=2), net)
+        for n in (1, 2, 7, 300):
+            X = rng.standard_normal((n, model.n_features))
+            X[::3] *= 1e4  # far rows: activations flushed to 0
+            want = model.forward_with_cache(X)[0]
+            got = model.masses(X)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            mass, cache = model.layer.forward(model.features(X), keep_cache=False)
+            assert cache == {} and mass.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_total_conflict_is_raised(self, n):
+        layer = enn_from_constrained(np.zeros((2, 1)), np.ones(2), np.ones(2), np.array([[1.0, 0.0], [0.0, 1.0]]))
+        with pytest.raises(TotalConflict):
+            EvidentialModel("enn", layer).masses(np.zeros((n, 1)))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_peak_memory_below_the_cached_forward(self, kind):
+        n, n_proto = 12500, 6
+        model = EvidentialModel(kind, make_layer(kind, n_proto, 2, 2, seed=3))
+        X = np.random.default_rng(4).standard_normal((n, 2))
+        peaks = []
+        for call in (model.masses, model.forward_with_cache):
+            tracemalloc.start()
+            try:
+                call(X)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1] - n_proto * n * 8  # at least one (I, N) float64 array less

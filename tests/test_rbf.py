@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from helpers import fd_by_name, grad_rel_error
 
-from evidkit import dst, training
+from evidkit import dst, rbf, training
 from evidkit.errors import DimensionMismatch, StaleCache
 from evidkit.model import EvidentialModel, params_from_dict, params_to_dict
-from evidkit.numeric import sigmoid
+from evidkit.numeric import sigmoid, sum_rows
 from evidkit.rbf import (
     RbfParams,
     rbf_backward_batch,
@@ -267,3 +267,25 @@ class TestCheckpoint:
         np.testing.assert_allclose(q.v, p.v, atol=1e-15)
         x = rng.standard_normal(3)
         np.testing.assert_allclose(one_row(q, x)[0], one_row(p, x)[0], atol=1e-12)
+
+
+def totals_by_sign(s, v):
+    """The reference totals (w+, w-): each sign's (I, N) product s max(+-v, 0),
+    its rows added in order by `sum_rows`."""
+    return np.array([sum_rows(s * np.maximum(sv, 0.0)[:, None]) for sv in (v, -v)])
+
+
+# every (N, I) pair but (12500, 2000), whose 200 MB of activations is left out
+TOTALS_SHAPES = [(n, i) for n in (1, 2, 7, 300, 12500) for i in (1, 6, 256, 2000) if n * i < 10**7]
+
+
+@pytest.mark.parametrize("n, n_proto", TOTALS_SHAPES)
+def test_totals_are_the_per_sign_row_sums_bit_for_bit(n, n_proto):
+    rng = np.random.default_rng(n + n_proto)
+    s = rng.uniform(size=(n_proto, n))
+    s[rng.uniform(size=s.shape) < 0.3] = 0.0  # exact zeros, as far inputs flush them
+    s[rng.uniform(size=s.shape) < 0.05] = 1.0
+    v = rng.standard_normal(n_proto) * 10.0 ** rng.uniform(-3, 6, size=n_proto)
+    v[rng.uniform(size=n_proto) < 0.2] = rng.choice([0.0, -0.0, 1e6, -1e6])
+    got, want = rbf._totals(s, v), totals_by_sign(s, v)
+    assert got.shape == (2, n) and got.tobytes() == want.tobytes()

@@ -384,6 +384,17 @@ def test_init_labels_outside_the_classes(init, bad):
         init(ds.points, labels)
 
 
+@pytest.mark.parametrize("n_labels", [29, 31])
+@pytest.mark.parametrize("init", [lambda x, y: enn_init_kmeans(x, y, 3, 2), lambda x, y: rbf_init_kmeans(x, y, 3)],
+                         ids=["enn", "rbf"])
+def test_init_needs_one_label_per_point(init, n_labels):
+    ds = gen_half_moons(30, 0.1, seed=3)
+    kmeans_module._cache.clear()
+    with pytest.raises(ShapeMismatch):
+        init(ds.points, np.resize(ds.labels, n_labels))
+    assert not kmeans_module._cache  # refused before clustering
+
+
 def expect_same_as_loop(points, k, seed):
     centroids, assignments, n_iter = kmeans_by_loop(points, k, seed)
     res = kmeans(points, k, seed=seed)
