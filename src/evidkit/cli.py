@@ -97,6 +97,17 @@ def _load_training_data(args):
     return ds.points, ds.labels
 
 
+def _train_new(kind: str, init: str, n_prototypes: int, data, config: TrainConfig, net=None, val=None):
+    """`train` a new `kind` model on `data` = (x, y), after the feature net
+    `net` when one is given.  Its layer comes from k-means on `data` (`init`
+    "kmeans") or at random, seeded by `config.seed`."""
+    x, y = data
+    n_features = x.shape[1] if net is None else net.sizes[-1]
+    kmeans_data = data if init == "kmeans" else None
+    layer = make_layer(kind, n_prototypes, n_features, class_count(y), config.seed, kmeans_data)
+    return train(EvidentialModel(kind, layer, net), data, config, val)
+
+
 def _build_and_train(args):
     x, y = _load_training_data(args)
     val = None
@@ -121,13 +132,8 @@ def _build_and_train(args):
         result = four_stage_init((x, y), arch, config, val)
         return result.model, result.finetune_history, config
 
-    net, n_features = None, x.shape[1]
-    if args.feature_net:
-        net = mlp_init([x.shape[1], args.hidden, args.features], seed=args.seed)
-        n_features = args.features
-    kmeans_data = (x, y) if args.init == "kmeans" else None
-    layer = make_layer(args.model, args.prototypes, n_features, class_count(y), args.seed, kmeans_data)
-    model, history = train(EvidentialModel(args.model, layer, net), (x, y), config, val)
+    net = mlp_init([x.shape[1], args.hidden, args.features], seed=args.seed) if args.feature_net else None
+    model, history = _train_new(args.model, args.init, args.prototypes, (x, y), config, net, val)
     return model, history, config
 
 
@@ -165,10 +171,7 @@ def _sweep_point(payload: dict) -> tuple:
         loss_kind=loss,
         seed=seed,
     )
-    kmeans_data = (train_ds.points, train_ds.labels) if payload["init"] == "kmeans" else None
-    layer = make_layer(kind, payload["I"], 2, class_count(train_ds.labels), seed, kmeans_data)
-    model = EvidentialModel(kind, layer)
-    model, _ = train(model, train_ds, config)
+    model, _ = _train_new(kind, payload["init"], payload["I"], (train_ds.points, train_ds.labels), config)
     masses = model.masses(test_ds.points)
     err = error_rate(np.argmax(masses[:, :-1], axis=1), test_ds.labels)  # model.predict's labels
     return (kind, payload["lam"], seed, err, mean_ignorance(masses))

@@ -37,15 +37,10 @@ class Frame:
     """Finite set of K mutually exclusive hypotheses."""
 
     size: int
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not 1 <= self.size <= MAX_FRAME_SIZE:
             raise OutOfRange(f"frame size must be in [1, {MAX_FRAME_SIZE}], got {self.size}")
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(f"w{k + 1}" for k in range(self.size)))
-        elif len(self.labels) != self.size:
-            raise FrameMismatch(f"{len(self.labels)} labels for a frame of size {self.size}")
 
     @property
     def full_set(self) -> int:
@@ -55,13 +50,6 @@ class Frame:
         if not 0 <= k < self.size:
             raise FrameMismatch(f"singleton index {k} outside frame of size {self.size}")
         return 1 << k
-
-    def subset(self, indices) -> int:
-        """Bitmask of the subset containing the given singleton indices."""
-        mask = 0
-        for k in indices:
-            mask |= self.singleton(k)
-        return mask
 
     def members(self, focal: int) -> list[int]:
         return [k for k in range(self.size) if focal >> k & 1]
@@ -102,25 +90,6 @@ class WeightedSimpleMass:
         _check_subset(self.frame, self.focal)
         if self.focal == 0 or self.focal == self.frame.full_set:
             raise InvalidFocal("simple mass needs a proper nonempty focal set")
-
-
-@dataclass(frozen=True)
-class DecisionRule:
-    """One of max-belief, max-plausibility, hurwicz(xi), pignistic."""
-
-    kind: str
-    xi: float | None = None
-
-    KINDS = ("max-belief", "max-plausibility", "hurwicz", "pignistic")
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise OutOfRange(f"unknown decision rule {self.kind!r}")
-        if self.kind == "hurwicz":
-            if self.xi is None or not 0.0 <= self.xi <= 1.0:
-                raise OutOfRange("hurwicz rule needs an optimism index xi in [0, 1]")
-        elif self.xi is not None:
-            raise OutOfRange(f"xi is only meaningful for the hurwicz rule, not {self.kind!r}")
 
 
 def _check_subset(frame: Frame, focal: int) -> None:
@@ -236,33 +205,3 @@ def pignistic(m: MassFunction) -> np.ndarray:
     assert abs(p.sum() - 1.0) < 1e-12
     return p
 
-
-def decide(m: MassFunction, rule: DecisionRule) -> int:
-    """Pick a class index; ties break toward the lowest index."""
-    k_range = range(m.frame.size)
-    if rule.kind == "max-belief":
-        scores = [belief(m, m.frame.singleton(k)) for k in k_range]
-    elif rule.kind == "max-plausibility":
-        scores = [plausibility(m, m.frame.singleton(k)) for k in k_range]
-    elif rule.kind == "hurwicz":
-        scores = [
-            (1.0 - rule.xi) * belief(m, m.frame.singleton(k))
-            + rule.xi * plausibility(m, m.frame.singleton(k))
-            for k in k_range
-        ]
-    else:
-        scores = list(pignistic(m))
-    return int(np.argmax(scores))
-
-
-def mass_to_csv_rows(m: MassFunction) -> list[str]:
-    """Serialize as `focal_bitmask,mass` rows, sorted by bitmask."""
-    return [f"{a},{m.masses[a]!r}" for a in m.focal_sets()]
-
-
-def mass_from_csv_rows(frame: Frame, rows) -> MassFunction:
-    entries = []
-    for row in rows:
-        focal_s, mass_s = row.strip().split(",")
-        entries.append((int(focal_s), float(mass_s)))
-    return make_mass(frame, entries)

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dst import MassFunction
 from .errors import DimensionMismatch, Empty, OutOfRange, ShapeMismatch
 
 
@@ -56,22 +55,11 @@ def error_rate(predictions, labels) -> float:
     return float(np.mean(predictions != labels))
 
 
-def mean_ignorance(masses) -> float:
-    """Average mass on the whole frame over a collection of outputs.
-
-    Accepts an (N, K+1) array whose last column is the frame mass, or a
-    sequence of MassFunction values.
-    """
-    if isinstance(masses, np.ndarray):
-        if masses.size == 0:
-            raise Empty("no masses")
-        return float(np.mean(masses[:, -1]))
-    masses = list(masses)
-    if not masses:
+def mean_ignorance(masses: np.ndarray) -> float:
+    """Average frame mass, the last column, of (N, K+1) output masses."""
+    if masses.size == 0:
         raise Empty("no masses")
-    if isinstance(masses[0], MassFunction):
-        return float(np.mean([m[m.frame.full_set] for m in masses]))
-    return float(np.mean([np.asarray(m)[-1] for m in masses]))
+    return float(np.mean(masses[:, -1]))
 
 
 def confusion(pred_mask, true_mask) -> ConfusionCounts:
@@ -169,7 +157,8 @@ def contour_grid(model, x_range, y_range, resolution: int = 200) -> ContourGrid:
         raise DimensionMismatch("contour grids need a model with 2-dimensional inputs")
     xs = np.linspace(x_range[0], x_range[1], resolution)
     ys = np.linspace(y_range[0], y_range[1], resolution)
-    xx, yy = np.meshgrid(xs, ys)
-    pts = np.column_stack([xx.ravel(), yy.ravel()])
-    masses = model.masses(pts).reshape(resolution, resolution, -1)
+    pts = np.empty((resolution, resolution, 2))  # pts[j, i] = (xs[i], ys[j])
+    pts[..., 0] = xs
+    pts[..., 1] = ys[:, None]
+    masses = model.masses(pts.reshape(-1, 2)).reshape(resolution, resolution, -1)
     return ContourGrid(xs, ys, masses)

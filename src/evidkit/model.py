@@ -131,11 +131,9 @@ class EvidentialModel:
         m = self.masses(X)
         return np.argmax(m[:, :-1], axis=1)
 
-    def forward_with_cache(self, X):
-        return self.forward_checked(require_finite(as_batch(X, self.n_features)))
-
     def forward_checked(self, X):
-        """`forward_with_cache` of a finite (N, n_features) float batch."""
+        """(masses, caches) of a finite (N, n_features) float batch, with the
+        feature net's and the layer's backward caches: the training forward."""
         mlp_cache = None
         if self.feature_net is not None:
             X, mlp_cache = mlp.mlp_forward_batch(self.feature_net, X)

@@ -72,9 +72,10 @@ def require_finite(x: np.ndarray, what: str = "inputs") -> np.ndarray:
 
 
 def sum_rows(a: np.ndarray) -> np.ndarray:
-    """Column sums of an (R, N) array, adding the rows in order.  numpy does
-    so for N >= 2 but sums a lone column pairwise, so this keeps a column's
-    sum the same bits whatever N is."""
+    """Column sums of a C-ordered (R, N) array, adding the rows in order.
+    numpy does so for such an array with N >= 2, but sums a lone column, or
+    an F-ordered array, pairwise; this keeps a C-ordered column's sum the
+    same bits whatever N is."""
     return np.add.reduce(a, axis=0) if a.shape[1] > 1 else np.cumsum(a, axis=0)[-1]
 
 

@@ -65,10 +65,6 @@ class RbfParams:
             raise DimensionMismatch("parameter arrays disagree on the number of prototypes")
 
     @property
-    def n_prototypes(self) -> int:
-        return self.proto.shape[0]
-
-    @property
     def n_features(self) -> int:
         return self.proto.shape[1]
 

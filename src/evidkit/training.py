@@ -12,7 +12,6 @@ determinism is worth more than minibatch noise.
 
 from __future__ import annotations
 
-import copy
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
@@ -372,9 +371,6 @@ class StagedInitResult:
     pretrain_history: TrainHistory
     layer_history: TrainHistory
     finetune_history: TrainHistory
-    prototypes_init: np.ndarray
-    net_after_pretrain: object
-    net_before_finetune: object
 
 
 def four_stage_init(train_data, arch: dict, config: TrainConfig, val_data=None) -> StagedInitResult:
@@ -395,18 +391,15 @@ def four_stage_init(train_data, arch: dict, config: TrainConfig, val_data=None) 
     net = mlp_init([x_train.shape[1], *hidden, n_feat], seed=config.seed)
     head = head_init(n_feat, n_classes, seed=config.seed + 1)
     pre_hist = pretrain_feature_net(net, head, (x_train, y_train), config)
-    net_after_pretrain = copy.deepcopy(net)
 
     feats, _ = mlp_forward_batch(net, x_train)
     layer = make_layer(kind, n_proto, n_feat, n_classes, config.seed, (feats, y_train))
-    prototypes_init = layer.proto.copy()
 
     layer_model = EvidentialModel(kind, layer, None)
     val_feats = None
     if val_data is not None:
         val_feats = (mlp_forward_batch(net, x_val)[0], y_val)
     _, layer_hist = train(layer_model, (feats, y_train), replace(config, learning_rate=1e-2), val_feats)
-    net_before_finetune = copy.deepcopy(net)
 
     full = EvidentialModel(kind, layer_model.layer, net)
     _, fine_hist = train(full, (x_train, y_train), replace(config, learning_rate=1e-4), val_data)
@@ -416,9 +409,6 @@ def four_stage_init(train_data, arch: dict, config: TrainConfig, val_data=None) 
         pretrain_history=pre_hist,
         layer_history=layer_hist,
         finetune_history=fine_hist,
-        prototypes_init=prototypes_init,
-        net_after_pretrain=net_after_pretrain,
-        net_before_finetune=net_before_finetune,
     )
 
 

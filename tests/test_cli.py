@@ -124,6 +124,27 @@ class TestSweep:
         # a 2-worker pool merges in grid order and matches the serial run
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
+    @pytest.mark.parametrize("kind", ["enn", "rbf"])
+    def test_a_sweep_row_is_gen_data_train_and_eval(self, kind, tmp_path):
+        spec = {"models": [kind], "lambdas": [1e-3], "seeds": [2], "I": 4, "init": "kmeans",
+                "epochs": 20, "lr": 0.1, "data": {"n_train": 120, "n_test": 200, "noise": 0.1, "seed": 11}}
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(json.dumps(spec))
+        assert run(["sweep", "--spec", str(spec_path), "--out-dir", str(tmp_path / "sweep")]) == 0
+        row = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1].split(",")
+
+        data, model, report = tmp_path / "data", tmp_path / "model", tmp_path / "eval"
+        assert run(["gen-data", "--out-dir", str(data), "--n-train", "120", "--n-test", "200",
+                    "--noise", "0.1", "--seed", "11"]) == 0
+        assert run(["train", "--data", str(data / "train.csv"), "--model", kind, "--init", "kmeans",
+                    "--I", "4", "--epochs", "20", "--lr", "0.1", "--lambda", "1e-3", "--seed", "2",
+                    "--out-dir", str(model)]) == 0
+        assert run(["eval", "--checkpoint", str(model / "checkpoint.json"),
+                    "--data", str(data / "test.csv"), "--out-dir", str(report)]) == 0
+        header, values = (report / "report.csv").read_text().splitlines()
+        evaluated = dict(zip(header.split(","), values.split(",")))
+        assert row[3:] == [evaluated["error"], evaluated["mean_ignorance"]]
+
 
 class TestEvalAndContours:
     @pytest.fixture()

@@ -299,24 +299,36 @@ class TestPignistic:
             assert dst.pignistic(random_mass(f, rng)).sum() == pytest.approx(1.0, abs=1e-12)
 
 
-ALL_RULES = [
-    dst.DecisionRule("max-belief"),
-    dst.DecisionRule("max-plausibility"),
-    dst.DecisionRule("hurwicz", xi=0.3),
-    dst.DecisionRule("pignistic"),
-]
+def singleton_scores(m, measure):
+    return [measure(m, m.frame.singleton(k)) for k in range(m.frame.size)]
+
+
+HURWICZ_XI = 0.3  # optimism index: weight of plausibility against belief
+RULES = {
+    "max-belief": lambda m: singleton_scores(m, dst.belief),
+    "max-plausibility": lambda m: singleton_scores(m, dst.plausibility),
+    "hurwicz": lambda m: [(1.0 - HURWICZ_XI) * b + HURWICZ_XI * p for b, p in
+                          zip(singleton_scores(m, dst.belief), singleton_scores(m, dst.plausibility))],
+    "pignistic": lambda m: list(dst.pignistic(m)),
+}
+
+
+def decide(m, rule: str) -> int:
+    """Class index a decision rule picks; ties break toward the lowest index.
+    `EvidentialModel.predict` relies on these rules agreeing."""
+    return int(np.argmax(RULES[rule](m)))
 
 
 class TestDecide:
     def test_dominant_singleton(self):
         f = dst.Frame(2)
         m = dst.make_mass(f, [(0b01, 0.6), (0b11, 0.4)])
-        for rule in ALL_RULES:
-            assert dst.decide(m, rule) == 0
+        for rule in RULES:
+            assert decide(m, rule) == 0
 
     def test_vacuous_ties_to_lowest(self):
-        for rule in ALL_RULES:
-            assert dst.decide(dst.vacuous(dst.Frame(2)), rule) == 0
+        for rule in RULES:
+            assert decide(dst.vacuous(dst.Frame(2)), rule) == 0
 
     def test_rules_agree_on_singleton_plus_frame_masses(self):
         # When every focal set is a singleton or the frame, all four rules
@@ -328,16 +340,8 @@ class TestDecide:
             entries = [(f.singleton(j), rng.uniform(0.01, 1.0)) for j in range(k)]
             entries.append((f.full_set, rng.uniform(0.01, 1.0)))
             m = dst.make_mass(f, entries)
-            decisions = {dst.decide(m, rule) for rule in ALL_RULES}
+            decisions = {decide(m, rule) for rule in RULES}
             assert len(decisions) == 1
-
-    def test_rule_validation(self):
-        with pytest.raises(OutOfRange):
-            dst.DecisionRule("hurwicz")
-        with pytest.raises(OutOfRange):
-            dst.DecisionRule("max-belief", xi=0.5)
-        with pytest.raises(OutOfRange):
-            dst.DecisionRule("argmax")
 
 
 @st.composite
@@ -380,11 +384,3 @@ class TestAlgebraicProperties:
         assert d[omega] >= m[omega] - 1e-12
         assert abs(d.total() - 1.0) < 1e-12
 
-
-class TestCsvRoundTrip:
-    def test_round_trip(self):
-        f = dst.Frame(3)
-        m = dst.make_mass(f, [(0b001, 0.3), (0b011, 0.5), (0b111, 0.2)])
-        rows = dst.mass_to_csv_rows(m)
-        back = dst.mass_from_csv_rows(f, rows)
-        assert back.masses == pytest.approx(m.masses)

@@ -44,7 +44,7 @@ def masses_by_dst_core(params, x):
     s = params.alpha * np.exp(-params.gamma * d2)
     u = params.memberships
     combined = dst.vacuous(frame)
-    for i in range(params.n_prototypes):
+    for i in range(len(params.proto)):
         entries = [(frame.singleton(k), u[i, k] * s[i]) for k in range(params.n_classes)]
         entries.append((frame.full_set, 1.0 - s[i]))
         combined = dst.combine_dempster(combined, dst.make_mass(frame, entries))

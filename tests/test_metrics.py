@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from evidkit import dst
 from evidkit.errors import DimensionMismatch, Empty
 from evidkit.metrics import (
     confusion,
@@ -44,11 +43,6 @@ class TestMeanIgnorance:
     def test_mixed(self):
         masses = np.array([[0.5, 0.3, 0.2], [0.1, 0.3, 0.6]])
         assert mean_ignorance(masses) == pytest.approx(0.4)
-
-    def test_mass_function_inputs(self):
-        f = dst.Frame(2)
-        ms = [dst.vacuous(f), dst.make_mass(f, [(0b01, 0.6), (0b11, 0.4)])]
-        assert mean_ignorance(ms) == pytest.approx(0.7)
 
     def test_empty(self):
         with pytest.raises(Empty):
@@ -169,6 +163,17 @@ class TestContourGrid:
         model = EvidentialModel("rbf", rbf_init_random(4, 2, seed=0))
         grid = contour_grid(model, (-2, 2), (-2, 2), resolution=16)
         np.testing.assert_allclose(grid.masses.sum(axis=2), 1.0, atol=1e-12)
+
+    def test_cell_j_i_holds_the_masses_at_xs_i_ys_j(self):
+        from evidkit.enn import enn_init_random
+        from evidkit.model import EvidentialModel
+
+        model = EvidentialModel("enn", enn_init_random(6, 2, 2, seed=1))
+        grid = contour_grid(model, (-2, 3), (-1.5, 2), resolution=5)
+        assert np.unique(grid.masses[:, :, 0]).size == 25  # no two cells alike: any reorder shows
+        for j, y in enumerate(grid.ys):
+            for i, x in enumerate(grid.xs):
+                assert grid.masses[j, i].tobytes() == model.masses([x, y])[0].tobytes()
 
     def test_dimension_check(self):
         from evidkit.model import EvidentialModel

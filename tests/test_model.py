@@ -30,7 +30,7 @@ class TestMakeLayer:
         clustered = make_layer(kind, 4, 2, 2, seed=1, data=(moons.points, moons.labels))
         for layer in (random, clustered):
             assert isinstance(layer, LAYERS[kind]) and layer.kind == kind
-            assert layer.n_prototypes == 4 and layer.n_features == 2 and layer.n_classes == 2
+            assert layer.proto.shape[0] == 4 and layer.n_features == 2 and layer.n_classes == 2
         assert not np.array_equal(random.proto, clustered.proto)
 
     def test_enn_class_count(self):
@@ -75,7 +75,11 @@ class TestInputs:
     def test_non_finite_rows_rejected(self, bad, with_net):
         net = mlp_init([2, 4, 2], seed=0) if with_net else None
         model = EvidentialModel("enn", enn_init_random(3, 2, 2, seed=0), net)
-        for call in (model.predict, model.masses, model.forward_with_cache):
+
+        def train_step(X):  # the checked way into the cached forward, `forward_checked`
+            return model_loss_and_grads(model, X, [0], TrainConfig())
+
+        for call in (model.predict, model.masses, train_step):
             with pytest.raises(MalformedInput):
                 call([[bad, 0.0]])
         assert model.predict([[0.0, 0.0]]).shape == (1,)
@@ -159,7 +163,7 @@ class TestCacheFreeMasses:
         for n in (1, 2, 7, 300):
             X = rng.standard_normal((n, model.n_features))
             X[::3] *= 1e4  # far rows: activations flushed to 0
-            want = model.forward_with_cache(X)[0]
+            want = model.forward_checked(X)[0]
             got = model.masses(X)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
             mass, cache = model.layer.forward(model.features(X), keep_cache=False)
@@ -177,7 +181,7 @@ class TestCacheFreeMasses:
         model = EvidentialModel(kind, make_layer(kind, n_proto, 2, 2, seed=3))
         X = np.random.default_rng(4).standard_normal((n, 2))
         peaks = []
-        for call in (model.masses, model.forward_with_cache):
+        for call in (model.masses, model.forward_checked):
             tracemalloc.start()
             try:
                 call(X)

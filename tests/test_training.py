@@ -1,6 +1,7 @@
 """Losses, clustering, the optimizer, the training loop, staged initialization,
 and the package-side gradient checker."""
 
+import copy
 import math
 import sys
 import threading
@@ -545,31 +546,58 @@ class TestDataSets:
 
 @pytest.fixture(scope="module")
 def staged():
+    """A staged init run, with snapshots its spies took between the stages:
+    the feature net after pretraining and before fine-tuning, and the
+    k-means layer's prototypes before layer training."""
     ds = gen_half_moons(200, 0.1, seed=21)
     cfg = TrainConfig(epochs=40, learning_rate=1e-2, lam=1e-3, loss_kind="sse", seed=0)
     arch = {"kind": "enn", "n_prototypes": 4, "n_features": 2, "hidden": [16]}
-    return ds, four_stage_init(ds, arch, cfg)
+    snaps = {}
+    real_pretrain, real_make_layer = training.pretrain_feature_net, training.make_layer
+
+    def pretrain(net, *args):
+        history = real_pretrain(net, *args)
+        snaps["net_after_pretrain"] = copy.deepcopy(net)
+        return history
+
+    def make_layer(kind, n_prototypes, n_features, n_classes, seed, data=None):
+        layer = real_make_layer(kind, n_prototypes, n_features, n_classes, seed, data)
+        if data is not None:  # the k-means layer, not the label check's random one
+            snaps["prototypes_init"] = layer.proto.copy()
+        return layer
+
+    def fit(model, *args):
+        if model.feature_net is not None:  # the fine-tuning stage
+            snaps["net_before_finetune"] = copy.deepcopy(model.feature_net)
+        return train(model, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(training, "pretrain_feature_net", pretrain)
+        mp.setattr(training, "make_layer", make_layer)
+        mp.setattr(training, "train", fit)
+        result = four_stage_init(ds, arch, cfg)
+    return ds, result, snaps
 
 
 class TestFourStageInit:
     def test_layer_stage_freezes_features(self, staged):
-        _, result = staged
-        a = result.net_after_pretrain.trainable_arrays()
-        b = result.net_before_finetune.trainable_arrays()
+        _, _, snaps = staged
+        a = snaps["net_after_pretrain"].trainable_arrays()
+        b = snaps["net_before_finetune"].trainable_arrays()
         for k in a:
             assert np.array_equal(a[k], b[k]), f"feature-net array {k} changed during layer training"
 
     def test_prototypes_inside_feature_cloud(self, staged):
-        ds, result = staged
+        ds, _, snaps = staged
         from evidkit.mlp import mlp_forward_batch
 
-        feats, _ = mlp_forward_batch(result.net_after_pretrain, ds.points)
+        feats, _ = mlp_forward_batch(snaps["net_after_pretrain"], ds.points)
         lo, hi = feats.min(axis=0), feats.max(axis=0)
-        assert np.all(result.prototypes_init >= lo - 1e-12)
-        assert np.all(result.prototypes_init <= hi + 1e-12)
+        assert np.all(snaps["prototypes_init"] >= lo - 1e-12)
+        assert np.all(snaps["prototypes_init"] <= hi + 1e-12)
 
     def test_histories_recorded(self, staged):
-        _, result = staged
+        _, result, _ = staged
         assert len(result.pretrain_history.records) == 40
         assert len(result.layer_history.records) == 40
         assert len(result.finetune_history.records) == 40
