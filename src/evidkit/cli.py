@@ -31,10 +31,9 @@ from .datasets import (
 )
 from .errors import EvidkitError, MalformedInput, OutOfRange
 from .metrics import contour_grid, ece, error_rate, mean_ignorance, seg_scores
-from .mlp import mlp_init
-from .model import LAYERS, EvidentialModel, class_count, make_layer
+from .model import LAYERS, EvidentialModel, decide
 from .numeric import pignistic
-from .training import TrainConfig, four_stage_init, train
+from .training import TrainConfig, fit
 
 
 WRITE_CHUNK_LINES = 1024
@@ -93,56 +92,27 @@ def _load_training_data(args):
             xs.append(x)
             ys.append(y)
         return np.vstack(xs), np.concatenate(ys)
-    ds = load_labeled(_single_path(args.data))
-    return ds.points, ds.labels
-
-
-def _train_new(kind: str, init: str, n_prototypes: int, data, config: TrainConfig, net=None, val=None):
-    """`train` a new `kind` model on `data` = (x, y), after the feature net
-    `net` when one is given.  Its layer comes from k-means on `data` (`init`
-    "kmeans") or at random, seeded by `config.seed`."""
-    x, y = data
-    n_features = x.shape[1] if net is None else net.sizes[-1]
-    kmeans_data = data if init == "kmeans" else None
-    layer = make_layer(kind, n_prototypes, n_features, class_count(y), config.seed, kmeans_data)
-    return train(EvidentialModel(kind, layer, net), data, config, val)
-
-
-def _build_and_train(args):
-    x, y = _load_training_data(args)
-    val = None
-    if args.val:
-        v = load_labeled(args.val)
-        val = (v.points, v.labels)
-    loss = args.loss or _default_loss(args.model, args.seg)
-    config = TrainConfig(
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        lam=getattr(args, "lambda"),
-        loss_kind=loss,
-        seed=args.seed,
-    )
-    if args.feature_net and args.init == "kmeans":
-        arch = {
-            "kind": args.model,
-            "n_prototypes": args.prototypes,
-            "n_features": args.features,
-            "hidden": [args.hidden],
-        }
-        result = four_stage_init((x, y), arch, config, val)
-        return result.model, result.finetune_history, config
-
-    net = mlp_init([x.shape[1], args.hidden, args.features], seed=args.seed) if args.feature_net else None
-    model, history = _train_new(args.model, args.init, args.prototypes, (x, y), config, net, val)
-    return model, history, config
+    return load_labeled(_single_path(args.data))
 
 
 def cmd_train(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model, history, config = _build_and_train(args)
+    data = _load_training_data(args)
+    val = load_labeled(args.val) if args.val else None
+    config = TrainConfig(
+        epochs=args.epochs,
+        learning_rate=args.lr,
+        lam=getattr(args, "lambda"),
+        loss_kind=args.loss or _default_loss(args.model, args.seg),
+        seed=args.seed,
+    )
+    hidden = [args.hidden] if args.feature_net else None
+    model, histories = fit(args.model, args.init, args.prototypes, data, config, hidden, args.features, val)
     model.save(out / "checkpoint.json")
-    _write_lines(out / "history.csv", history.csv_rows())
+    for stage, history in histories.items():
+        _write_lines(out / ("history.csv" if stage == "train" else f"history_{stage}.csv"), history.csv_rows())
+    history = histories["train"]
     last = history.records[-1] if history.records else None
     summary = (
         f"model={args.model} init={args.init} loss={config.loss_kind} "
@@ -171,9 +141,9 @@ def _sweep_point(payload: dict) -> tuple:
         loss_kind=loss,
         seed=seed,
     )
-    model, _ = _train_new(kind, payload["init"], payload["I"], (train_ds.points, train_ds.labels), config)
+    model, _ = fit(kind, payload["init"], payload["I"], train_ds, config)
     masses = model.masses(test_ds.points)
-    err = error_rate(np.argmax(masses[:, :-1], axis=1), test_ds.labels)  # model.predict's labels
+    err = error_rate(decide(masses), test_ds.labels)
     return (kind, payload["lam"], seed, err, mean_ignorance(masses))
 
 
@@ -237,7 +207,7 @@ def cmd_sweep(args) -> int:
 
 def _classification_report(model: EvidentialModel, points, labels, n_bins: int) -> dict:
     masses = model.masses(points)
-    preds = np.argmax(masses[:, :-1], axis=1)
+    preds = decide(masses)
     in_dist = labels < model.n_classes
     report = {
         "n": int(len(labels)),

@@ -84,6 +84,17 @@ def make_layer(kind: str, n_prototypes: int, n_features: int, n_classes: int, se
     raise OutOfRange(f"unknown layer kind {kind!r}")
 
 
+def decide(masses) -> np.ndarray:
+    """Class indexes of (N, K+1) masses by maximal singleton mass (ties to
+    the lowest index).
+
+    With singleton-plus-frame focal sets this argmax coincides with the
+    maximum-belief, maximum-plausibility, optimism-weighted, and
+    probability-transform decision rules.
+    """
+    return np.argmax(masses[:, :-1], axis=1)
+
+
 @dataclass
 class EvidentialModel:
     kind: str                      # "enn" | "rbf"
@@ -122,14 +133,8 @@ class EvidentialModel:
         return self.layer.forward(self.features(X), keep_cache=False)[0]
 
     def predict(self, X) -> np.ndarray:
-        """Class indexes by maximal singleton mass (ties to the lowest index).
-
-        With singleton-plus-frame focal sets this argmax coincides with the
-        maximum-belief, maximum-plausibility, optimism-weighted, and
-        probability-transform decision rules.
-        """
-        m = self.masses(X)
-        return np.argmax(m[:, :-1], axis=1)
+        """Class indexes of the inputs by `decide`."""
+        return decide(self.masses(X))
 
     def forward_checked(self, X):
         """(masses, caches) of a finite (N, n_features) float batch, with the

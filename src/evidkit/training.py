@@ -1,4 +1,5 @@
-"""Losses, the optimizer, the training loop, and the staged initialization protocol.
+"""Losses, the optimizer, the training loop, and `fit`, which builds and
+trains every new model: plain, or by the staged protocol for a feature net.
 
 Loss pairings follow the layer families: the prototype-membership layer is
 trained with a regularized sum-of-squares loss on its probability outputs
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import AllZeroDenominator, Empty, NonFiniteLoss, OutOfRange, ShapeMismatch
 from .mlp import head_init, mlp_backward_batch, mlp_forward_batch, mlp_init
 from .metrics import error_rate
-from .model import EvidentialModel, class_count, make_layer
+from .model import EvidentialModel, class_count, decide, make_layer
 from .numeric import as_batch, log_rows, pignistic, pignistic_backward, require_finite, softmax_rows
 
 P_CLAMP = 1e-12
@@ -164,10 +165,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise OutOfRange("epochs must be >= 0")
-        if self.learning_rate <= 0:
-            raise OutOfRange("learning_rate must be positive")
-        if self.lam < 0:
-            raise OutOfRange("lam must be >= 0")
+        if not 0 < self.learning_rate < math.inf:  # NaN fails too
+            raise OutOfRange(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if not 0 <= self.lam < math.inf:
+            raise OutOfRange(f"lam must be >= 0 and finite, got {self.lam}")
         if self.loss_kind not in ("sse", "cross-entropy", "dice"):
             raise OutOfRange(f"unknown loss {self.loss_kind!r}")
 
@@ -214,7 +215,7 @@ class _FitSet:
     target: np.ndarray
 
     def error_rate(self, masses) -> float:
-        return np.count_nonzero(np.argmax(masses[:, :-1], axis=1) != self.y) / len(self.y)
+        return np.count_nonzero(decide(masses) != self.y) / len(self.y)
 
 
 def _fit_set(model: EvidentialModel, data, config: TrainConfig) -> _FitSet:
@@ -256,9 +257,9 @@ def _objective(model: EvidentialModel, masses, layer_cache: dict, target, config
 def model_loss_and_grads(model: EvidentialModel, X, y, config: TrainConfig):
     """Full-batch objective and gradients of every trainable array, at
     inputs X and labels y or at the `_FitSet` y."""
-    fit = y if isinstance(y, _FitSet) else _fit_set(model, (X, y), config)
-    masses, caches = model.forward_checked(fit.x)
-    value, upstream, reg_grads = _objective(model, masses, caches[1], fit.target, config)
+    fit_set = y if isinstance(y, _FitSet) else _fit_set(model, (X, y), config)
+    masses, caches = model.forward_checked(fit_set.x)
+    value, upstream, reg_grads = _objective(model, masses, caches[1], fit_set.target, config)
     grads = model.backward(caches, upstream)
     for name, g in reg_grads.items():
         grads[f"layer.{name}"] = grads[f"layer.{name}"] + config.lam * g
@@ -282,7 +283,7 @@ def train(model: EvidentialModel, train_data, config: TrainConfig, val_data=None
     returned model carries the parameters that scored the best validation
     objective; otherwise the final parameters.
     """
-    fit = _fit_set(model, train_data, config)
+    fit_set = _fit_set(model, train_data, config)
     val = _fit_set(model, val_data, config) if val_data is not None else None
 
     with flat_parameters(model.trainable_arrays(), model.layer, model.feature_net) as params:
@@ -295,12 +296,12 @@ def train(model: EvidentialModel, train_data, config: TrainConfig, val_data=None
         bad_epochs = 0
 
         for epoch in range(1, config.epochs + 1):
-            value, grads, masses = model_loss_and_grads(model, fit.x, fit, config)
+            value, grads, masses = model_loss_and_grads(model, fit_set.x, fit_set, config)
             if not math.isfinite(value):
                 raise NonFiniteLoss(f"objective became {value} at epoch {epoch}")
 
-            train_err = fit.error_rate(masses)
-            ignorance = float(masses[:, -1].sum()) / len(fit.y)
+            train_err = fit_set.error_rate(masses)
+            ignorance = float(masses[:, -1].sum()) / len(fit_set.y)
 
             if value < plateau_best - 1e-15:
                 plateau_best = value
@@ -329,13 +330,13 @@ def train(model: EvidentialModel, train_data, config: TrainConfig, val_data=None
 
 def _evaluate(model: EvidentialModel, X, y, config: TrainConfig) -> tuple[float, float]:
     """Objective value and error rate, without gradients."""
-    fit = y if isinstance(y, _FitSet) else _fit_set(model, (X, y), config)
-    masses, (_, layer_cache) = model.forward_checked(fit.x)
-    value = _objective(model, masses, layer_cache, fit.target, config)[0]
-    return value, fit.error_rate(masses)
+    fit_set = y if isinstance(y, _FitSet) else _fit_set(model, (X, y), config)
+    masses, (_, layer_cache) = model.forward_checked(fit_set.x)
+    value = _objective(model, masses, layer_cache, fit_set.target, config)[0]
+    return value, fit_set.error_rate(masses)
 
 
-# --- feature-net pretraining and the staged initialization protocol
+# --- feature-net pretraining and model construction
 
 def pretrain_feature_net(net, head, train_data, config: TrainConfig):
     """Train the feature network by summed cross-entropy through a one-layer
@@ -365,51 +366,46 @@ def pretrain_feature_net(net, head, train_data, config: TrainConfig):
     return history
 
 
-@dataclass
-class StagedInitResult:
-    model: EvidentialModel
-    pretrain_history: TrainHistory
-    layer_history: TrainHistory
-    finetune_history: TrainHistory
+def fit(kind: str, init: str, n_prototypes: int, data, config: TrainConfig, hidden=None,
+        n_features: int = 2, val_data=None):
+    """A new `kind` model of `n_prototypes` prototypes, trained on `data`.
 
+    `hidden`, when given, holds the hidden widths of a feature net of
+    `n_features` outputs in front of the layer, drawn by `mlp_init` with
+    seed `config.seed`.  The layer's prototypes come from k-means on its inputs
+    (`init` "kmeans") or at random.  Without a net, or with random
+    prototypes, the model trains as it is.  A net with k-means runs the
+    staged protocol: pretrain the net through a one-layer head, fit the
+    layer alone on the frozen features at learning rate 1e-2 (this function
+    without a net), then fine-tune the whole model at 1e-4.
 
-def four_stage_init(train_data, arch: dict, config: TrainConfig, val_data=None) -> StagedInitResult:
-    """Chained initialization: pretrain features, cluster them, train the
-    evidential layer on frozen features (learning rate 1e-2), then fine-tune
-    the whole model end to end (learning rate 1e-4)."""
-    x_train, y_train = _unpack(train_data)
+    Returns (model, histories): `histories["train"]` is the returned model's
+    training history, and a staged run adds "pretrain" and "layer".
+    """
+    x, y = _unpack(data)
+    net = None if hidden is None else mlp_init([x.shape[1], *hidden, n_features], seed=config.seed)
+    if net is None or init == "random":
+        kmeans_data = (x, y) if init == "kmeans" else None
+        n_in = x.shape[1] if net is None else n_features
+        layer = make_layer(kind, n_prototypes, n_in, class_count(y), config.seed, kmeans_data)
+        model, history = train(EvidentialModel(kind, layer, net), (x, y), config, val_data)
+        return model, {"train": history}
+
     x_val, y_val = _unpack(val_data) if val_data is not None else (None, None)
-    kind = arch["kind"]
-    n_proto = arch["n_prototypes"]
-    n_feat = arch["n_features"]
-    hidden = arch.get("hidden", [16])
-    n_classes = class_count(y_train)
+    n_classes = class_count(y)
     # a random layer of the kind has the class count the staged one will have
     # (2 for rbf): check the labels against it before pretraining for them
-    _check_labels(make_layer(kind, n_proto, n_feat, n_classes, config.seed), y_train, y_val)
+    _check_labels(make_layer(kind, n_prototypes, n_features, n_classes, config.seed), y, y_val)
+    head = head_init(n_features, n_classes, seed=config.seed + 1)
+    pretrain_history = pretrain_feature_net(net, head, (x, y), config)
 
-    net = mlp_init([x_train.shape[1], *hidden, n_feat], seed=config.seed)
-    head = head_init(n_feat, n_classes, seed=config.seed + 1)
-    pre_hist = pretrain_feature_net(net, head, (x_train, y_train), config)
-
-    feats, _ = mlp_forward_batch(net, x_train)
-    layer = make_layer(kind, n_proto, n_feat, n_classes, config.seed, (feats, y_train))
-
-    layer_model = EvidentialModel(kind, layer, None)
-    val_feats = None
-    if val_data is not None:
-        val_feats = (mlp_forward_batch(net, x_val)[0], y_val)
-    _, layer_hist = train(layer_model, (feats, y_train), replace(config, learning_rate=1e-2), val_feats)
-
-    full = EvidentialModel(kind, layer_model.layer, net)
-    _, fine_hist = train(full, (x_train, y_train), replace(config, learning_rate=1e-4), val_data)
-
-    return StagedInitResult(
-        model=full,
-        pretrain_history=pre_hist,
-        layer_history=layer_hist,
-        finetune_history=fine_hist,
-    )
+    feats, _ = mlp_forward_batch(net, x)
+    val_feats = None if val_data is None else (mlp_forward_batch(net, x_val)[0], y_val)
+    layer_model, layer_histories = fit(kind, "kmeans", n_prototypes, (feats, y),
+                                       replace(config, learning_rate=1e-2), val_data=val_feats)
+    model, history = train(EvidentialModel(kind, layer_model.layer, net), (x, y),
+                           replace(config, learning_rate=1e-4), val_data)
+    return model, {"pretrain": pretrain_history, "layer": layer_histories["train"], "train": history}
 
 
 # --- gradient checking
@@ -452,11 +448,10 @@ def grad_check(model: EvidentialModel, X, y, config: TrainConfig, eps: float = 1
 __all__ = [
     "Adam",
     "EpochRecord",
-    "StagedInitResult",
     "TrainConfig",
     "TrainHistory",
     "fd_gradients",
-    "four_stage_init",
+    "fit",
     "flat_parameters",
     "grad_check",
     "loss_ce",

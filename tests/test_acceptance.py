@@ -21,7 +21,7 @@ from evidkit.rbf import rbf_forward_batch, rbf_from_constrained, rbf_init_random
 from evidkit.training import (
     TrainConfig,
     fd_gradients,
-    four_stage_init,
+    fit,
     grad_check,
     loss_ce,
     loss_dice,
@@ -392,14 +392,9 @@ def test_criterion_11_staged_vs_random_initialization(banana_data):
         for seed in range(5):
             cfg = TrainConfig(epochs=100, learning_rate=1e-2, lam=1e-3,
                               loss_kind=loss, seed=seed)
-            arch = {"kind": kind, "n_prototypes": 6, "n_features": 2, "hidden": [16]}
-            result = four_stage_init(train_ds, arch, cfg, val_ds)
-            staged_errs.append(error_rate(result.model.predict(test_ds.points), test_ds.labels))
-
-            net = mlp_init([2, 16, 2], seed=seed)
-            model = EvidentialModel(kind, make_layer(kind, 6, 2, 2, seed), net)
-            model, _ = train(model, train_ds, cfg, val_ds)
-            random_errs.append(error_rate(model.predict(test_ds.points), test_ds.labels))
+            for init, errs in (("kmeans", staged_errs), ("random", random_errs)):
+                model, _ = fit(kind, init, 6, train_ds, cfg, hidden=[16], val_data=val_ds)
+                errs.append(error_rate(model.predict(test_ds.points), test_ds.labels))
         medians[kind] = (sorted(staged_errs)[2], sorted(random_errs)[2])
     ok = all(staged <= rand for staged, rand in medians.values())
     check(11, "clustered initialization matches or beats random (median of 5 paired seeds)",

@@ -95,6 +95,20 @@ class TestTrain:
         assert ckpt["feature_net"] is not None
         assert [np.shape(w) for w in ckpt["feature_net"]["weights"]] == [(2, 8), (8, 2)]
 
+    def test_staged_run_writes_every_stage_history(self, data_dir, tmp_path):
+        train = ["train", "--data", str(data_dir / "train.csv"), "--val", str(data_dir / "test.csv"),
+                 "--feature-net", "--I", "4", "--epochs", "7", "--seed", "3"]
+        for init in ("kmeans", "random"):
+            assert run([*train, "--init", init, "--out-dir", str(tmp_path / init)]) == 0
+        header = "epoch,loss,train_err,val_err,mean_ignorance"
+        for stage in ("history", "history_pretrain", "history_layer"):
+            rows = (tmp_path / "kmeans" / f"{stage}.csv").read_text().splitlines()
+            assert rows[0] == header and len(rows) == 8, stage
+        # pretraining has no validation objective and no ignorance; the layer stage has both
+        assert (tmp_path / "kmeans" / "history_pretrain.csv").read_text().count(",nan,nan\n") == 7
+        assert ",nan" not in (tmp_path / "kmeans" / "history_layer.csv").read_text()
+        assert sorted(p.name for p in (tmp_path / "random").iterdir()) == ["checkpoint.json", "history.csv"]
+
     def test_missing_data_is_io_error(self, tmp_path):
         assert run(["train", "--data", str(tmp_path / "absent.csv"),
                     "--out-dir", str(tmp_path)]) == 2
@@ -460,6 +474,15 @@ def test_eval_zero_ece_bins_without_in_distribution_labels(data_dir, checkpoint,
     assert_category(["eval", "--checkpoint", str(checkpoint), "--data", str(data_dir / "ood.csv"),
                      "--ece-bins", "0", "--out-dir", str(tmp_path / "out")], "OutOfRange", capsys)
     assert not (tmp_path / "out" / "report.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--lambda", "nan"), ("--lambda", "inf"), ("--lambda", "-0.1"),
+                                         ("--lr", "nan"), ("--lr", "inf"), ("--lr", "0")])
+def test_train_settings_outside_their_finite_range(flag, value, data_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert_category(["train", "--data", str(data_dir / "train.csv"), flag, value, "--epochs", "0",
+                     "--out-dir", str(out)], "OutOfRange", capsys)
+    assert not (out / "checkpoint.json").exists()
 
 
 @pytest.mark.parametrize("init", ["random", "kmeans"])

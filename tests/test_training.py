@@ -1,7 +1,8 @@
-"""Losses, clustering, the optimizer, the training loop, staged initialization,
-and the package-side gradient checker."""
+"""Losses, clustering, the optimizer, the training loop, `fit` and its staged
+initialization, and the package-side gradient checker."""
 
 import copy
+import json
 import math
 import sys
 import threading
@@ -17,20 +18,21 @@ from evidkit.datasets import gen_half_moons
 from evidkit.enn import enn_init_kmeans, enn_init_random
 from evidkit.errors import AllZeroDenominator, Empty, MalformedInput, NonFiniteLoss, OutOfRange, ShapeMismatch
 from evidkit.kmeans import CACHE_SIZE, MAX_ITER, KMeansResult, _plusplus_seed, kmeans
-from evidkit.mlp import mlp_init
-from evidkit.model import EvidentialModel
+from evidkit.mlp import head_init, mlp_forward_batch, mlp_init
+from evidkit.model import EvidentialModel, make_layer
 from evidkit.numeric import log_rows, sq_dists
 from evidkit.rbf import rbf_from_constrained, rbf_init_kmeans, rbf_init_random
 from evidkit.training import (
     Adam,
     TrainConfig,
     fd_gradients,
-    four_stage_init,
+    fit,
     grad_check,
     loss_ce,
     loss_dice,
     loss_sse,
     model_loss_and_grads,
+    pretrain_feature_net,
     train,
 )
 
@@ -511,6 +513,13 @@ class TestTrainLoop:
         with pytest.raises(OutOfRange):
             train(rbf_model, ds, TrainConfig(epochs=1, loss_kind="sse"))
 
+    @pytest.mark.parametrize("setting, value", [("learning_rate", 0.0), ("learning_rate", math.nan),
+                                                ("learning_rate", math.inf), ("lam", -1e-3),
+                                                ("lam", math.nan), ("lam", math.inf)])
+    def test_config_refuses_settings_outside_their_finite_range(self, setting, value):
+        with pytest.raises(OutOfRange):
+            TrainConfig(**{setting: value})
+
 
 class TestDataSets:
     EMPTY = (np.zeros((0, 2)), np.zeros(0, dtype=int))
@@ -527,10 +536,9 @@ class TestDataSets:
     def test_four_stage_init_on_an_empty_set(self, monkeypatch):
         monkeypatch.setattr(training, "pretrain_feature_net", lambda *args: pytest.fail("pretrained"))
         ds = gen_half_moons(30, 0.1, seed=6)
-        arch = {"kind": "enn", "n_prototypes": 3, "n_features": 2}
         for data, val in ((self.EMPTY, None), (ds, self.EMPTY)):
             with pytest.raises(Empty):
-                four_stage_init(data, arch, TrainConfig(epochs=3), val)
+                fit("enn", "kmeans", 3, data, TrainConfig(epochs=3), hidden=[16], val_data=val)
 
     @pytest.mark.parametrize("n_labels", [29, 31])
     def test_points_and_labels_of_different_lengths(self, n_labels, monkeypatch):
@@ -551,7 +559,6 @@ def staged():
     k-means layer's prototypes before layer training."""
     ds = gen_half_moons(200, 0.1, seed=21)
     cfg = TrainConfig(epochs=40, learning_rate=1e-2, lam=1e-3, loss_kind="sse", seed=0)
-    arch = {"kind": "enn", "n_prototypes": 4, "n_features": 2, "hidden": [16]}
     snaps = {}
     real_pretrain, real_make_layer = training.pretrain_feature_net, training.make_layer
 
@@ -566,7 +573,7 @@ def staged():
             snaps["prototypes_init"] = layer.proto.copy()
         return layer
 
-    def fit(model, *args):
+    def spy_train(model, *args):
         if model.feature_net is not None:  # the fine-tuning stage
             snaps["net_before_finetune"] = copy.deepcopy(model.feature_net)
         return train(model, *args)
@@ -574,9 +581,9 @@ def staged():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(training, "pretrain_feature_net", pretrain)
         mp.setattr(training, "make_layer", make_layer)
-        mp.setattr(training, "train", fit)
-        result = four_stage_init(ds, arch, cfg)
-    return ds, result, snaps
+        mp.setattr(training, "train", spy_train)
+        _, histories = fit("enn", "kmeans", 4, ds, cfg, hidden=[16])
+    return ds, histories, snaps
 
 
 class TestFourStageInit:
@@ -597,20 +604,50 @@ class TestFourStageInit:
         assert np.all(snaps["prototypes_init"] <= hi + 1e-12)
 
     def test_histories_recorded(self, staged):
-        _, result, _ = staged
-        assert len(result.pretrain_history.records) == 40
-        assert len(result.layer_history.records) == 40
-        assert len(result.finetune_history.records) == 40
+        _, histories, _ = staged
+        assert len(histories["pretrain"].records) == 40
+        assert len(histories["layer"].records) == 40
+        assert len(histories["train"].records) == 40
 
     def test_labels_checked_before_pretraining(self, monkeypatch):
         pretrained = []
         monkeypatch.setattr(training, "pretrain_feature_net", lambda *args: pretrained.append(args))
         ds = gen_half_moons(30, 0.1, seed=4)
-        arch = {"kind": "rbf", "n_prototypes": 3, "n_features": 2}
         config = TrainConfig(epochs=300, loss_kind="cross-entropy")
         with pytest.raises(OutOfRange):
-            four_stage_init((ds.points, np.arange(30) % 3), arch, config)
+            fit("rbf", "kmeans", 3, (ds.points, np.arange(30) % 3), config, hidden=[16])
         assert pretrained == []
+
+    @pytest.mark.parametrize("kind, loss", [("enn", "sse"), ("rbf", "cross-entropy")])
+    def test_staged_fit_is_the_hand_chained_protocol(self, kind, loss):
+        # pretraining runs at the configured rate, the layer stage at 1e-2 on
+        # the validation set's features, the fine-tuning at 1e-4
+        ds, val = gen_half_moons(80, 0.1, seed=22), gen_half_moons(40, 0.1, seed=23)
+        cfg = TrainConfig(epochs=15, learning_rate=5e-3, lam=1e-3, loss_kind=loss, seed=3)
+        model, histories = fit(kind, "kmeans", 4, ds, cfg, hidden=[8], n_features=3, val_data=val)
+
+        net = mlp_init([2, 8, 3], seed=3)
+        pretrain_history = pretrain_feature_net(net, head_init(3, 2, seed=4), ds, cfg)
+        feats, val_feats = mlp_forward_batch(net, ds.points)[0], mlp_forward_batch(net, val.points)[0]
+        layer = make_layer(kind, 4, 3, 2, 3, (feats, ds.labels))
+        layer_model, layer_history = train(EvidentialModel(kind, layer), (feats, ds.labels),
+                                           replace(cfg, learning_rate=1e-2), (val_feats, val.labels))
+        hand, history = train(EvidentialModel(kind, layer_model.layer, net), ds,
+                              replace(cfg, learning_rate=1e-4), val)
+
+        assert json.dumps(model.to_dict()) == json.dumps(hand.to_dict())  # checkpoint bytes
+        for stage, expected in (("pretrain", pretrain_history), ("layer", layer_history), ("train", history)):
+            assert list(histories[stage].csv_rows()) == list(expected.csv_rows()), stage
+
+    def test_a_net_with_random_prototypes_trains_as_it_is(self):
+        ds = gen_half_moons(60, 0.1, seed=24)
+        cfg = TrainConfig(epochs=10, learning_rate=1e-2, seed=5)
+        model, histories = fit("enn", "random", 4, ds, cfg, hidden=[8, 6], n_features=3)
+        hand = EvidentialModel("enn", make_layer("enn", 4, 3, 2, 5), mlp_init([2, 8, 6, 3], seed=5))
+        hand, history = train(hand, ds, cfg)
+        assert list(histories) == ["train"]
+        assert json.dumps(model.to_dict()) == json.dumps(hand.to_dict())  # checkpoint bytes
+        assert list(histories["train"].csv_rows()) == list(history.csv_rows())
 
 
 class TestGradCheck:
