@@ -97,7 +97,8 @@ def _load_training_data(args):
 
 def cmd_train(args) -> int:
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if out.is_file():
+        raise FileExistsError(f"--out-dir {out} is a file")
     data = _load_training_data(args)
     val = load_labeled(args.val) if args.val else None
     config = TrainConfig(
@@ -109,6 +110,7 @@ def cmd_train(args) -> int:
     )
     hidden = [args.hidden] if args.feature_net else None
     model, histories = fit(args.model, args.init, args.prototypes, data, config, hidden, args.features, val)
+    out.mkdir(parents=True, exist_ok=True)
     model.save(out / "checkpoint.json")
     for stage, history in histories.items():
         _write_lines(out / ("history.csv" if stage == "train" else f"history_{stage}.csv"), history.csv_rows())

@@ -30,7 +30,8 @@ are prototype-major (`evidkit.numeric`): d2, s and the Dempster factors are
 (I, N), L and the unnormalized masses (K+1, N), the backward's factor stack
 (K+1, I, N); only the masses, `upstream` and the input gradient are
 (N, ...).  Activations below the smallest normal double flush to 0
-(`numeric.exp_neg`), which moves no pooled mass of 1e-300 or more.  The
+(`numeric.exp_neg`), which moves no pooled mass of 1e-300 or more; many
+below 2**-54 pool rescaled, same bits (`numeric.sum_log1p_neg`).  The
 forward caches alpha, gamma, the memberships, the factor weights and the
 centred inputs and prototypes for the backward pass and the regularizer;
 with `keep_cache=False` (inference) it caches nothing, s overwrites d2 and
@@ -46,7 +47,8 @@ import numpy as np
 from .errors import DimensionMismatch, OutOfRange, StaleCache, TotalConflict
 from .kmeans import cluster_label_counts, kmeans, require_label_per_point
 from .numeric import (
-    as_batch, exp_neg, log_rows, logit, sigmoid, softmax_rows, sq_dists, sq_dists_backward, sum_rows,
+    as_batch, exp_neg, log_rows, logit, sigmoid, softmax_rows, sq_dists, sq_dists_backward, sum_log1p_neg,
+    sum_rows,
 )
 
 INIT_ALPHA = 0.5
@@ -155,12 +157,8 @@ def enn_forward_batch(params: EnnParams, X, keep_cache: bool = True) -> tuple[np
              "d2": d2, "s": s} if keep_cache else {}
     del Xc, Pc
 
-    logs = np.empty((k + 1, s.shape[1]))                 # [L_1 .. L_K, L_q]
-    t = np.empty_like(s)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for c, neg_w_c in enumerate(-w):
-            logs[c] = sum_rows(np.log1p(np.multiply(s, neg_w_c[:, None], out=t), out=t))
-        del t
+        logs = sum_log1p_neg(s, w)                       # [L_1 .. L_K, L_q]
         top = logs[:k].max(axis=0)                       # (N,)
         if (top == -np.inf).any():
             raise TotalConflict("fully confident prototypes exclude every class; pooled mass vanished")

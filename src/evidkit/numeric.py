@@ -19,6 +19,8 @@ from .errors import DimensionMismatch, MalformedInput
 
 LOG_TINY = -708.3964185322641  # log of the smallest normal double; exp of it is 2.2250738585072626e-308
 EXP_FAST_MIN = -707.7  # above -1021 ln 2 = -707.7033: numpy's SIMD exp stays on its fast path
+LOG1P_EXACT = 2.0 ** -54  # log1p(x) = x for -LOG1P_EXACT <= x <= 0
+RESCALE_MIN = 10000  # measured break-even: rescale if over RESCALE_MIN + size / 5 s are tiny
 
 
 def sigmoid(z):
@@ -75,7 +77,7 @@ def sum_rows(a: np.ndarray) -> np.ndarray:
     """Column sums of a C-ordered (R, N) array, adding the rows in order.
     numpy does so for such an array with N >= 2, but sums a lone column, or
     an F-ordered array, pairwise; this keeps a C-ordered column's sum the
-    same bits whatever N is."""
+    same bits whatever N is, up to a zero's sign."""
     return np.add.reduce(a, axis=0) if a.shape[1] > 1 else np.cumsum(a, axis=0)[-1]
 
 
@@ -99,6 +101,34 @@ def exp_neg(z, out=None) -> np.ndarray:
     if rare is not None:
         a.flat[rare] = patch
     return a
+
+
+def sum_log1p_neg(s, w) -> np.ndarray:
+    """(C, N) `sum_rows` of log1p(-s w_c) for s (I, N), w (C, I) in {0} u
+    [2**-53, 1].  log1p is slow on some tiny arguments: if enough s are
+    below LOG1P_EXACT, they go in as it, scaled by s / LOG1P_EXACT."""
+    logs = np.empty((len(w), s.shape[1]))
+    if np.count_nonzero(s < LOG1P_EXACT) <= RESCALE_MIN + s.size / 5:
+        t = np.empty_like(s)
+        for c, nw in enumerate(-w[:, :, None]):
+            logs[c] = sum_rows(np.log1p(np.multiply(s, nw, out=t), out=t))
+        return logs
+    i, n = s.shape
+    b = max(n // 3, 2)  # 3 (I, b) ~ one (I, N)
+    buf = np.empty(3 * i * b)
+    for a in range(0, n, b):
+        a = max(min(a, n - 2), 0)  # a lone column would keep -0 sums
+        m = min(b, n - a)
+        big, scale, t = buf[:3 * i * m].reshape(3, i, m)  # contiguous: unbuffered
+        np.copyto(big, s[:, a:a + m])
+        np.minimum(big, LOG1P_EXACT, out=scale)
+        scale *= 1 / LOG1P_EXACT
+        np.maximum(big, LOG1P_EXACT, out=big)
+        for row, wc in zip(logs, w):  # no (C, I) -w held at the peak
+            np.log1p(np.multiply(big, -wc[:, None], out=t), out=t)
+            t *= scale
+            row[a:a + m] = sum_rows(t)
+    return logs
 
 
 def sq_dists(X, P) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -338,10 +338,11 @@ def _evaluate(model: EvidentialModel, X, y, config: TrainConfig) -> tuple[float,
 
 # --- feature-net pretraining and model construction
 
-def pretrain_feature_net(net, head, train_data, config: TrainConfig):
+def pretrain_feature_net(net, head, train_data, config: TrainConfig, val_data=None):
     """Train the feature network by summed cross-entropy through a one-layer
-    head net whose outputs are the class logits."""
+    head net whose outputs are the class logits, scoring `val_data` each step."""
     x_train, y_train = _unpack(train_data)
+    val = None if val_data is None else _unpack(val_data)
     onehot = np.eye(head.sizes[-1])[np.asarray(y_train, dtype=int)]
 
     # net and head both name their arrays W0, b0, ...: prefix the head's
@@ -362,7 +363,9 @@ def pretrain_feature_net(net, head, train_data, config: TrainConfig):
             optimizer.step(params.flatten(net_grads | {f"head.{k}": g for k, g in head_grads.items()}))
 
             err = error_rate(np.argmax(probs, axis=1), y_train)
-            history.records.append(EpochRecord(epoch, value, err, math.nan, math.nan))
+            val_err = math.nan if val is None else error_rate(
+                np.argmax(mlp_forward_batch(head, mlp_forward_batch(net, val[0])[0])[0], axis=1), val[1])
+            history.records.append(EpochRecord(epoch, value, err, val_err, math.nan))
     return history
 
 
@@ -397,7 +400,7 @@ def fit(kind: str, init: str, n_prototypes: int, data, config: TrainConfig, hidd
     # (2 for rbf): check the labels against it before pretraining for them
     _check_labels(make_layer(kind, n_prototypes, n_features, n_classes, config.seed), y, y_val)
     head = head_init(n_features, n_classes, seed=config.seed + 1)
-    pretrain_history = pretrain_feature_net(net, head, (x, y), config)
+    pretrain_history = pretrain_feature_net(net, head, (x, y), config, val_data)
 
     feats, _ = mlp_forward_batch(net, x)
     val_feats = None if val_data is None else (mlp_forward_batch(net, x_val)[0], y_val)

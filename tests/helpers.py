@@ -1,5 +1,6 @@
 """Shared test oracles: a gradient comparison, finite differences by array
-name (from `evidkit.training.fd_gradients`) and a brute-force k-NN baseline."""
+name (from `evidkit.training.fd_gradients`) and a brute-force k-NN baseline;
+inputs near and far from a layer's prototypes."""
 
 import numpy as np
 
@@ -37,3 +38,18 @@ def knn_predict(train_x, train_y, test_x, k=5):
         votes = np.bincount(train_y[row])
         preds[i] = int(np.argmax(votes))
     return preds
+
+
+def far_field_inputs(rng, proto, gamma, n):
+    """n inputs: the first half about one length scale from a prototype, the
+    rest at gamma d^2 >= t from every prototype, t log-uniform in [8, 1600],
+    so their activations run from about 3e-4 down to underflow."""
+    n_proto, dim = proto.shape
+    n_far = n // 2
+    near = proto[rng.integers(n_proto, size=n - n_far)]
+    near = near + rng.standard_normal((n - n_far, dim)) / np.sqrt(dim * gamma.max())
+    t = np.exp(rng.uniform(np.log(8.0), np.log(1600.0), n_far))
+    direction = rng.standard_normal((n_far, dim))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    far = direction * (np.linalg.norm(proto, axis=1).max() + np.sqrt(t / gamma.min()))[:, None]
+    return np.vstack([near, far])

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from evidkit import cli
 from evidkit.cli import WRITE_CHUNK_LINES, _write_lines, build_parser, main
 from evidkit.datasets import LabeledSet, ToySegTask, save_labeled, save_seg_task
 from evidkit.enn import enn_init_random
@@ -104,8 +105,9 @@ class TestTrain:
         for stage in ("history", "history_pretrain", "history_layer"):
             rows = (tmp_path / "kmeans" / f"{stage}.csv").read_text().splitlines()
             assert rows[0] == header and len(rows) == 8, stage
-        # pretraining has no validation objective and no ignorance; the layer stage has both
-        assert (tmp_path / "kmeans" / "history_pretrain.csv").read_text().count(",nan,nan\n") == 7
+        # pretraining scores the validation set but has no ignorance; the layer stage has both
+        pretrain = [row.split(",") for row in (tmp_path / "kmeans" / "history_pretrain.csv").read_text().splitlines()[1:]]
+        assert all(0 <= float(val_err) <= 1 and ignorance == "nan" for *_, val_err, ignorance in pretrain)
         assert ",nan" not in (tmp_path / "kmeans" / "history_layer.csv").read_text()
         assert sorted(p.name for p in (tmp_path / "random").iterdir()) == ["checkpoint.json", "history.csv"]
 
@@ -489,6 +491,24 @@ def test_train_settings_outside_their_finite_range(flag, value, data_dir, tmp_pa
 def test_train_zero_hidden_width(init, data_dir, tmp_path, capsys):
     assert_category(["train", "--data", str(data_dir / "train.csv"), "--feature-net", "--hidden", "0",
                      "--init", init, "--epochs", "1", "--out-dir", str(tmp_path / "out")], "OutOfRange", capsys)
+
+
+@pytest.mark.parametrize("flags", [["--lambda", "nan"], ["--I", "0"], ["--H", "0", "--feature-net"],
+                                   ["--epochs", "-1"]])
+def test_failing_train_leaves_no_out_dir(flags, data_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert_category(["train", "--data", str(data_dir / "train.csv"), *flags, "--out-dir", str(out)],
+                    "OutOfRange", capsys)
+    assert not out.exists()
+
+
+def test_train_into_a_file_fails_before_training(data_dir, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    out.write_text("kept\n")
+    monkeypatch.setattr(cli, "fit", lambda *args: pytest.fail("trained before checking --out-dir"))
+    assert run(["train", "--data", str(data_dir / "train.csv"), "--out-dir", str(out)]) == 2
+    assert "error_category=IO" in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
 
 
 def test_gen_data_negative_task_count(tmp_path, capsys):

@@ -3,11 +3,15 @@ analytic gradients vs finite differences, initializers, invariances."""
 
 import numpy as np
 import pytest
-from helpers import fd_by_name, grad_rel_error
+from helpers import far_field_inputs, fd_by_name, grad_rel_error
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from evidkit import dst
+from evidkit import dst, enn, numeric
 from evidkit.enn import (
     EnnParams,
+    _factor_weights,
     enn_backward_batch,
     enn_forward_batch,
     enn_from_constrained,
@@ -16,7 +20,7 @@ from evidkit.enn import (
 )
 from evidkit.errors import DimensionMismatch, StaleCache
 from evidkit.model import params_from_dict, params_to_dict
-from evidkit.numeric import sq_dists_backward
+from evidkit.numeric import LOG1P_EXACT, sq_dists_backward, sum_log1p_neg, sum_rows
 from evidkit.training import fd_gradients
 
 
@@ -124,6 +128,91 @@ class TestForward:
         p = enn_init_random(3, 2, 2, seed=0)
         with pytest.raises(DimensionMismatch):
             enn_forward_batch(p, np.zeros((1, 5)))
+
+
+def logs_by_loop(s, w):
+    """The pooling loop `sum_log1p_neg` replaced, one class at a time over
+    the whole batch: the bitwise reference."""
+    logs = np.empty((len(w), s.shape[1]))
+    t = np.empty_like(s)
+    with np.errstate(divide="ignore"):
+        for c, neg_w_c in enumerate(-w):
+            logs[c] = sum_rows(np.log1p(np.multiply(s, neg_w_c[:, None], out=t), out=t))
+    return logs
+
+
+EDGE_S = (0.0, 5e-324, 1e-310, np.finfo(float).tiny, 1e-200, np.nextafter(LOG1P_EXACT, 0.0), LOG1P_EXACT,
+          np.nextafter(LOG1P_EXACT, 1.0), 2.0 * LOG1P_EXACT, 0.5, 1.0)
+SIZES = [(n, i) for n in (1, 2, 7, 300, 12500) for i in (1, 6, 256)]
+
+
+ALWAYS_RESCALE = -np.inf  # as `numeric.RESCALE_MIN`: every batch takes the rescaled path
+
+
+@pytest.mark.parametrize("n, n_proto", SIZES)
+def test_pooled_logs_are_the_per_class_loop(n, n_proto, monkeypatch):
+    rng = np.random.default_rng(n + n_proto)
+    s = np.exp(rng.uniform(np.log(1e-308), 0.0, (n_proto, n)))  # log-uniform
+    edge = rng.random(s.shape) < 0.3
+    s[edge] = rng.choice(EDGE_S, size=edge.sum())
+    u = rng.dirichlet(np.ones(3), n_proto)
+    u[::2] = np.eye(3)[rng.integers(3, size=u[::2].shape[0])]  # w in {0, 1}: s = 1 gives log1p(-1) = -inf
+    w = _factor_weights(u)
+    want = logs_by_loop(s, w)
+    big = np.maximum(s, LOG1P_EXACT)  # no tiny lane
+    with np.errstate(divide="ignore"):
+        assert sum_log1p_neg(s, w).tobytes() == want.tobytes()
+        assert sum_log1p_neg(big, w).tobytes() == logs_by_loop(big, w).tobytes()
+        monkeypatch.setattr(numeric, "RESCALE_MIN", ALWAYS_RESCALE)
+        assert sum_log1p_neg(s, w).tobytes() == want.tobytes()
+        assert sum_log1p_neg(big, w).tobytes() == logs_by_loop(big, w).tobytes()
+    assert (n_proto * n < 40 or np.isneginf(want).any()) and (s < LOG1P_EXACT).any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda i: st.tuples(
+    arrays(float, st.tuples(st.just(i), st.integers(1, 20)),
+           elements=st.one_of(st.floats(0.0, 1.0), st.sampled_from(EDGE_S))),
+    arrays(float, (i, 3), elements=st.floats(0.0, 1.0)))))
+def test_pooled_logs_are_the_per_class_loop_for_any_activations(case):
+    s, u = case
+    w = _factor_weights(u)  # 1 - u for u in [0, 1]: 0 or at least 2**-53
+    with np.errstate(divide="ignore"), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numeric, "RESCALE_MIN", ALWAYS_RESCALE)
+        assert sum_log1p_neg(s, w).tobytes() == logs_by_loop(s, w).tobytes()
+
+
+def far_field_case(n, n_proto, seed):
+    """Parameters and `far_field_inputs` with every kind of activation: a
+    reliability of 1 at membership (1, 0, 0) and an input on its prototype,
+    and subnormal reliabilities, whose products are subnormal too."""
+    rng = np.random.default_rng(seed)
+    proto = rng.standard_normal((n_proto, 2))
+    alpha = rng.uniform(0.1, 0.9, n_proto)
+    alpha[0], alpha[1::3] = 1.0, 1e-310
+    u = rng.dirichlet(np.ones(3), n_proto)
+    u[0] = [1.0, 0.0, 0.0]
+    gamma = rng.uniform(0.5, 2.0, n_proto)
+    X = far_field_inputs(rng, proto, gamma, n)
+    X[0] = proto[0]
+    return enn_from_constrained(proto, alpha, gamma, u), X
+
+
+@pytest.mark.parametrize("rescale_min", [ALWAYS_RESCALE, numeric.RESCALE_MIN])
+@pytest.mark.parametrize("n, n_proto", SIZES)
+def test_forward_is_the_per_class_loop(n, n_proto, rescale_min, monkeypatch):
+    params, X = far_field_case(n, n_proto, seed=n * n_proto)
+    monkeypatch.setattr(numeric, "RESCALE_MIN", rescale_min)
+    got = {keep: enn_forward_batch(params, X, keep) for keep in (True, False)}
+    monkeypatch.setattr(enn, "sum_log1p_neg", logs_by_loop)
+    for keep, (mass, cache) in got.items():
+        want, want_cache = enn_forward_batch(params, X, keep)
+        assert mass.tobytes() == want.tobytes()
+        assert cache.keys() == want_cache.keys()
+        if keep:
+            assert cache["total"].tobytes() == want_cache["total"].tobytes()
+    s = got[True][1]["s"]
+    assert (n < 7 or (s < LOG1P_EXACT).any()) and (n_proto < 2 or ((s > 0) & (s < np.finfo(float).tiny)).any())
 
 
 def per_class_backward(params, cache, upstream):

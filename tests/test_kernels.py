@@ -15,7 +15,7 @@ from helpers import grad_rel_error
 from evidkit.enn import enn_backward_batch, enn_forward_batch, enn_from_constrained
 from evidkit.errors import TotalConflict
 from evidkit.model import EvidentialModel
-from evidkit.numeric import EXP_FAST_MIN, LOG_TINY, exp_neg, sigmoid
+from evidkit.numeric import EXP_FAST_MIN, LOG1P_EXACT, LOG_TINY, exp_neg, sigmoid
 from evidkit.rbf import rbf_forward_batch, rbf_from_constrained
 from evidkit.training import TrainConfig, fd_gradients, grad_check
 
@@ -294,6 +294,19 @@ def test_exp_helper_matches_the_gather_form_on_strided_arrays():
     assert not buf[:, 1::2].any()
     buf = np.zeros((500, 6))
     assert exp_neg(z, out=buf.T).base is buf and buf.tobytes() == want.T.copy().tobytes()
+
+
+def test_log1p_and_expm1_are_the_identity_up_to_the_rescale_threshold():
+    # `sum_log1p_neg` rests on this: a numpy whose kernels round these
+    # arguments otherwise would move the pooled masses' bits
+    rng = np.random.default_rng(51)
+    binades = [np.ldexp(rng.uniform(1.0, 2.0, 256), -e) for e in range(55, 1075)]  # [2**-e, 2**(1-e))
+    x = -np.concatenate([*binades, [0.0, 5e-324, LOG1P_EXACT, np.nextafter(LOG1P_EXACT, 0.0)]])
+    assert x.min() == -LOG1P_EXACT and np.signbit(x).all()
+    for f in (np.log1p, np.expm1):
+        assert f(x).tobytes() == x.tobytes(), f.__name__
+        assert f(x[::3]).tobytes() == x[::3].tobytes(), f.__name__
+        assert all(f(v) == v and np.signbit(f(v)) for v in x[-4:]), f.__name__
 
 
 def sigmoid_two_branch(z):

@@ -5,8 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import fd_by_name
+from helpers import far_field_inputs, fd_by_name
 
+from evidkit import numeric
 from evidkit.datasets import gen_half_moons
 from evidkit.enn import enn_forward_batch, enn_from_constrained, enn_init_random
 from evidkit.errors import DimensionMismatch, Empty, MalformedInput, OutOfRange, TotalConflict
@@ -189,3 +190,24 @@ class TestCacheFreeMasses:
             finally:
                 tracemalloc.stop()
         assert peaks[0] <= peaks[1] - n_proto * n * 8  # at least one (I, N) float64 array less
+
+    @pytest.mark.parametrize("rescale_min", [-np.inf, np.inf])
+    @pytest.mark.parametrize("n, n_proto, dim, loop_peak", [(12500, 6, 2, 1_603_152), (250, 256, 64, 1_117_424)])
+    def test_far_field_peak_memory(self, n, n_proto, dim, loop_peak, rescale_min, monkeypatch):
+        # the rescaled pooling of tiny activations holds its blocks in the
+        # room of the one (I, N) product it replaced, and the count that
+        # picks the path takes less: on either path no peak above the bytes
+        # the whole-batch pooling loop alone peaked at on these inputs
+        monkeypatch.setattr(numeric, "RESCALE_MIN", rescale_min)
+        rng = np.random.default_rng(dim)
+        proto, gamma = rng.standard_normal((n_proto, dim)), rng.uniform(0.5, 2.0, n_proto)
+        layer = enn_from_constrained(proto, rng.uniform(0.1, 0.9, n_proto), gamma, rng.dirichlet(np.ones(2), n_proto))
+        model, X = EvidentialModel("enn", layer), far_field_inputs(rng, proto, gamma, n)
+        model.masses(X)
+        tracemalloc.start()
+        try:
+            model.masses(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= loop_peak

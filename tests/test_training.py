@@ -620,14 +620,14 @@ class TestFourStageInit:
 
     @pytest.mark.parametrize("kind, loss", [("enn", "sse"), ("rbf", "cross-entropy")])
     def test_staged_fit_is_the_hand_chained_protocol(self, kind, loss):
-        # pretraining runs at the configured rate, the layer stage at 1e-2 on
-        # the validation set's features, the fine-tuning at 1e-4
+        # pretraining runs at the configured rate and scores the validation
+        # set, the layer stage at 1e-2 on its features, the fine-tuning at 1e-4
         ds, val = gen_half_moons(80, 0.1, seed=22), gen_half_moons(40, 0.1, seed=23)
         cfg = TrainConfig(epochs=15, learning_rate=5e-3, lam=1e-3, loss_kind=loss, seed=3)
         model, histories = fit(kind, "kmeans", 4, ds, cfg, hidden=[8], n_features=3, val_data=val)
 
         net = mlp_init([2, 8, 3], seed=3)
-        pretrain_history = pretrain_feature_net(net, head_init(3, 2, seed=4), ds, cfg)
+        pretrain_history = pretrain_feature_net(net, head_init(3, 2, seed=4), ds, cfg, val)
         feats, val_feats = mlp_forward_batch(net, ds.points)[0], mlp_forward_batch(net, val.points)[0]
         layer = make_layer(kind, 4, 3, 2, 3, (feats, ds.labels))
         layer_model, layer_history = train(EvidentialModel(kind, layer), (feats, ds.labels),
