@@ -51,23 +51,25 @@ def _write_lines(path: Path, lines) -> None:
 # --- gen-data
 
 def cmd_gen_data(args) -> int:
+    """Generate every set before the first write, so a refused run leaves no --out-dir."""
     if args.seg and args.n_tasks < 1:
         raise OutOfRange(f"--n-tasks must be at least 1, got {args.n_tasks}")
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if args.seg:
-        for i in range(args.n_tasks):
-            task = gen_toy_segmentation(args.width, args.height, args.n_blobs, seed=args.seed + i)
+        tasks = [gen_toy_segmentation(args.width, args.height, args.n_blobs, seed=args.seed + i)
+                 for i in range(args.n_tasks)]
+        for i, task in enumerate(tasks):
             save_seg_task(out / f"task_{i:03d}", task)
         print(f"wrote {args.n_tasks} segmentation tasks to {out}")
         return 0
-    save_labeled(out / "train.csv", gen_half_moons(args.n_train, args.noise, seed=args.seed))
-    save_labeled(out / "test.csv", gen_half_moons(args.n_test, args.noise, seed=args.seed + 1))
-    written = ["train.csv", "test.csv"]
+    sets = {"train.csv": gen_half_moons(args.n_train, args.noise, seed=args.seed),
+            "test.csv": gen_half_moons(args.n_test, args.noise, seed=args.seed + 1)}
     if args.ood:
-        save_labeled(out / "ood.csv", gen_ood_class(args.n_ood, seed=args.seed + 2))
-        written.append("ood.csv")
-    print(f"wrote {', '.join(written)} to {out}")
+        sets["ood.csv"] = gen_ood_class(args.n_ood, seed=args.seed + 2)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, ds in sets.items():
+        save_labeled(out / name, ds)
+    print(f"wrote {', '.join(sets)} to {out}")
     return 0
 
 
@@ -228,7 +230,6 @@ def cmd_eval(args) -> int:
         raise OutOfRange(f"--ece-bins must be at least 1, got {args.ece_bins}")
     model = EvidentialModel.load(args.checkpoint)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if args.seg:
         task = load_seg_task(data)
         x, truth = seg_task_as_samples(task)

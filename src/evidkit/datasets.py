@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
+from numpy.random import default_rng  # loaded with evidkit, not lazily at the first draw
 
 from .errors import MalformedInput, OutOfRange
 
@@ -48,7 +48,7 @@ def gen_half_moons(n: int, noise_sigma: float = 0.1, seed: int = 0) -> LabeledSe
         raise OutOfRange(f"need at least 2 points, got {n}")
     if not noise_sigma >= 0:  # NaN too
         raise OutOfRange(f"noise sigma must be >= 0, got {noise_sigma}")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     n0 = n // 2
     n1 = n - n0
     t0 = rng.uniform(0.0, np.pi, size=n0)
@@ -67,9 +67,25 @@ def gen_ood_class(n: int, seed: int = 0) -> LabeledSet:
     """A Gaussian blob far above both arcs, labeled as a third class."""
     if n < 1:
         raise OutOfRange(f"need at least 1 point, got {n}")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     points = rng.normal(OOD_CENTER, OOD_SIGMA, size=(n, 2))
     return LabeledSet(points, np.full(n, 2, dtype=int))
+
+
+def _blur(a: np.ndarray) -> np.ndarray:
+    """Gaussian blur (sigma SEG_BLUR_SIGMA, radius int(4 sigma + 0.5), edges mirrored), bit for bit
+    `scipy.ndimage.gaussian_filter`: per axis the same sums, centre tap first, then pairs outermost in."""
+    r = int(4 * SEG_BLUR_SIGMA + 0.5)
+    k = np.exp(-0.5 / SEG_BLUR_SIGMA**2 * np.arange(-r, r + 1) ** 2)
+    k /= k.sum()
+    for _ in range(2):  # axis 0, then axis 1 as axis 0 of the transpose
+        n = len(a)
+        p = np.pad(a, ((r, r), (0, 0)), mode="symmetric")
+        out = p[r:r + n] * k[r]
+        for j in range(r):
+            out += (p[j:j + n] + p[2 * r - j:2 * r - j + n]) * k[j]
+        a = out.T
+    return a
 
 
 def gen_toy_segmentation(width: int, height: int, n_blobs: int, seed: int = 0) -> ToySegTask:
@@ -77,7 +93,8 @@ def gen_toy_segmentation(width: int, height: int, n_blobs: int, seed: int = 0) -
 
     Channel 0 is the blurred blob intensity, channel 1 a smooth gradient that
     carries no class information.  The mask is the exact blob support.  Blob
-    radii are uniform between 1/12 and 1/8 of the shorter side.
+    radii are uniform between 1/12 and 1/8 of the shorter side.  The blur is
+    Gaussian, sigma 1.5 pixels, radius 6, with reflected edges.
     """
     if width < 8 or height < 8:
         raise OutOfRange("grid dimensions must be at least 8")
@@ -85,7 +102,7 @@ def gen_toy_segmentation(width: int, height: int, n_blobs: int, seed: int = 0) -
         raise OutOfRange(f"need n_blobs >= 0, got {n_blobs}")
     scale = min(width, height)
     r_min, r_max = scale / 12.0, scale / 8.0
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
 
     mask = np.zeros((height, width), dtype=int)
     yy, xx = np.mgrid[0:height, 0:width]
@@ -105,7 +122,7 @@ def gen_toy_segmentation(width: int, height: int, n_blobs: int, seed: int = 0) -
     if len(centers) < n_blobs:
         raise OutOfRange(f"could not place {n_blobs} disjoint blobs on a {width}x{height} grid")
 
-    blob_channel = gaussian_filter(mask.astype(float), sigma=SEG_BLUR_SIGMA)
+    blob_channel = _blur(mask.astype(float))
     ramp = np.linspace(0.0, 1.0, height)[:, None] * np.ones((1, width))
     ripple = 0.2 * np.sin(np.linspace(0.0, 3 * np.pi, width))[None, :]
     image = np.stack([blob_channel, ramp + ripple], axis=-1)

@@ -168,7 +168,7 @@ def enn_forward_batch(params: EnnParams, X, keep_cache: bool = True) -> tuple[np
     np.fmax(singles, -np.inf, out=singles)               # there -expm1(-inf) * exp(L_k - top) = 0
     np.expm1(singles, out=singles)
     singles *= unnorm[:k]
-    np.negative(singles, out=unnorm[:k])
+    np.subtract(0.0, singles, out=unnorm[:k])            # +0.0, not -0.0, where singles is 0
     total = sum_rows(unnorm)                             # >= 1: the top class and the frame sum to 1
     unnorm /= total
     mass = unnorm.T

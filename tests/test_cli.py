@@ -349,6 +349,7 @@ def test_malformed_csv(command, bad, checkpoint, tmp_path, capsys):
     data.write_bytes(BAD_CSV[bad])
     extra = ["--checkpoint", str(checkpoint)] if command == "eval" else ["--epochs", "1"]
     assert_malformed([command, "--data", str(data), "--out-dir", str(tmp_path / "out"), *extra], capsys)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("bad, where", [("not-utf8", ": not utf-8 text: "), ("oversized-field", ", line 3: ")])
@@ -367,6 +368,7 @@ def test_malformed_segmentation_task(command, bad, checkpoint, tmp_path, capsys)
     extra = ["--checkpoint", str(checkpoint)] if command == "eval" else ["--epochs", "1"]
     assert_malformed([command, "--seg", "--data", str(task), "--out-dir", str(tmp_path / "out"), *extra],
                      capsys)
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_validation_csv(data_dir, tmp_path, capsys):
@@ -525,6 +527,14 @@ def test_gen_data_noise_below_zero_or_nan(noise, tmp_path, capsys):
 def test_gen_data_negative_blob_count(tmp_path, capsys):
     assert_category(["gen-data", "--seg", "--n-blobs", "-2", "--width", "16", "--height", "16",
                      "--out-dir", str(tmp_path / "out")], "OutOfRange", capsys)
+
+
+@pytest.mark.parametrize("flags", [["--seg", "--width", "4"], ["--n-test", "1"], ["--ood", "--n-ood", "0"]])
+def test_refused_gen_data_leaves_no_out_dir(flags, tmp_path, capsys):
+    # every set is generated before the first file is written
+    out = tmp_path / "out"
+    assert_category(["gen-data", *flags, "--out-dir", str(out)], "OutOfRange", capsys)
+    assert not out.exists()
 
 
 BAD_SPEC = {

@@ -7,6 +7,8 @@ from helpers import knn_predict
 from evidkit.datasets import (
     ARC_OFFSET,
     ARC_RADIUS,
+    SEG_BLUR_SIGMA,
+    _blur,
     gen_half_moons,
     gen_ood_class,
     gen_toy_segmentation,
@@ -99,6 +101,21 @@ class TestToySegmentation:
     def test_min_dims(self):
         with pytest.raises(OutOfRange):
             gen_toy_segmentation(4, 64, 1)
+
+    def test_blur_is_scipy_gaussian_filter_bit_for_bit(self):
+        # scipy is a test-only reference; shapes run below the radius of 6 too
+        ndimage = pytest.importorskip("scipy.ndimage")
+        rng = np.random.default_rng(0)
+        for height in range(1, 80, 6):
+            for width in range(1, 80, 7):
+                mask = (rng.random((height, width)) < rng.uniform(0.05, 0.6)).astype(float)
+                want = ndimage.gaussian_filter(mask, sigma=SEG_BLUR_SIGMA)
+                got = _blur(mask)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (height, width)
+
+    def test_blob_channel_is_the_blurred_mask(self):
+        task = gen_toy_segmentation(40, 24, 2, seed=7)
+        assert task.image[:, :, 0].tobytes() == _blur(task.mask.astype(float)).tobytes()
 
 
 class TestSerialization:

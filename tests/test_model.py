@@ -1,6 +1,7 @@
 """The composite model and the layer protocol: construction, kind checks,
 input validation, checkpoints, and the shared objective."""
 
+import contextvars
 import tracemalloc
 
 import numpy as np
@@ -177,6 +178,15 @@ class TestCacheFreeMasses:
             EvidentialModel("enn", layer).masses(np.zeros((n, 1)))
 
     @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("keep_cache", [False, True])
+    def test_no_mass_is_negative_zero(self, kind, keep_cache):
+        # far rows whose activations all underflow get singleton masses of +0.0
+        layer = make_layer(kind, 6, 2, 2, seed=5)
+        X = far_field_inputs(np.random.default_rng(6), layer.proto, layer.gamma, 2000)
+        mass = layer.forward(X, keep_cache=keep_cache)[0]
+        assert np.any(mass == 0) and not np.any(np.signbit(mass))
+
+    @pytest.mark.parametrize("kind", KINDS)
     def test_peak_memory_below_the_cached_forward(self, kind):
         n, n_proto = 12500, 6
         model = EvidentialModel(kind, make_layer(kind, n_proto, 2, 2, seed=3))
@@ -197,16 +207,20 @@ class TestCacheFreeMasses:
         # the rescaled pooling of tiny activations holds its blocks in the
         # room of the one (I, N) product it replaced, and the count that
         # picks the path takes less: on either path no peak above the bytes
-        # the whole-batch pooling loop alone peaked at on these inputs
+        # the whole-batch pooling loop alone peaked at on these inputs.
+        # The call runs in an empty context, bound before tracing: each
+        # context variable an earlier test left set (decimal's, say) adds 16
+        # bytes to the copy that numpy's errstate makes of the context.
         monkeypatch.setattr(numeric, "RESCALE_MIN", rescale_min)
         rng = np.random.default_rng(dim)
         proto, gamma = rng.standard_normal((n_proto, dim)), rng.uniform(0.5, 2.0, n_proto)
         layer = enn_from_constrained(proto, rng.uniform(0.1, 0.9, n_proto), gamma, rng.dirichlet(np.ones(2), n_proto))
         model, X = EvidentialModel("enn", layer), far_field_inputs(rng, proto, gamma, n)
         model.masses(X)
+        context, masses = contextvars.Context(), model.masses
         tracemalloc.start()
         try:
-            model.masses(X)
+            context.run(masses, X)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
