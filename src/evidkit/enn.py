@@ -27,15 +27,17 @@ constraints.
 
 Forward/backward take a batch (N, H), or a row (H,) as N = 1.  The kernels
 are prototype-major (`evidkit.numeric`): d2, s and the Dempster factors are
-(I, N), L and the unnormalized masses (K+1, N), the backward's factor stack
-(K+1, I, N); only the masses, `upstream` and the input gradient are
-(N, ...).  Activations below the smallest normal double flush to 0
-(`numeric.exp_neg`), which moves no pooled mass of 1e-300 or more; many
-below 2**-54 pool rescaled, same bits (`numeric.sum_log1p_neg`).  The
-forward caches alpha, gamma, the memberships, the factor weights and the
-centred inputs and prototypes for the backward pass and the regularizer;
-with `keep_cache=False` (inference) it caches nothing, s overwrites d2 and
-the centred arrays go once d2 exists.
+(I, N), L and the unnormalized masses (K+1, N); only the masses, `upstream`
+and the input gradient are (N, ...).  Activations below the smallest normal
+double flush to 0 (`numeric.exp_neg`), which moves no pooled mass of 1e-300
+or more; many below 2**-54 pool rescaled, same bits
+(`numeric.sum_log1p_neg`).  The forward caches alpha, gamma, the
+memberships, the factor weights and the centred inputs and prototypes for
+the backward pass and the regularizer; with `keep_cache=False` (inference)
+it caches nothing, s overwrites d2 and the centred arrays go once d2
+exists.  The backward spends the cache (s is overwritten) and takes the
+factors a class at a time in two (I, N) arrays, a training run's `buffers`
+when given.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import numpy as np
 from .errors import DimensionMismatch, OutOfRange, StaleCache, TotalConflict
 from .kmeans import cluster_label_counts, kmeans, require_label_per_point
 from .numeric import (
-    as_batch, exp_neg, log_rows, logit, sigmoid, softmax_rows, sq_dists, sq_dists_backward, sum_log1p_neg,
+    as_batch, buffer, exp_neg, log_rows, logit, sigmoid, softmax_rows, sq_dists, sq_dists_backward, sum_log1p_neg,
     sum_rows,
 )
 
@@ -111,8 +113,8 @@ class EnnParams:
     def forward(self, X, keep_cache: bool = True) -> tuple[np.ndarray, dict]:
         return enn_forward_batch(self, X, keep_cache)
 
-    def backward(self, cache: dict, upstream) -> tuple[dict[str, np.ndarray], np.ndarray]:
-        return enn_backward_batch(self, cache, upstream)
+    def backward(self, cache: dict, upstream, buffers=None) -> tuple[dict[str, np.ndarray], np.ndarray]:
+        return enn_backward_batch(self, cache, upstream, buffers)
 
     def regularizer(self, cache: dict) -> tuple[float, dict[str, np.ndarray]]:
         """Sum of the reliabilities, and its gradient in `alpha_raw`, from the
@@ -178,18 +180,20 @@ def enn_forward_batch(params: EnnParams, X, keep_cache: bool = True) -> tuple[np
     return mass, cache
 
 
-def enn_backward_batch(params: EnnParams, cache: dict, upstream) -> tuple[dict[str, np.ndarray], np.ndarray]:
+def enn_backward_batch(params: EnnParams, cache: dict, upstream, buffers=None) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Backpropagate d(loss)/d(mass) of shape (N, K+1).
 
     Returns gradients for the unconstrained parameter arrays (summed over the
-    batch) and the gradient with respect to the inputs, shape (N, H).
+    batch) and the gradient with respect to the inputs, shape (N, H).  Spends
+    the cache; its two (I, N) arrays come from `buffers` when given.
     """
     if cache.get("params") is not params:
-        raise StaleCache("cache was produced by different parameters")
+        raise StaleCache("cache from different parameters, or spent by a backward pass")
     upstream = np.asarray(upstream, dtype=float)
     mass, total = cache["mass"], cache["total"]
     if upstream.shape != mass.shape:
         raise DimensionMismatch(f"upstream shape {upstream.shape} vs mass shape {mass.shape}")
+    del cache["params"]  # spent
 
     alpha, gamma, u, w = cache["alpha"], cache["gamma"], cache["u"], cache["w"]
     s, d2 = cache["s"], cache["d2"]
@@ -200,7 +204,9 @@ def enn_backward_batch(params: EnnParams, cache: dict, upstream) -> tuple[dict[s
     # scale: P_c = exp(L_c - top), Q = exp(L_q - top).  mass does not depend on
     # the scale, so it is held fixed.  d_pq: the gradients in P_1 .. P_K and Q;
     # pq: P_1 .. P_K and Q themselves, sums of the cached nonnegative masses.
-    d_pq = (upstream - np.add.reduce(upstream * mass, axis=0)) / total
+    d_pq = upstream * mass
+    np.subtract(upstream, np.add.reduce(d_pq, axis=0), out=d_pq)
+    d_pq /= total
     d_pq[k] -= np.add.reduce(d_pq[:k], axis=0)
     pq = mass * total
     pq[:k] += pq[k]
@@ -209,25 +215,30 @@ def enn_backward_batch(params: EnnParams, cache: dict, upstream) -> tuple[dict[s
     # P_c / t_ic.  Where t_ic = 0 it is taken as 0: there alpha_i = 1,
     # exp(-gamma_i d2) = 1 and u_ic < 2**-53 (or c is the frame), and every chain
     # below scales it by 1 - alpha_i = 0, by u_ic, or by gamma_i d2 < 2**-53.
-    # All K+1 factors at once, (K+1, I, N): t, then d(loss)/d(t)
-    w = w[:, :, None]
-    d_t = np.multiply(s, w)
-    np.subtract(1.0, d_t, out=d_t)
-    np.divide(pq[:, None], d_t, out=d_t, where=d_t > 0)  # t = 0 lanes stay 0
-    d_t *= d_pq[:, None]
-    d_u = np.einsum("cin,in->ci", d_t[:k], s).T  # summed over the batch
-    d_t *= w
-    d_ss = np.add.reduce(d_t, axis=0)                            # the classes in order
-    del d_t
-    np.negative(d_ss, out=d_ss)                                  # d_s
-    d_ss *= s                                                    # (I, N)
-    d_d2 = d_ss * -gamma[:, None]
+    # One class at a time: t, then d(loss)/d(t) w, summed over the classes in d_s
+    d_s = buffer(buffers, "enn.d_s", s.shape)
+    t = buffer(buffers, "enn.t", s.shape)
+    d_u = np.empty((k, len(s)))
+    for c, w_c in enumerate(w[:, :, None]):
+        d_t = t if c else d_s
+        np.subtract(1.0, np.multiply(s, w_c, out=d_t) if c < k else s, out=d_t)  # the frame's w is 1
+        np.divide(pq[c], d_t, out=d_t, where=d_t > 0)            # t = 0 lanes stay 0
+        d_t *= d_pq[c]
+        if c < k:
+            d_u[c] = np.einsum("in,in->i", d_t, s)               # summed over the batch
+            d_t *= w_c
+        if c:
+            d_s += d_t
+    np.negative(d_s, out=d_s)
+    d_ss = np.multiply(d_s, s, out=s)                            # (I, N)
+    d_d2 = np.multiply(d_ss, -gamma[:, None], out=d_s)
 
     d_x, d_proto = sq_dists_backward(d_d2, cache["Xc"], cache["Pc"])
 
     # chain into the unconstrained parameterization; d(s)/d(alpha_raw) = s (1 - alpha)
     d_alpha_raw = np.add.reduce(d_ss, axis=1) * (1.0 - alpha)
     d_log_gamma = -np.einsum("in,in->i", d_ss, d2) * gamma
+    d_u = d_u.T
     d_u_logit = u * (d_u - (d_u * u).sum(axis=1, keepdims=True))
 
     return {"proto": d_proto, "alpha_raw": d_alpha_raw, "log_gamma": d_log_gamma, "u_logit": d_u_logit}, d_x

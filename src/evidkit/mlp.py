@@ -3,6 +3,11 @@
 Hidden layers are affine maps followed by PReLU with one learnable slope per
 layer; the final layer is affine so features are unbounded.  Pretraining
 reads class logits off the features through a one-layer net (`head_init`).
+
+Training works in arrays the fit owns: given its `buffers`, the forward
+writes each preactivation, PReLU mask and activation into the arrays of the
+epoch before.  The backward spends the cache, writing its deltas and PReLU
+factors over them.  Inference passes no `buffers` and allocates anew.
 """
 
 from __future__ import annotations
@@ -12,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, OutOfRange, StaleCache
-from .numeric import as_batch
+from .numeric import as_batch, buffer
 
 INIT_SLOPE = 0.25
+_ONE_BITS = np.float64(1.0).view(np.uint64)
 
 
 @dataclass
@@ -72,43 +78,63 @@ def head_init(n_features: int, n_classes: int, seed: int) -> MlpParams:
                      [np.zeros(n_classes)], np.empty(0))
 
 
-def mlp_forward_batch(params: MlpParams, X) -> tuple[np.ndarray, dict]:
+def _prelu_factor(neg, slope, out) -> np.ndarray:
+    """where(neg, slope, 1.0) in `out` for any slope, with no slow masked
+    ufunc: the bits of 1.0, xor those of slope xor 1.0 where neg."""
+    bits = out.view(np.uint64)
+    np.multiply(neg, np.float64(slope).view(np.uint64) ^ _ONE_BITS, out=bits)
+    bits ^= _ONE_BITS
+    return out
+
+
+def mlp_forward_batch(params: MlpParams, X, buffers=None) -> tuple[np.ndarray, dict]:
+    """Features (N, d_out) of a batch (N, d_in) and the backward cache, in
+    `buffers` (`numeric.buffer`; one dict per net) when given."""
     X = as_batch(X, params.sizes[0])
-    activations = [X]
-    preacts = []
+    activations, preacts, negs = [X], [], []
     h = X
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w + b
+        shape = (len(X), w.shape[1])
+        z = np.matmul(h, w, out=buffer(buffers, f"z{i}", shape))
+        z += b
         preacts.append(z)
         if i < last:
-            h = np.where(z > 0, z, params.slopes[i] * z)
+            # where(z > 0, z, slope z) as z times where(z <= 0, slope, 1)
+            neg = np.less_equal(z, 0.0, out=buffer(buffers, f"neg{i}", shape, bool))
+            negs.append(neg)
+            h = _prelu_factor(neg, params.slopes[i], buffer(buffers, f"h{i}", shape))
+            h *= z
         else:
             h = z
         activations.append(h)
-    cache = {"params": params, "activations": activations, "preacts": preacts}
+    cache = {"params": params, "activations": activations, "preacts": preacts, "negs": negs}
     return h, cache
 
 
 def mlp_backward_batch(params: MlpParams, cache: dict, upstream) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Standard backpropagation; returns parameter grads and d(loss)/d(input)."""
+    """Standard backpropagation; returns parameter grads and d(loss)/d(input).
+    Spends the cache: each delta goes into the activation its weight gradient
+    has just read, the masked preactivation and PReLU factor into the
+    preactivation."""
     if cache.get("params") is not params:
-        raise StaleCache("cache was produced by different parameters")
+        raise StaleCache("cache from different parameters, or spent by a backward pass")
     upstream = np.asarray(upstream, dtype=float)
-    activations, preacts = cache["activations"], cache["preacts"]
+    activations, preacts, negs = cache["activations"], cache["preacts"], cache["negs"]
     if upstream.shape != activations[-1].shape:
         raise DimensionMismatch(f"upstream shape {upstream.shape} vs output {activations[-1].shape}")
+    del cache["params"]  # spent
 
     grads: dict[str, np.ndarray] = {"slopes": np.zeros_like(params.slopes)}
     last = len(params.weights) - 1
     delta = upstream
     for i in range(last, -1, -1):
         if i < last:
-            z = preacts[i]
-            neg = z <= 0
-            grads["slopes"][i] = np.sum(delta * np.where(neg, z, 0.0))
-            delta = delta * np.where(neg, params.slopes[i], 1.0)
+            z, neg = preacts[i], negs[i]
+            np.multiply(z.view(np.uint64), neg, out=z.view(np.uint64))  # where(neg, z, 0.0)
+            grads["slopes"][i] = np.sum(np.multiply(delta, z, out=z))
+            delta *= _prelu_factor(neg, params.slopes[i], z)
         grads[f"W{i}"] = activations[i].T @ delta
         grads[f"b{i}"] = delta.sum(axis=0)
-        delta = delta @ params.weights[i].T
+        delta = np.matmul(delta, params.weights[i].T, out=activations[i] if i else None)
     return grads, delta

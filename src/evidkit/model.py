@@ -11,7 +11,9 @@ outside `make_layer` no code asks which one it holds: `kind` (its key in
 `n_features`, `n_classes` (2 for `rbf`), `trainable_arrays()`,
 `forward(X, keep_cache=True) -> (masses (N, K+1), cache)`, the cache {}
 when `keep_cache` is false (`masses`),
-`backward(cache, upstream) -> (parameter grads, input grads)` and
+`backward(cache, upstream, buffers=None) -> (parameter grads, input grads)`,
+which may spend the cache and take scratch from a training run's `buffers`
+(`numeric.buffer`), and
 `regularizer(cache) -> (value, {array name: gradient})`, the
 prototype-shrinking penalty that every loss weighs by lambda, read from the
 constrained values a forward pass cached.
@@ -136,20 +138,21 @@ class EvidentialModel:
         """Class indexes of the inputs by `decide`."""
         return decide(self.masses(X))
 
-    def forward_checked(self, X):
+    def forward_checked(self, X, buffers=None):
         """(masses, caches) of a finite (N, n_features) float batch, with the
         feature net's and the layer's backward caches: the training forward."""
         mlp_cache = None
         if self.feature_net is not None:
-            X, mlp_cache = mlp.mlp_forward_batch(self.feature_net, X)
+            X, mlp_cache = mlp.mlp_forward_batch(self.feature_net, X, buffers)
         masses, layer_cache = self.layer.forward(X)
         return masses, (mlp_cache, layer_cache)
 
-    def backward(self, caches, upstream) -> dict[str, np.ndarray]:
+    def backward(self, caches, upstream, buffers=None) -> dict[str, np.ndarray]:
         """Backpropagate an upstream gradient (mass-space, or p1-space for the
-        weight-of-evidence layer) into the flat parameter-gradient dict."""
+        weight-of-evidence layer) into the flat parameter-gradient dict,
+        spending the caches."""
         mlp_cache, layer_cache = caches
-        layer_grads, d_feats = self.layer.backward(layer_cache, upstream)
+        layer_grads, d_feats = self.layer.backward(layer_cache, upstream, buffers)
         grads = {f"layer.{k}": v for k, v in layer_grads.items()}
         if self.feature_net is not None:
             mlp_grads, _ = mlp.mlp_backward_batch(self.feature_net, mlp_cache, d_feats)

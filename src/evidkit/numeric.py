@@ -73,6 +73,17 @@ def require_finite(x: np.ndarray, what: str = "inputs") -> np.ndarray:
     return x
 
 
+def buffer(buffers: dict | None, key, shape, dtype=float) -> np.ndarray:
+    """An uninitialized array of `shape`: new without `buffers`, else the one
+    `buffers` holds under `key`, replaced if its shape or dtype differ."""
+    if buffers is None:
+        return np.empty(shape, dtype)
+    a = buffers.get(key)
+    if a is None or a.shape != shape or a.dtype != dtype:
+        a = buffers[key] = np.empty(shape, dtype)
+    return a
+
+
 def sum_rows(a: np.ndarray) -> np.ndarray:
     """Column sums of a C-ordered (R, N) array, adding the rows in order.
     numpy does so for such an array with N >= 2, but sums a lone column, or
@@ -169,7 +180,12 @@ def pignistic(masses):
     return masses[:, :k] + masses[:, k:] / k
 
 
-def pignistic_backward(d_probs):
-    """Mass-space gradient (N, K+1) from a gradient on pignistic probabilities (N, K)."""
-    k = d_probs.shape[1]
-    return np.concatenate([d_probs, d_probs.sum(axis=1, keepdims=True) / k], axis=1)
+def pignistic_backward(d_probs, out=None):
+    """Mass-space gradient (N, K+1) from a gradient on pignistic probabilities
+    (N, K), written into `out` when given."""
+    n, k = d_probs.shape
+    out = np.empty((n, k + 1)) if out is None else out
+    out[:, :k] = d_probs
+    np.add.reduce(d_probs, axis=1, out=out[:, k])
+    out[:, k] /= k
+    return out

@@ -78,7 +78,7 @@ class RbfParams:
     def forward(self, X, keep_cache: bool = True) -> tuple[np.ndarray, dict]:
         return rbf_forward_batch(self, X, keep_cache)
 
-    def backward(self, cache: dict, upstream) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    def backward(self, cache: dict, upstream, buffers=None) -> tuple[dict[str, np.ndarray], np.ndarray]:
         return rbf_backward_batch(self, cache, upstream)
 
     def regularizer(self, cache: dict) -> tuple[float, dict[str, np.ndarray]]:

@@ -23,7 +23,7 @@ from .errors import AllZeroDenominator, Empty, NonFiniteLoss, OutOfRange, ShapeM
 from .mlp import head_init, mlp_backward_batch, mlp_forward_batch, mlp_init
 from .metrics import error_rate
 from .model import EvidentialModel, class_count, decide, make_layer
-from .numeric import as_batch, log_rows, pignistic, pignistic_backward, require_finite, softmax_rows
+from .numeric import as_batch, buffer, log_rows, pignistic, pignistic_backward, require_finite, softmax_rows
 
 P_CLAMP = 1e-12
 PLATEAU_PATIENCE = 10  # epochs without a lower objective before the learning rate is cut
@@ -232,7 +232,7 @@ def _fit_set(model: EvidentialModel, data, config: TrainConfig) -> _FitSet:
     return _FitSet(as_batch(x, model.n_features), y, target)
 
 
-def _objective(model: EvidentialModel, masses, layer_cache: dict, target, config: TrainConfig):
+def _objective(model: EvidentialModel, masses, layer_cache: dict, target, config: TrainConfig, buffers=None):
     """Objective value, its gradient with respect to the layer output, and
     the layer regularizer's parameter gradients, against a `_FitSet` target.
 
@@ -241,26 +241,30 @@ def _objective(model: EvidentialModel, masses, layer_cache: dict, target, config
     reads the weight-of-evidence layer's logistic output p1 and returns
     d/d(p1).  The regularizer gradients are not yet scaled by lam.
     """
-    if config.loss_kind == "sse":
-        value, d_p = loss_sse(pignistic(masses), target)
-        upstream = pignistic_backward(d_p)
-    elif config.loss_kind == "cross-entropy":
+    if config.loss_kind == "cross-entropy":
         value, upstream = loss_ce(layer_cache["p1"], target)
     else:
-        # soft foreground probability: pignistic probability of class 1
-        value, d_s = loss_dice(pignistic(masses)[:, 1], target)
-        upstream = pignistic_backward(np.column_stack([np.zeros_like(d_s), d_s]))
+        probs = pignistic(masses)
+        if config.loss_kind == "sse":
+            value, d_p = loss_sse(probs, target)
+        else:
+            # soft foreground probability: pignistic probability of class 1
+            value, d_s = loss_dice(probs[:, 1], target)
+            d_p = buffer(buffers, "d_p", probs.shape)
+            d_p[:, 0], d_p[:, 1] = 0.0, d_s
+        upstream = pignistic_backward(d_p, buffer(buffers, "upstream", masses.shape))
     reg_value, reg_grads = model.layer.regularizer(layer_cache)
     return value + config.lam * reg_value, upstream, reg_grads
 
 
-def model_loss_and_grads(model: EvidentialModel, X, y, config: TrainConfig):
+def model_loss_and_grads(model: EvidentialModel, X, y, config: TrainConfig, buffers=None):
     """Full-batch objective and gradients of every trainable array, at
-    inputs X and labels y or at the `_FitSet` y."""
+    inputs X and labels y or at the `_FitSet` y, in the caller's `buffers`
+    (`numeric.buffer`) when given."""
     fit_set = y if isinstance(y, _FitSet) else _fit_set(model, (X, y), config)
-    masses, caches = model.forward_checked(fit_set.x)
-    value, upstream, reg_grads = _objective(model, masses, caches[1], fit_set.target, config)
-    grads = model.backward(caches, upstream)
+    masses, caches = model.forward_checked(fit_set.x, buffers)
+    value, upstream, reg_grads = _objective(model, masses, caches[1], fit_set.target, config, buffers)
+    grads = model.backward(caches, upstream, buffers)
     for name, g in reg_grads.items():
         grads[f"layer.{name}"] = grads[f"layer.{name}"] + config.lam * g
     return value, grads, masses
@@ -289,6 +293,7 @@ def train(model: EvidentialModel, train_data, config: TrainConfig, val_data=None
     with flat_parameters(model.trainable_arrays(), model.layer, model.feature_net) as params:
         optimizer = Adam(params.vector, config.learning_rate)
         history = TrainHistory()
+        buffers = {}  # the training set's alone: validation allocates its own
 
         best_val = math.inf
         best_vector = None
@@ -296,7 +301,7 @@ def train(model: EvidentialModel, train_data, config: TrainConfig, val_data=None
         bad_epochs = 0
 
         for epoch in range(1, config.epochs + 1):
-            value, grads, masses = model_loss_and_grads(model, fit_set.x, fit_set, config)
+            value, grads, masses = model_loss_and_grads(model, fit_set.x, fit_set, config, buffers)
             if not math.isfinite(value):
                 raise NonFiniteLoss(f"objective became {value} at epoch {epoch}")
 
@@ -351,9 +356,10 @@ def pretrain_feature_net(net, head, train_data, config: TrainConfig, val_data=No
         optimizer = Adam(params.vector, config.learning_rate)
         history = TrainHistory()
 
+        net_buffers, head_buffers = {}, {}
         for epoch in range(1, config.epochs + 1):
-            feats, cache = mlp_forward_batch(net, x_train)
-            logits, head_cache = mlp_forward_batch(head, feats)
+            feats, cache = mlp_forward_batch(net, x_train, net_buffers)
+            logits, head_cache = mlp_forward_batch(head, feats, head_buffers)
             probs = softmax_rows(logits)
             value = float(-np.sum(onehot * log_rows(probs, floor=P_CLAMP)))
             if not math.isfinite(value):

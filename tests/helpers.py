@@ -1,6 +1,10 @@
 """Shared test oracles: a gradient comparison, finite differences by array
-name (from `evidkit.training.fd_gradients`) and a brute-force k-NN baseline;
-inputs near and far from a layer's prototypes."""
+name (from `evidkit.training.fd_gradients`), a brute-force k-NN baseline and
+the feature net by `np.where`; inputs near and far from a layer's
+prototypes; the traced peak of a call."""
+
+import contextvars
+import tracemalloc
 
 import numpy as np
 
@@ -53,3 +57,50 @@ def far_field_inputs(rng, proto, gamma, n):
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     far = direction * (np.linalg.norm(proto, axis=1).max() + np.sqrt(t / gamma.min()))[:, None]
     return np.vstack([near, far])
+
+
+def mlp_forward_by_where(params, X, buffers=None):
+    """`mlp_forward_batch` as `h @ w + b` and `np.where` PReLUs, each array
+    new (`buffers` is ignored): the reference for its bits."""
+    activations, preacts = [np.asarray(X, dtype=float)], []
+    last = len(params.weights) - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = activations[-1] @ w + b
+        preacts.append(z)
+        activations.append(np.where(z > 0, z, params.slopes[i] * z) if i < last else z)
+    return activations[-1], {"params": params, "activations": activations, "preacts": preacts}
+
+
+def mlp_backward_by_where(params, cache, upstream):
+    """`mlp_backward_batch` of an `mlp_forward_by_where` cache, by `np.where`,
+    leaving the cache as it was."""
+    activations, preacts = cache["activations"], cache["preacts"]
+    grads = {"slopes": np.zeros_like(params.slopes)}
+    last = len(params.weights) - 1
+    delta = np.asarray(upstream, dtype=float)
+    for i in range(last, -1, -1):
+        if i < last:
+            z = preacts[i]
+            neg = z <= 0
+            grads["slopes"][i] = np.sum(delta * np.where(neg, z, 0.0))
+            delta = delta * np.where(neg, params.slopes[i], 1.0)
+        grads[f"W{i}"] = activations[i].T @ delta
+        grads[f"b{i}"] = delta.sum(axis=0)
+        delta = delta @ params.weights[i].T
+    return grads, delta
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes tracemalloc saw while it ran).  The call
+    runs in an empty context: each context variable an earlier test left
+    set (decimal's, say) adds 16 bytes to the copy that numpy's errstate
+    makes of the context.  The bound `run` and the argument tuple are
+    made before tracing starts, and so must `fn` be: a bound method made
+    inside the trace adds 64 to 72 bytes."""
+    run, call = contextvars.Context().run, (fn, *args)
+    tracemalloc.start()
+    try:
+        result = run(*call)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,10 +1,10 @@
 """End-to-end CLI runs in temporary directories: outputs, determinism, exit codes."""
 
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import traced_peak
 
 from evidkit import cli
 from evidkit.cli import WRITE_CHUNK_LINES, _write_lines, build_parser, main
@@ -236,14 +236,25 @@ def test_contour_rows_are_plain_numbers(tmp_path):
 
 def test_contours_at_the_readme_resolution_hold_under_twice_the_file(checkpoint, tmp_path):
     argv = ["contours", "--checkpoint", str(checkpoint), "--resolution", "200", "--out-dir", str(tmp_path)]
-    tracemalloc.start()
-    try:
-        assert run(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rc, peak = traced_peak(run, argv)
+    assert rc == 0
     size = (tmp_path / "contours.csv").stat().st_size
     assert size > 3_000_000 and peak < 2 * size
+
+
+PARENT_TRAIN_SEG_PEAK = 1_631_560  # bytes, when each training step allocated all its arrays afresh
+
+
+def test_train_seg_peaks_no_higher_than_with_fresh_arrays(tmp_path):
+    seg = tmp_path / "seg"
+    assert run(["gen-data", "--out-dir", str(seg), "--seg", "--n-tasks", "2", "--width", "32", "--height", "32",
+                "--n-blobs", "3", "--seed", "0"]) == 0
+    argv = ["train", "--seg", "--data", str(seg / "task_000"), str(seg / "task_001"), "--model", "enn",
+            "--init", "random", "--feature-net", "--loss", "dice", "--epochs", "4", "--lr", "1e-2", "--seed", "2",
+            "--out-dir", str(tmp_path / "run")]
+    assert run(argv) == 0  # imports and first-use set-up are not the command's
+    rc, peak = traced_peak(run, argv)
+    assert rc == 0 and peak <= PARENT_TRAIN_SEG_PEAK
 
 
 @pytest.mark.parametrize("n_lines", [1, WRITE_CHUNK_LINES - 1, WRITE_CHUNK_LINES, 2 * WRITE_CHUNK_LINES + 1])

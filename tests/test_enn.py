@@ -323,8 +323,8 @@ class TestBackward:
         assert (t == 0.0).any() and (t > 0.0).any()
         upstream = rng.standard_normal((n_rows, n_classes + 1))
 
+        want, want_x = per_class_backward(params, cache, upstream)  # first: the backward spends the cache
         grads, d_x = enn_backward_batch(params, cache, upstream)
-        want, want_x = per_class_backward(params, cache, upstream)
         assert d_x.tobytes() == want_x.tobytes()
         for name in want:
             assert grads[name].tobytes() == want[name].tobytes(), name
@@ -335,6 +335,14 @@ class TestBackward:
         _, cache = enn_forward_batch(p1, rng.standard_normal((1, 2)))
         with pytest.raises(StaleCache):
             enn_backward_batch(p2, cache, np.zeros((1, 3)))
+
+    def test_a_spent_cache_is_refused(self):
+        rng = np.random.default_rng(2)
+        p = random_params(rng)
+        _, cache = enn_forward_batch(p, rng.standard_normal((5, 2)))
+        enn_backward_batch(p, cache, np.ones((5, 3)))
+        with pytest.raises(StaleCache):
+            enn_backward_batch(p, cache, np.ones((5, 3)))
 
 
 class TestInit:

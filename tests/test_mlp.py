@@ -1,11 +1,12 @@
-"""Feature network: forward basics, backprop vs finite differences, the
-one-layer softmax head used for pretraining."""
+"""Feature network: forward basics, backprop vs finite differences and, bit
+for bit, vs `np.where` PReLUs for any slope, spent caches, the one-layer
+softmax head used for pretraining."""
 
 import numpy as np
 import pytest
-from helpers import fd_by_name, grad_rel_error
+from helpers import fd_by_name, grad_rel_error, mlp_backward_by_where, mlp_forward_by_where
 
-from evidkit.errors import DimensionMismatch
+from evidkit.errors import DimensionMismatch, StaleCache
 from evidkit.mlp import (
     MlpParams,
     head_init,
@@ -86,6 +87,46 @@ class TestBackward:
         np.testing.assert_allclose(grads["W0"], np.outer(x, upstream))
         np.testing.assert_allclose(grads["b0"], upstream)
         np.testing.assert_allclose(dx[0], upstream * 2.0)
+
+
+SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.5, -2.5, 0.75, -0.125]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestExactPrelu:
+    @pytest.mark.parametrize("slope", [-2.0, -0.5, 0.0, 0.25, 1.0, 3.0, np.inf, -np.inf])
+    def test_matches_np_where_bit_for_bit(self, slope):
+        # z0 = x times 1, 2, 4 and 8, exactly; with an infinite slope no z is
+        # 0, where the reference itself forms inf * 0.  Positive weights and
+        # upstream keep infinities of one sign in each sum; on infinite
+        # entries, BLAS flags invalid lanes of its own at some other widths.
+        rng = np.random.default_rng(7)
+        X = np.array([[x] for x in SPECIALS if x != 0 or np.isfinite(slope)])
+        p = MlpParams([np.array([[1.0, 2.0, 4.0, 8.0]]), rng.uniform(0.5, 1.0, (4, 8)), rng.uniform(0.5, 1.0, (8, 1))],
+                      [np.zeros(4), np.full(8, 0.1), np.zeros(1)], [slope, slope])
+        upstream = rng.uniform(0.5, 1.0, (len(X), 1))
+        buffers = {}
+        for _ in range(2):  # the second pass reuses the first one's arrays
+            want, want_cache = mlp_forward_by_where(p, X)
+            got, cache = mlp_forward_batch(p, X, buffers)
+            assert np.array_equal(want_cache["preacts"][0][:, 0], X[:, 0])  # every special value is a z
+            assert got.tobytes() == want.tobytes()
+            for a, b in zip(cache["activations"], want_cache["activations"]):
+                assert a.tobytes() == b.tobytes()
+            want_grads, want_dx = mlp_backward_by_where(p, want_cache, upstream)
+            grads, dx = mlp_backward_batch(p, cache, upstream)
+            assert dx.tobytes() == want_dx.tobytes()
+            assert grads.keys() == want_grads.keys()
+            for name, g in want_grads.items():
+                assert grads[name].tobytes() == g.tobytes(), name
+        assert cache["activations"][1] is buffers["h0"] and cache["preacts"][0] is buffers["z0"]
+
+    def test_a_spent_cache_is_refused(self):
+        p = mlp_init([2, 6, 5, 2], seed=3)
+        _, cache = mlp_forward_batch(p, np.random.default_rng(3).standard_normal((4, 2)))
+        mlp_backward_batch(p, cache, np.ones((4, 2)))
+        with pytest.raises(StaleCache):
+            mlp_backward_batch(p, cache, np.ones((4, 2)))
 
 
 def head_probs(head, feats):

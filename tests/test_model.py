@@ -1,12 +1,9 @@
 """The composite model and the layer protocol: construction, kind checks,
 input validation, checkpoints, and the shared objective."""
 
-import contextvars
-import tracemalloc
-
 import numpy as np
 import pytest
-from helpers import far_field_inputs, fd_by_name
+from helpers import far_field_inputs, fd_by_name, traced_peak
 
 from evidkit import numeric
 from evidkit.datasets import gen_half_moons
@@ -191,14 +188,7 @@ class TestCacheFreeMasses:
         n, n_proto = 12500, 6
         model = EvidentialModel(kind, make_layer(kind, n_proto, 2, 2, seed=3))
         X = np.random.default_rng(4).standard_normal((n, 2))
-        peaks = []
-        for call in (model.masses, model.forward_checked):
-            tracemalloc.start()
-            try:
-                call(X)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        peaks = [traced_peak(call, X)[1] for call in (model.masses, model.forward_checked)]
         assert peaks[0] <= peaks[1] - n_proto * n * 8  # at least one (I, N) float64 array less
 
     @pytest.mark.parametrize("rescale_min", [-np.inf, np.inf])
@@ -208,20 +198,10 @@ class TestCacheFreeMasses:
         # room of the one (I, N) product it replaced, and the count that
         # picks the path takes less: on either path no peak above the bytes
         # the whole-batch pooling loop alone peaked at on these inputs.
-        # The call runs in an empty context, bound before tracing: each
-        # context variable an earlier test left set (decimal's, say) adds 16
-        # bytes to the copy that numpy's errstate makes of the context.
         monkeypatch.setattr(numeric, "RESCALE_MIN", rescale_min)
         rng = np.random.default_rng(dim)
         proto, gamma = rng.standard_normal((n_proto, dim)), rng.uniform(0.5, 2.0, n_proto)
         layer = enn_from_constrained(proto, rng.uniform(0.1, 0.9, n_proto), gamma, rng.dirichlet(np.ones(2), n_proto))
         model, X = EvidentialModel("enn", layer), far_field_inputs(rng, proto, gamma, n)
         model.masses(X)
-        context, masses = contextvars.Context(), model.masses
-        tracemalloc.start()
-        try:
-            context.run(masses, X)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= loop_peak
+        assert traced_peak(model.masses, X)[1] <= loop_peak

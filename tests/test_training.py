@@ -6,15 +6,16 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import grad_rel_error
+from helpers import grad_rel_error, mlp_backward_by_where, mlp_forward_by_where, traced_peak
 
-from evidkit import enn, rbf, training
+from evidkit import enn, mlp, rbf, training
 from evidkit import kmeans as kmeans_module
-from evidkit.datasets import gen_half_moons
+from evidkit.datasets import gen_half_moons, gen_toy_segmentation, seg_task_as_samples
 from evidkit.enn import enn_init_kmeans, enn_init_random
 from evidkit.errors import AllZeroDenominator, Empty, MalformedInput, NonFiniteLoss, OutOfRange, ShapeMismatch
 from evidkit.kmeans import CACHE_SIZE, MAX_ITER, KMeansResult, _plusplus_seed, kmeans
@@ -648,6 +649,51 @@ class TestFourStageInit:
         assert list(histories) == ["train"]
         assert json.dumps(model.to_dict()) == json.dumps(hand.to_dict())  # checkpoint bytes
         assert list(histories["train"].csv_rows()) == list(history.csv_rows())
+
+
+def seg_samples(side, seeds):
+    """Pixel rows and labels of toy segmentation tasks of side x side."""
+    parts = [seg_task_as_samples(gen_toy_segmentation(side, side, 3, seed=s)) for s in seeds]
+    return np.vstack([x for x, _ in parts]), np.concatenate([y for _, y in parts])
+
+
+PARENT_STEP_PEAK = 1_497_904  # bytes, epochs 2 to 6, when each step allocated all its arrays afresh
+
+
+def test_a_training_step_reuses_the_fits_arrays(monkeypatch):
+    # Dice steps of a 16-wide net and an enn layer on two 32 x 32 tasks
+    # (N = 2048): from the second epoch on, the net's activations, the
+    # layer's (I, N) scratch and the loss gradient come back from storage
+    # the fit owns.  Peaks are traced from each call's entry.
+    peaks, step = [], training.model_loss_and_grads
+
+    def traced_step(*args):
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = step(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - entry)
+        return result
+
+    monkeypatch.setattr(training, "model_loss_and_grads", traced_step)
+    config = TrainConfig(epochs=6, learning_rate=1e-2, loss_kind="dice", seed=2)
+    traced_peak(fit, "enn", "random", 6, seg_samples(32, (0, 1)), config, [16])
+    assert len(peaks) == 6 and max(peaks[1:]) <= PARENT_STEP_PEAK // 2
+
+
+def test_staged_fit_is_the_where_nets_bit_for_bit(monkeypatch):
+    # pretraining, the layer stage and fine-tuning on segmentation tasks,
+    # validated: the histories and checkpoint of a net by np.where
+    data, val = seg_samples(16, (3, 4)), seg_samples(16, (5,))
+    config = TrainConfig(epochs=12, learning_rate=1e-2, loss_kind="dice", seed=4)
+    model, histories = fit("enn", "kmeans", 4, data, config, [8], val_data=val)
+    for module in (mlp, training):
+        monkeypatch.setattr(module, "mlp_forward_batch", mlp_forward_by_where)
+        monkeypatch.setattr(module, "mlp_backward_batch", mlp_backward_by_where)
+    want, want_histories = fit("enn", "kmeans", 4, data, config, [8], val_data=val)
+    assert json.dumps(model.to_dict()) == json.dumps(want.to_dict())  # checkpoint bytes
+    assert list(histories) == ["pretrain", "layer", "train"]
+    for stage, history in want_histories.items():
+        assert list(histories[stage].csv_rows()) == list(history.csv_rows()), stage
 
 
 class TestGradCheck:
