@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.random import default_rng  # loaded with evidkit, not lazily at the first draw
 
 from .errors import MalformedInput, OutOfRange
+from .numeric import seeded_rng
 
 ARC_RADIUS = 1.0
 ARC_OFFSET = np.array([1.0, 0.5])   # second arc center relative to the first
@@ -48,7 +48,7 @@ def gen_half_moons(n: int, noise_sigma: float = 0.1, seed: int = 0) -> LabeledSe
         raise OutOfRange(f"need at least 2 points, got {n}")
     if not noise_sigma >= 0:  # NaN too
         raise OutOfRange(f"noise sigma must be >= 0, got {noise_sigma}")
-    rng = default_rng(seed)
+    rng = seeded_rng(seed)
     n0 = n // 2
     n1 = n - n0
     t0 = rng.uniform(0.0, np.pi, size=n0)
@@ -67,7 +67,7 @@ def gen_ood_class(n: int, seed: int = 0) -> LabeledSet:
     """A Gaussian blob far above both arcs, labeled as a third class."""
     if n < 1:
         raise OutOfRange(f"need at least 1 point, got {n}")
-    rng = default_rng(seed)
+    rng = seeded_rng(seed)
     points = rng.normal(OOD_CENTER, OOD_SIGMA, size=(n, 2))
     return LabeledSet(points, np.full(n, 2, dtype=int))
 
@@ -102,7 +102,7 @@ def gen_toy_segmentation(width: int, height: int, n_blobs: int, seed: int = 0) -
         raise OutOfRange(f"need n_blobs >= 0, got {n_blobs}")
     scale = min(width, height)
     r_min, r_max = scale / 12.0, scale / 8.0
-    rng = default_rng(seed)
+    rng = seeded_rng(seed)
 
     mask = np.zeros((height, width), dtype=int)
     yy, xx = np.mgrid[0:height, 0:width]

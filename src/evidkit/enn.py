@@ -47,10 +47,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, OutOfRange, StaleCache, TotalConflict
-from .kmeans import cluster_label_counts, kmeans, require_label_per_point
+from .kmeans import cluster_label_counts, kmeans
 from .numeric import (
-    as_batch, buffer, exp_neg, log_rows, logit, sigmoid, softmax_rows, sq_dists, sq_dists_backward, sum_log1p_neg,
-    sum_rows,
+    as_batch, buffer, class_labels, exp_neg, log_rows, logit, seeded_rng, sigmoid, softmax_rows, sq_dists,
+    sq_dists_backward, sum_log1p_neg, sum_rows,
 )
 
 INIT_ALPHA = 0.5
@@ -252,7 +252,7 @@ def _initial(proto, memberships) -> EnnParams:
 
 def enn_init_random(n_prototypes: int, n_features: int, n_classes: int, seed: int) -> EnnParams:
     """Prototypes ~ N(0, I); alpha = 0.5, gamma = 0.01; memberships uniform random."""
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     proto = rng.standard_normal((n_prototypes, n_features))
     u = rng.uniform(size=(n_prototypes, n_classes))
     u /= u.sum(axis=1, keepdims=True)
@@ -264,7 +264,7 @@ def enn_init_kmeans(features, labels, n_prototypes: int, n_classes: int, seed: i
 
     A cluster with no assigned points gets a uniform membership row.
     """
-    require_label_per_point(features, labels)
+    labels = class_labels(labels, len(features), n_classes)
     result = kmeans(features, n_prototypes, seed=seed)
     counts = cluster_label_counts(result.assignments, labels, n_prototypes, n_classes)
     sizes = counts.sum(axis=1, keepdims=True)

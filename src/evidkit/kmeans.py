@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import OutOfRange, ShapeMismatch
-from .numeric import require_finite, sq_dists
+from .errors import OutOfRange
+from .numeric import require_finite, seeded_rng, sq_dists
 
 MAX_ITER = 100  # Lloyd iterations before giving up on convergence
 CACHE_SIZE = 8  # memoized clusterings; the oldest is evicted first
@@ -63,9 +63,6 @@ def kmeans(points, k: int, seed: int = 0) -> KMeansResult:
     if not 1 <= k <= len(points):
         raise OutOfRange(f"need 1 <= k <= {len(points)} points, got k={k}")
     points = np.ascontiguousarray(points)
-    if not isinstance(seed, (int, np.integer)):  # None or a generator: not reproducible
-        return _lloyd(points, k, seed)
-
     key = (hashlib.blake2b(points).digest(), points.shape, k, seed)
     result = _cache.get(key)
     if result is None:
@@ -79,7 +76,7 @@ def kmeans(points, k: int, seed: int = 0) -> KMeansResult:
 
 def _lloyd(points: np.ndarray, k: int, seed) -> KMeansResult:
     n = points.shape[0]
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     degenerate = k > 1 and bool(np.all(points == points[0]))
     centroids = _plusplus_seed(points, k, rng)
     assignments = np.full(n, -1)
@@ -119,14 +116,6 @@ def _lloyd(points: np.ndarray, k: int, seed) -> KMeansResult:
     return KMeansResult(centroids=centroids, assignments=assignments, n_iter=n_iter, degenerate=degenerate)
 
 
-def require_label_per_point(points, labels) -> None:
-    if np.shape(labels) != np.shape(points)[:1]:
-        raise ShapeMismatch(f"points of shape {np.shape(points)}, labels {np.shape(labels)}")
-
-
 def cluster_label_counts(assignments, labels, k: int, n_classes: int) -> np.ndarray:
-    """(k, n_classes) counts of each label in each cluster; OutOfRange for a label outside the classes."""
-    labels = np.asarray(labels, dtype=int)
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise OutOfRange(f"labels {labels.min()}..{labels.max()} outside the classes 0..{n_classes - 1}")
+    """(k, n_classes) counts of each label in each cluster, of labels from `numeric.class_labels`."""
     return np.bincount(assignments * n_classes + labels, minlength=k * n_classes).reshape(k, n_classes)

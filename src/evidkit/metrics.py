@@ -52,14 +52,14 @@ def error_rate(predictions, labels) -> float:
         raise Empty("no predictions to score")
     if predictions.shape != labels.shape:
         raise ShapeMismatch(f"{predictions.shape} vs {labels.shape}")
-    return float(np.mean(predictions != labels))
+    return int(np.count_nonzero(predictions != labels)) / predictions.size
 
 
 def mean_ignorance(masses: np.ndarray) -> float:
     """Average frame mass, the last column, of (N, K+1) output masses."""
     if masses.size == 0:
         raise Empty("no masses")
-    return float(np.mean(masses[:, -1]))
+    return float(masses[:, -1].sum()) / len(masses)
 
 
 def confusion(pred_mask, true_mask) -> ConfusionCounts:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, OutOfRange, StaleCache
-from .numeric import as_batch, buffer
+from .numeric import as_batch, buffer, seeded_rng
 
 INIT_SLOPE = 0.25
 _ONE_BITS = np.float64(1.0).view(np.uint64)
@@ -63,7 +63,7 @@ def mlp_init(layer_sizes, seed: int) -> MlpParams:
         raise OutOfRange("need at least input and output sizes")
     if min(layer_sizes) < 1:
         raise OutOfRange(f"every layer needs a width of at least 1, got {list(layer_sizes)}")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     weights, biases = [], []
     for d_in, d_out in zip(layer_sizes, layer_sizes[1:]):
         weights.append(rng.standard_normal((d_in, d_out)) * np.sqrt(2.0 / d_in))
@@ -73,7 +73,7 @@ def mlp_init(layer_sizes, seed: int) -> MlpParams:
 
 def head_init(n_features: int, n_classes: int, seed: int) -> MlpParams:
     """One affine layer to class logits: variance 1/n_features, zero biases."""
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     return MlpParams([rng.standard_normal((n_features, n_classes)) * np.sqrt(1.0 / n_features)],
                      [np.zeros(n_classes)], np.empty(0))
 

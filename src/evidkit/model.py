@@ -32,20 +32,16 @@ from pathlib import Path
 import numpy as np
 
 from . import enn, mlp, rbf
-from .errors import DimensionMismatch, Empty, EvidkitError, MalformedInput, OutOfRange
-from .numeric import as_batch, require_finite
+from .errors import DimensionMismatch, EvidkitError, MalformedInput, OutOfRange
+from .numeric import as_batch, class_labels, require_finite
 
 LAYERS = {"enn": enn.EnnParams, "rbf": rbf.RbfParams}
 CHECKPOINT_FORMAT = 2
 
 
 def class_count(labels) -> int:
-    """Classes implied by integer labels: the largest label plus one, at least 2."""
-    if not np.size(labels):
-        raise Empty("no labels")
-    if np.min(labels) < 0:
-        raise OutOfRange(f"labels must be non-negative, got {np.min(labels)}")
-    return max(int(np.max(labels)) + 1, 2)
+    """Classes implied by labels that `class_labels` accepts: the largest plus one, at least 2."""
+    return max(int(class_labels(labels, np.size(labels)).max()) + 1, 2)
 
 
 def params_to_dict(params) -> dict:

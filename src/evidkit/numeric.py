@@ -14,8 +14,9 @@ fast SIMD exp path; pooled masses of 1e-300 and more are unaffected.
 from __future__ import annotations
 
 import numpy as np
+from numpy.random import default_rng  # loaded with evidkit, not lazily at the first draw
 
-from .errors import DimensionMismatch, MalformedInput
+from .errors import DimensionMismatch, Empty, MalformedInput, OutOfRange, ShapeMismatch
 
 LOG_TINY = -708.3964185322641  # log of the smallest normal double; exp of it is 2.2250738585072626e-308
 EXP_FAST_MIN = -707.7  # above -1021 ln 2 = -707.7033: numpy's SIMD exp stays on its fast path
@@ -71,6 +72,31 @@ def require_finite(x: np.ndarray, what: str = "inputs") -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise MalformedInput(f"{what} contain NaN or infinite values")
     return x
+
+
+def class_labels(labels, n_rows: int, n_classes: int | None = None) -> np.ndarray:
+    """`labels` as int class indexes, one per row; ShapeMismatch unless of shape
+    (n_rows,), Empty if none, MalformedInput unless whole numbers (bools are),
+    OutOfRange below 0 or from `n_classes` on."""
+    y = np.asarray(labels)
+    if y.shape != (n_rows,):
+        raise ShapeMismatch(f"{n_rows} rows but labels of shape {y.shape}")
+    if not n_rows:
+        raise Empty("no labels")
+    if y.dtype.kind not in "biuf" or not np.all(np.isfinite(y) & (np.trunc(y) == y)):
+        raise MalformedInput(f"labels must be finite whole numbers, got {y.dtype}")
+    lo, hi = int(y.min()), int(y.max())  # whole: exact as Python ints
+    top = 2**63 if n_classes is None else n_classes  # no class count: int64's bound
+    if lo < 0 or hi >= top:
+        raise OutOfRange(f"labels {lo}..{hi} outside 0..{top - 1}")
+    return y.astype(int, copy=False)
+
+
+def seeded_rng(seed) -> np.random.Generator:
+    """numpy's default generator for `seed`, an integer >= 0; OutOfRange otherwise."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise OutOfRange(f"seed must be an integer >= 0, got {seed!r}")
+    return default_rng(seed)
 
 
 def buffer(buffers: dict | None, key, shape, dtype=float) -> np.ndarray:

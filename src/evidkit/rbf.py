@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, OutOfRange, StaleCache
-from .kmeans import cluster_label_counts, kmeans, require_label_per_point
-from .numeric import as_batch, exp_neg, sigmoid, sq_dists, sq_dists_backward
+from .kmeans import cluster_label_counts, kmeans
+from .numeric import as_batch, class_labels, exp_neg, seeded_rng, sigmoid, sq_dists, sq_dists_backward
 
 INIT_GAMMA = 0.01
 
@@ -193,7 +193,7 @@ def rbf_backward_batch(params: RbfParams, cache: dict, upstream) -> tuple[dict[s
 
 def rbf_init_random(n_prototypes: int, n_features: int, seed: int) -> RbfParams:
     """Prototypes ~ N(0, I); gamma = 0.01; weights ~ standard normal."""
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     return rbf_from_constrained(
         rng.standard_normal((n_prototypes, n_features)),
         np.full(n_prototypes, INIT_GAMMA),
@@ -203,7 +203,7 @@ def rbf_init_random(n_prototypes: int, n_features: int, seed: int) -> RbfParams:
 
 def rbf_init_kmeans(features, labels, n_prototypes: int, seed: int = 0) -> RbfParams:
     """Prototypes from k-means; v_i = +1 when the cluster majority is class 0, else -1."""
-    require_label_per_point(features, labels)
+    labels = class_labels(labels, len(features), 2)
     result = kmeans(features, n_prototypes, seed=seed)
     counts = cluster_label_counts(result.assignments, labels, n_prototypes, 2)
     v = np.where(counts[:, 0] < counts[:, 1], -1.0, 1.0)

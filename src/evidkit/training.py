@@ -19,11 +19,12 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import AllZeroDenominator, Empty, NonFiniteLoss, OutOfRange, ShapeMismatch
+from .errors import AllZeroDenominator, NonFiniteLoss, OutOfRange, ShapeMismatch
 from .mlp import head_init, mlp_backward_batch, mlp_forward_batch, mlp_init
-from .metrics import error_rate
+from .metrics import error_rate, mean_ignorance
 from .model import EvidentialModel, class_count, decide, make_layer
-from .numeric import as_batch, buffer, log_rows, pignistic, pignistic_backward, require_finite, softmax_rows
+from .numeric import (as_batch, buffer, class_labels, log_rows, pignistic, pignistic_backward, require_finite,
+                      softmax_rows)
 
 P_CLAMP = 1e-12
 PLATEAU_PATIENCE = 10  # epochs without a lower objective before the learning rate is cut
@@ -192,15 +193,11 @@ class TrainHistory:
             yield f"{r.epoch},{r.loss!r},{r.train_error!r},{r.val_error!r},{r.mean_ignorance!r}"
 
 
-def _unpack(data) -> tuple[np.ndarray, np.ndarray]:
-    """Finite inputs (N >= 1, H) and N labels, from `points` and `labels` or a pair."""
+def _unpack(data, n_classes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Finite inputs (N >= 1, H) and their `class_labels`, from `points` and `labels` or a pair."""
     x, y = (data.points, data.labels) if hasattr(data, "points") else data
-    x, y = require_finite(np.atleast_2d(np.asarray(x, dtype=float))), np.asarray(y)
-    if y.shape != (len(x),):
-        raise ShapeMismatch(f"{len(x)} input rows but labels of shape {y.shape}")
-    if not len(y):
-        raise Empty("no rows to train on")
-    return x, y
+    x = require_finite(np.atleast_2d(np.asarray(x, dtype=float)))
+    return x, class_labels(y, len(x), n_classes)
 
 
 # --- loss glue: masses -> objective and gradients
@@ -214,20 +211,16 @@ class _FitSet:
     y: np.ndarray
     target: np.ndarray
 
-    def error_rate(self, masses) -> float:
-        return np.count_nonzero(decide(masses) != self.y) / len(self.y)
-
 
 def _fit_set(model: EvidentialModel, data, config: TrainConfig) -> _FitSet:
     """`data` (see `_unpack`) checked against the model and loss."""
-    x, y = _unpack(data)
-    _check_labels(model.layer, y)
+    x, y = _unpack(data, model.n_classes)
     kind = config.loss_kind
     if kind not in model.layer.losses:
         raise OutOfRange(f"the {kind} loss does not train the {model.kind} layer")
     if kind == "dice" and model.n_classes != 2:
         raise OutOfRange("the overlap loss is defined for binary frames")
-    target = (np.eye(model.n_classes)[y.astype(int)] if kind == "sse" else
+    target = (np.eye(model.n_classes)[y] if kind == "sse" else
               (y == 0).astype(float) if kind == "cross-entropy" else y.astype(float))
     return _FitSet(as_batch(x, model.n_features), y, target)
 
@@ -272,14 +265,6 @@ def model_loss_and_grads(model: EvidentialModel, X, y, config: TrainConfig, buff
 
 # --- training loop
 
-def _check_labels(layer, *label_sets) -> None:
-    """OutOfRange unless every label set (None skipped) lies in the layer's classes."""
-    for y in label_sets:
-        if y is not None and (np.min(y) < 0 or np.max(y) >= layer.n_classes):
-            raise OutOfRange(f"labels {np.min(y)}..{np.max(y)} outside the {layer.kind} layer's "
-                             f"classes 0..{layer.n_classes - 1}")
-
-
 def train(model: EvidentialModel, train_data, config: TrainConfig, val_data=None):
     """Full-batch training with a reduce-on-plateau schedule.
 
@@ -305,8 +290,8 @@ def train(model: EvidentialModel, train_data, config: TrainConfig, val_data=None
             if not math.isfinite(value):
                 raise NonFiniteLoss(f"objective became {value} at epoch {epoch}")
 
-            train_err = fit_set.error_rate(masses)
-            ignorance = float(masses[:, -1].sum()) / len(fit_set.y)
+            train_err = error_rate(decide(masses), fit_set.y)
+            ignorance = mean_ignorance(masses)
 
             if value < plateau_best - 1e-15:
                 plateau_best = value
@@ -321,7 +306,7 @@ def train(model: EvidentialModel, train_data, config: TrainConfig, val_data=None
 
             val_err = math.nan
             if val is not None:
-                val_value, val_err = _evaluate(model, val.x, val, config)
+                val_value, val_err = _evaluate(model, val, config)
                 if val_value < best_val:
                     best_val = val_value
                     best_vector = params.vector.copy()
@@ -333,12 +318,11 @@ def train(model: EvidentialModel, train_data, config: TrainConfig, val_data=None
     return model, history
 
 
-def _evaluate(model: EvidentialModel, X, y, config: TrainConfig) -> tuple[float, float]:
-    """Objective value and error rate, without gradients."""
-    fit_set = y if isinstance(y, _FitSet) else _fit_set(model, (X, y), config)
+def _evaluate(model: EvidentialModel, fit_set: _FitSet, config: TrainConfig) -> tuple[float, float]:
+    """Objective value and error rate on a `_FitSet`, without gradients."""
     masses, (_, layer_cache) = model.forward_checked(fit_set.x)
     value = _objective(model, masses, layer_cache, fit_set.target, config)[0]
-    return value, fit_set.error_rate(masses)
+    return value, error_rate(decide(masses), fit_set.y)
 
 
 # --- feature-net pretraining and model construction
@@ -346,9 +330,9 @@ def _evaluate(model: EvidentialModel, X, y, config: TrainConfig) -> tuple[float,
 def pretrain_feature_net(net, head, train_data, config: TrainConfig, val_data=None):
     """Train the feature network by summed cross-entropy through a one-layer
     head net whose outputs are the class logits, scoring `val_data` each step."""
-    x_train, y_train = _unpack(train_data)
-    val = None if val_data is None else _unpack(val_data)
-    onehot = np.eye(head.sizes[-1])[np.asarray(y_train, dtype=int)]
+    x_train, y_train = _unpack(train_data, head.sizes[-1])
+    val = None if val_data is None else _unpack(val_data, head.sizes[-1])
+    onehot = np.eye(head.sizes[-1])[y_train]
 
     # net and head both name their arrays W0, b0, ...: prefix the head's
     head_arrays = {f"head.{k}": v for k, v in head.trainable_arrays().items()}
@@ -392,24 +376,25 @@ def fit(kind: str, init: str, n_prototypes: int, data, config: TrainConfig, hidd
     training history, and a staged run adds "pretrain" and "layer".
     """
     x, y = _unpack(data)
+    n_classes = class_count(y)
     net = None if hidden is None else mlp_init([x.shape[1], *hidden, n_features], seed=config.seed)
     if net is None or init == "random":
         kmeans_data = (x, y) if init == "kmeans" else None
         n_in = x.shape[1] if net is None else n_features
-        layer = make_layer(kind, n_prototypes, n_in, class_count(y), config.seed, kmeans_data)
+        layer = make_layer(kind, n_prototypes, n_in, n_classes, config.seed, kmeans_data)
         model, history = train(EvidentialModel(kind, layer, net), (x, y), config, val_data)
         return model, {"train": history}
 
-    x_val, y_val = _unpack(val_data) if val_data is not None else (None, None)
-    n_classes = class_count(y)
     # a random layer of the kind has the class count the staged one will have
     # (2 for rbf): check the labels against it before pretraining for them
-    _check_labels(make_layer(kind, n_prototypes, n_features, n_classes, config.seed), y, y_val)
+    n_classes = make_layer(kind, n_prototypes, n_features, n_classes, config.seed).n_classes
+    class_labels(y, len(x), n_classes)
+    val = None if val_data is None else _unpack(val_data, n_classes)
     head = head_init(n_features, n_classes, seed=config.seed + 1)
     pretrain_history = pretrain_feature_net(net, head, (x, y), config, val_data)
 
     feats, _ = mlp_forward_batch(net, x)
-    val_feats = None if val_data is None else (mlp_forward_batch(net, x_val)[0], y_val)
+    val_feats = None if val is None else (mlp_forward_batch(net, val[0])[0], val[1])
     layer_model, layer_histories = fit(kind, "kmeans", n_prototypes, (feats, y),
                                        replace(config, learning_rate=1e-2), val_data=val_feats)
     model, history = train(EvidentialModel(kind, layer_model.layer, net), (x, y),

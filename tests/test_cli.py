@@ -257,6 +257,53 @@ def test_train_seg_peaks_no_higher_than_with_fresh_arrays(tmp_path):
     assert rc == 0 and peak <= PARENT_TRAIN_SEG_PEAK
 
 
+def test_every_csv_field_is_a_plain_number(tmp_path):
+    # each command at a small size; every field below a header must read back with float()
+    data, seg = tmp_path / "data", tmp_path / "seg"
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({"models": ["enn", "rbf"], "lambdas": [1e-3], "seeds": [0], "I": 3, "epochs": 3,
+                                "data": {"n_train": 40, "n_test": 30, "noise": 0.1, "seed": 1}}))
+    train = ["train", "--epochs", "3", "--I", "3", "--seed", "1"]
+    moons = ["--data", str(data / "train.csv"), "--val", str(data / "test.csv")]
+    for argv in (
+        ["gen-data", "--out-dir", str(data), "--n-train", "40", "--n-test", "30", "--ood", "--n-ood", "10"],
+        ["gen-data", "--out-dir", str(seg), "--seg", "--n-tasks", "2", "--width", "16", "--height", "16",
+         "--n-blobs", "1"],
+        [*train, *moons, "--out-dir", str(tmp_path / "moons")],
+        [*train, *moons, "--feature-net", "--hidden", "4", "--init", "kmeans", "--out-dir", str(tmp_path / "staged")],
+        [*train, "--seg", "--data", str(seg / "task_000"), "--init", "random", "--out-dir", str(tmp_path / "seg-run")],
+        ["eval", "--checkpoint", str(tmp_path / "moons" / "checkpoint.json"), "--data", str(data / "ood.csv"),
+         "--out-dir", str(tmp_path / "eval")],
+        ["eval", "--seg", "--checkpoint", str(tmp_path / "seg-run" / "checkpoint.json"),
+         "--data", str(seg / "task_001"), "--out-dir", str(tmp_path / "eval-seg")],
+        ["contours", "--checkpoint", str(tmp_path / "staged" / "checkpoint.json"), "--resolution", "4",
+         "--out-dir", str(tmp_path / "contours")],
+        ["sweep", "--spec", str(spec), "--out-dir", str(tmp_path / "sweep")],
+    ):
+        assert run(argv) == 0, argv[0]
+    written = sorted(tmp_path.rglob("*.csv"))
+    assert {p.name for p in written} >= {"history.csv", "history_pretrain.csv", "history_layer.csv", "report.csv",
+                                         "contours.csv", "sweep.csv", "train.csv", "mask.csv"}
+    for path in written:
+        lines = path.read_text().splitlines()
+        if not path.parent.name.startswith("task_"):  # task grids have no header
+            lines = lines[1:]
+        for line in lines:
+            fields = line.split(",")[path.name == "sweep.csv":]  # a sweep row starts with the model name
+            for field in fields:
+                float(field)  # ValueError names the field and fails the test
+
+
+@pytest.mark.parametrize("argv", [["gen-data"], ["gen-data", "--seg", "--width", "16", "--height", "16"],
+                                  ["train", "--init", "kmeans"], ["train", "--init", "random"]],
+                         ids=["gen-data", "gen-data-seg", "train-kmeans", "train-random"])
+def test_negative_seed(argv, data_dir, tmp_path, capsys):
+    data = ["--data", str(data_dir / "train.csv"), "--epochs", "1"] if argv[0] == "train" else []
+    out = tmp_path / "out"
+    assert_category([*argv, *data, "--seed", "-1", "--out-dir", str(out)], "OutOfRange", capsys)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n_lines", [1, WRITE_CHUNK_LINES - 1, WRITE_CHUNK_LINES, 2 * WRITE_CHUNK_LINES + 1])
 def test_lines_written_in_chunks_are_the_joined_text(n_lines, tmp_path):
     lines = [f"{i},{i / 7!r}" for i in range(n_lines)]

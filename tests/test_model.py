@@ -12,7 +12,7 @@ from evidkit.errors import DimensionMismatch, Empty, MalformedInput, OutOfRange,
 from evidkit.mlp import mlp_init
 from evidkit.model import LAYERS, EvidentialModel, class_count, make_layer
 from evidkit.rbf import rbf_forward_batch, rbf_init_random
-from evidkit.training import TrainConfig, _evaluate, model_loss_and_grads
+from evidkit.training import TrainConfig, _evaluate, _fit_set, model_loss_and_grads
 
 KINDS = list(LAYERS)
 
@@ -143,7 +143,7 @@ def test_training_and_evaluation_share_the_objective(kind, loss, moons):
     model = EvidentialModel(kind, make_layer(kind, 4, 2, 2, seed=6, data=(moons.points, moons.labels)))
     config = TrainConfig(loss_kind=loss, lam=0.3)
     value, _, masses = model_loss_and_grads(model, moons.points, moons.labels, config)
-    eval_value, err = _evaluate(model, moons.points, moons.labels, config)
+    eval_value, err = _evaluate(model, _fit_set(model, moons, config), config)
     assert eval_value == value
     assert err == np.mean(np.argmax(masses[:, :-1], axis=1) != moons.labels)
 

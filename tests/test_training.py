@@ -12,16 +12,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from helpers import grad_rel_error, mlp_backward_by_where, mlp_forward_by_where, traced_peak
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evidkit import enn, mlp, rbf, training
 from evidkit import kmeans as kmeans_module
-from evidkit.datasets import gen_half_moons, gen_toy_segmentation, seg_task_as_samples
+from evidkit.datasets import gen_half_moons, gen_ood_class, gen_toy_segmentation, seg_task_as_samples
 from evidkit.enn import enn_init_kmeans, enn_init_random
-from evidkit.errors import AllZeroDenominator, Empty, MalformedInput, NonFiniteLoss, OutOfRange, ShapeMismatch
+from evidkit.errors import (AllZeroDenominator, Empty, EvidkitError, MalformedInput, NonFiniteLoss, OutOfRange,
+                            ShapeMismatch)
 from evidkit.kmeans import CACHE_SIZE, MAX_ITER, KMeansResult, _plusplus_seed, kmeans
 from evidkit.mlp import head_init, mlp_forward_batch, mlp_init
 from evidkit.model import EvidentialModel, make_layer
-from evidkit.numeric import log_rows, sq_dists
+from evidkit.numeric import log_rows, seeded_rng, sq_dists
 from evidkit.rbf import rbf_from_constrained, rbf_init_kmeans, rbf_init_random
 from evidkit.training import (
     Adam,
@@ -397,6 +400,89 @@ def test_init_needs_one_label_per_point(init, n_labels):
     with pytest.raises(ShapeMismatch):
         init(ds.points, np.resize(ds.labels, n_labels))
     assert not kmeans_module._cache  # refused before clustering
+
+
+LABEL_PROBES = {  # labels of 60 moons rows that no entry point may train on, and the error each raises
+    "fractional": (lambda y: y + 0.5, MalformedInput),
+    "nan": (lambda y: np.where(np.arange(len(y)) == 7, np.nan, y), MalformedInput),
+    "inf": (lambda y: np.where(np.arange(len(y)) == 7, np.inf, y), MalformedInput),
+    "-inf": (lambda y: np.where(np.arange(len(y)) == 7, -np.inf, y), MalformedInput),
+    "strings": (lambda y: y.astype(str), MalformedInput),
+    "none": (lambda y: [None] * len(y), MalformedInput),
+    "negative": (lambda y: y - 1, OutOfRange),
+}
+LABEL_ENTRY_POINTS = {
+    "fit": lambda x, y, ds: fit("enn", "kmeans", 3, (x, y), TrainConfig(epochs=2)),
+    "train": lambda x, y, ds: train(EvidentialModel("enn", make_layer("enn", 3, 2, 2, 0)), (x, y),
+                                    TrainConfig(epochs=2)),
+    "train-val": lambda x, y, ds: train(EvidentialModel("rbf", make_layer("rbf", 3, 2, 2, 0)), ds,
+                                        TrainConfig(epochs=2, loss_kind="cross-entropy"), (x, y)),
+    "enn_init_kmeans": lambda x, y, ds: enn_init_kmeans(x, y, 3, 2),
+    "rbf_init_kmeans": lambda x, y, ds: rbf_init_kmeans(x, y, 3),
+    "model_loss_and_grads": lambda x, y, ds: model_loss_and_grads(
+        EvidentialModel("enn", make_layer("enn", 3, 2, 2, 0)), x, y, TrainConfig()),
+}
+
+
+@pytest.mark.parametrize("probe", list(LABEL_PROBES))
+@pytest.mark.parametrize("entry", list(LABEL_ENTRY_POINTS))
+def test_labels_that_are_not_class_indexes(entry, probe, monkeypatch):
+    monkeypatch.setattr(training, "Adam", lambda *args: pytest.fail("training started"))
+    ds = gen_half_moons(60, 0.1, seed=8)
+    make_labels, error = LABEL_PROBES[probe]
+    kmeans_module._cache.clear()
+    with pytest.raises(error):
+        LABEL_ENTRY_POINTS[entry](ds.points, make_labels(ds.labels), ds)
+    assert not kmeans_module._cache  # refused before clustering
+
+
+LABEL_VALUES = [1.0, 3.0, -0.0, 0.5, -1.0, math.nan, math.inf, -math.inf, 1e300, 2.0**63]
+
+
+@settings(max_examples=30, deadline=None)
+@given(base=st.lists(st.integers(0, 2), min_size=24, max_size=24),
+       dtype=st.sampled_from([np.int64, np.uint8, np.float64, np.bool_]),
+       change=st.none() | st.tuples(st.integers(0, 23), st.sampled_from(LABEL_VALUES)))
+def test_labels_train_as_their_int_cast_or_raise(base, dtype, change):
+    labels = np.array(base, dtype=dtype)
+    if change is not None:
+        labels = labels.astype(float)
+        labels[change[0]] = change[1]
+    whole = all(math.isfinite(v) and v == int(v) and 0 <= v < 2**63 for v in labels.tolist())
+    points = gen_half_moons(24, 0.1, seed=9).points
+    config = TrainConfig(epochs=3, learning_rate=1e-2)
+    try:
+        model, histories = fit("enn", "kmeans", 3, (points, labels), config)
+    except EvidkitError:
+        assert not whole
+        return
+    assert whole
+    want, want_histories = fit("enn", "kmeans", 3, (points, labels.astype(int)), config)
+    assert json.dumps(model.to_dict()) == json.dumps(want.to_dict())  # checkpoint bytes
+    assert list(histories["train"].csv_rows()) == list(want_histories["train"].csv_rows())
+
+
+SEEDED = {
+    "gen_half_moons": lambda seed: gen_half_moons(10, seed=seed),
+    "gen_ood_class": lambda seed: gen_ood_class(5, seed=seed),
+    "gen_toy_segmentation": lambda seed: gen_toy_segmentation(16, 16, 1, seed=seed),
+    "mlp_init": lambda seed: mlp_init([2, 3, 2], seed=seed),
+    "head_init": lambda seed: head_init(2, 2, seed=seed),
+    "enn_init_random": lambda seed: enn_init_random(3, 2, 2, seed=seed),
+    "rbf_init_random": lambda seed: rbf_init_random(3, 2, seed=seed),
+    "kmeans": lambda seed: kmeans(np.arange(12.0).reshape(6, 2), 2, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, None, np.random.default_rng(0)], ids=["negative", "float", "none", "rng"])
+@pytest.mark.parametrize("site", list(SEEDED))
+def test_seeds_are_integers_from_zero(site, seed):
+    with pytest.raises(OutOfRange):
+        SEEDED[site](seed)
+
+
+def test_a_numpy_integer_seeds_as_its_value():
+    assert seeded_rng(np.uint8(3)).random() == np.random.default_rng(3).random()
 
 
 def expect_same_as_loop(points, k, seed):
