@@ -30,8 +30,10 @@ are prototype-major (`evidkit.numeric`): d2, s and the Dempster factors are
 (I, N), L and the unnormalized masses (K+1, N); only the masses, `upstream`
 and the input gradient are (N, ...).  Activations below the smallest normal
 double flush to 0 (`numeric.exp_neg`), which moves no pooled mass of 1e-300
-or more; many below 2**-54 pool rescaled, same bits
-(`numeric.sum_log1p_neg`).  The forward caches alpha, gamma, the
+or more.  Pooling takes log1p only where it is not the identity, on the
+few activations at or above 2**-54 when the rest are below (far from every
+prototype), and rescales many below 2**-54 when the two mix; the same bits
+either way (`numeric.sum_log1p_neg`).  The forward caches alpha, gamma, the
 memberships, the factor weights and the centred inputs and prototypes for
 the backward pass and the regularizer; with `keep_cache=False` (inference)
 it caches nothing, s overwrites d2 and the centred arrays go once d2

@@ -63,10 +63,11 @@ def kmeans(points, k: int, seed: int = 0) -> KMeansResult:
     if not 1 <= k <= len(points):
         raise OutOfRange(f"need 1 <= k <= {len(points)} points, got k={k}")
     points = np.ascontiguousarray(points)
+    rng = seeded_rng(seed)  # a seed that is not an integer >= 0 is refused before it is hashed
     key = (hashlib.blake2b(points).digest(), points.shape, k, seed)
     result = _cache.get(key)
     if result is None:
-        result = _lloyd(points, k, seed)
+        result = _lloyd(points, k, rng)
         with _cache_lock:
             _cache[key] = result
             if len(_cache) > CACHE_SIZE:
@@ -74,9 +75,8 @@ def kmeans(points, k: int, seed: int = 0) -> KMeansResult:
     return replace(result, centroids=result.centroids.copy(), assignments=result.assignments.copy())
 
 
-def _lloyd(points: np.ndarray, k: int, seed) -> KMeansResult:
+def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator) -> KMeansResult:
     n = points.shape[0]
-    rng = seeded_rng(seed)
     degenerate = k > 1 and bool(np.all(points == points[0]))
     centroids = _plusplus_seed(points, k, rng)
     assignments = np.full(n, -1)

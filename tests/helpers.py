@@ -1,13 +1,14 @@
 """Shared test oracles: a gradient comparison, finite differences by array
 name (from `evidkit.training.fd_gradients`), a brute-force k-NN baseline and
 the feature net by `np.where`; inputs near and far from a layer's
-prototypes; the traced peak of a call."""
+prototypes; the pooling regime forced; the traced peak of a call."""
 
 import contextvars
 import tracemalloc
 
 import numpy as np
 
+from evidkit import numeric
 from evidkit.training import fd_gradients
 
 
@@ -46,17 +47,37 @@ def knn_predict(train_x, train_y, test_x, k=5):
 
 def far_field_inputs(rng, proto, gamma, n):
     """n inputs: the first half about one length scale from a prototype, the
-    rest at gamma d^2 >= t from every prototype, t log-uniform in [8, 1600],
-    so their activations run from about 3e-4 down to underflow."""
+    rest `far_inputs`, so their activations run from about 3e-4 down to
+    underflow."""
     n_proto, dim = proto.shape
     n_far = n // 2
     near = proto[rng.integers(n_proto, size=n - n_far)]
     near = near + rng.standard_normal((n - n_far, dim)) / np.sqrt(dim * gamma.max())
-    t = np.exp(rng.uniform(np.log(8.0), np.log(1600.0), n_far))
-    direction = rng.standard_normal((n_far, dim))
+    return np.vstack([near, far_inputs(rng, proto, gamma, n_far)])
+
+
+def far_inputs(rng, proto, gamma, n, t_min=8.0):
+    """n inputs at gamma d^2 >= t from every prototype, t log-uniform in
+    [t_min, 1600]."""
+    t = np.exp(rng.uniform(np.log(t_min), np.log(1600.0), n))
+    direction = rng.standard_normal((n, proto.shape[1]))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    far = direction * (np.linalg.norm(proto, axis=1).max() + np.sqrt(t / gamma.min()))[:, None]
-    return np.vstack([near, far])
+    return direction * (np.linalg.norm(proto, axis=1).max() + np.sqrt(t / gamma.min()))[:, None]
+
+
+# `numeric.sum_log1p_neg`'s regimes, each forced through the constants of its rule
+POOLING = {
+    "plain": {"SPARSE_MIN": np.inf, "RESCALE_MIN": np.inf},
+    "rescaled": {"SPARSE_MIN": np.inf, "RESCALE_MIN": -np.inf},
+    "sparse": {"SPARSE_MIN": -np.inf, "RESCALE_MIN": np.inf},
+}
+
+
+def force_pooling(mp, regime):
+    """Make `mp` (a pytest MonkeyPatch) send every pooling to `regime`; None
+    leaves the rule as it is."""
+    for name, value in POOLING.get(regime, {}).items():
+        mp.setattr(numeric, name, value)
 
 
 def mlp_forward_by_where(params, X, buffers=None):

@@ -3,12 +3,13 @@ analytic gradients vs finite differences, initializers, invariances."""
 
 import numpy as np
 import pytest
-from helpers import far_field_inputs, fd_by_name, grad_rel_error
+from helpers import POOLING, far_field_inputs, fd_by_name, force_pooling, grad_rel_error
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from evidkit import dst, enn, numeric
+from evidkit.datasets import gen_half_moons
 from evidkit.enn import (
     EnnParams,
     _factor_weights,
@@ -21,7 +22,7 @@ from evidkit.enn import (
 from evidkit.errors import DimensionMismatch, StaleCache
 from evidkit.model import params_from_dict, params_to_dict
 from evidkit.numeric import LOG1P_EXACT, sq_dists_backward, sum_log1p_neg, sum_rows
-from evidkit.training import fd_gradients
+from evidkit.training import TrainConfig, fd_gradients, fit
 
 
 def random_params(rng, n_proto=3, n_feat=2, n_classes=2):
@@ -146,9 +147,6 @@ EDGE_S = (0.0, 5e-324, 1e-310, np.finfo(float).tiny, 1e-200, np.nextafter(LOG1P_
 SIZES = [(n, i) for n in (1, 2, 7, 300, 12500) for i in (1, 6, 256)]
 
 
-ALWAYS_RESCALE = -np.inf  # as `numeric.RESCALE_MIN`: every batch takes the rescaled path
-
-
 @pytest.mark.parametrize("n, n_proto", SIZES)
 def test_pooled_logs_are_the_per_class_loop(n, n_proto, monkeypatch):
     rng = np.random.default_rng(n + n_proto)
@@ -161,11 +159,10 @@ def test_pooled_logs_are_the_per_class_loop(n, n_proto, monkeypatch):
     want = logs_by_loop(s, w)
     big = np.maximum(s, LOG1P_EXACT)  # no tiny lane
     with np.errstate(divide="ignore"):
-        assert sum_log1p_neg(s, w).tobytes() == want.tobytes()
-        assert sum_log1p_neg(big, w).tobytes() == logs_by_loop(big, w).tobytes()
-        monkeypatch.setattr(numeric, "RESCALE_MIN", ALWAYS_RESCALE)
-        assert sum_log1p_neg(s, w).tobytes() == want.tobytes()
-        assert sum_log1p_neg(big, w).tobytes() == logs_by_loop(big, w).tobytes()
+        for regime in (None, *POOLING):  # the rule, then each regime forced
+            force_pooling(monkeypatch, regime)
+            assert sum_log1p_neg(s, w).tobytes() == want.tobytes()
+            assert sum_log1p_neg(big, w).tobytes() == logs_by_loop(big, w).tobytes()
     assert (n_proto * n < 40 or np.isneginf(want).any()) and (s < LOG1P_EXACT).any()
 
 
@@ -177,9 +174,10 @@ def test_pooled_logs_are_the_per_class_loop(n, n_proto, monkeypatch):
 def test_pooled_logs_are_the_per_class_loop_for_any_activations(case):
     s, u = case
     w = _factor_weights(u)  # 1 - u for u in [0, 1]: 0 or at least 2**-53
-    with np.errstate(divide="ignore"), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(numeric, "RESCALE_MIN", ALWAYS_RESCALE)
-        assert sum_log1p_neg(s, w).tobytes() == logs_by_loop(s, w).tobytes()
+    for regime in ("rescaled", "sparse"):
+        with np.errstate(divide="ignore"), pytest.MonkeyPatch.context() as mp:
+            force_pooling(mp, regime)
+            assert sum_log1p_neg(s, w).tobytes() == logs_by_loop(s, w).tobytes()
 
 
 def far_field_case(n, n_proto, seed):
@@ -198,11 +196,15 @@ def far_field_case(n, n_proto, seed):
     return enn_from_constrained(proto, alpha, gamma, u), X
 
 
-@pytest.mark.parametrize("rescale_min", [ALWAYS_RESCALE, numeric.RESCALE_MIN])
+# each case by the RESCALE_MIN it runs at, or by the regime it forces
+BY_RULE_OR_FORCED = [pytest.param("rescaled", id="-inf"), pytest.param(None, id=str(numeric.RESCALE_MIN)), "sparse"]
+
+
+@pytest.mark.parametrize("regime", BY_RULE_OR_FORCED)
 @pytest.mark.parametrize("n, n_proto", SIZES)
-def test_forward_is_the_per_class_loop(n, n_proto, rescale_min, monkeypatch):
+def test_forward_is_the_per_class_loop(n, n_proto, regime, monkeypatch):
     params, X = far_field_case(n, n_proto, seed=n * n_proto)
-    monkeypatch.setattr(numeric, "RESCALE_MIN", rescale_min)
+    force_pooling(monkeypatch, regime)
     got = {keep: enn_forward_batch(params, X, keep) for keep in (True, False)}
     monkeypatch.setattr(enn, "sum_log1p_neg", logs_by_loop)
     for keep, (mass, cache) in got.items():
@@ -213,6 +215,23 @@ def test_forward_is_the_per_class_loop(n, n_proto, rescale_min, monkeypatch):
             assert cache["total"].tobytes() == want_cache["total"].tobytes()
     s = got[True][1]["s"]
     assert (n < 7 or (s < LOG1P_EXACT).any()) and (n_proto < 2 or ((s > 0) & (s < np.finfo(float).tiny)).any())
+
+
+def test_the_rule_picks_sparse_far_out_rescaled_when_mixed_plain_in_training(monkeypatch):
+    taken = []
+    for regime in POOLING:
+        name = f"_sum_{regime}"
+        monkeypatch.setattr(numeric, name, lambda *a, pool=getattr(numeric, name), regime=regime: taken.append(regime) or pool(*a))
+    rng = np.random.default_rng(5)
+    for (n, n_proto, dim), regime in [((250, 256, 64), "sparse"), ((12500, 6, 2), "rescaled")]:
+        proto, gamma = rng.standard_normal((n_proto, dim)), rng.uniform(0.5, 2.0, n_proto)
+        params = enn_from_constrained(proto, rng.uniform(0.1, 0.9, n_proto), gamma, rng.dirichlet(np.ones(2), n_proto))
+        enn_forward_batch(params, far_field_inputs(rng, proto, gamma, n), False)  # the benchmark's far-field rows
+        assert taken == [regime]
+        taken.clear()
+    ds = gen_half_moons(300, 0.1, seed=3)
+    fit("enn", "kmeans", 6, (ds.points, ds.labels), TrainConfig(epochs=25, learning_rate=1e-2))
+    assert set(taken) == {"plain"}
 
 
 def per_class_backward(params, cache, upstream):

@@ -3,7 +3,7 @@ input validation, checkpoints, and the shared objective."""
 
 import numpy as np
 import pytest
-from helpers import far_field_inputs, fd_by_name, traced_peak
+from helpers import POOLING, far_field_inputs, far_inputs, fd_by_name, force_pooling, traced_peak
 
 from evidkit import numeric
 from evidkit.datasets import gen_half_moons
@@ -183,6 +183,22 @@ class TestCacheFreeMasses:
         mass = layer.forward(X, keep_cache=keep_cache)[0]
         assert np.any(mass == 0) and not np.any(np.signbit(mass))
 
+    @pytest.mark.parametrize("regime", [None, *POOLING])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n_proto, dim", [(6, 2), (256, 64)])
+    def test_far_rows_get_positive_zero_singletons(self, kind, n_proto, dim, regime, monkeypatch):
+        # rows whose activations are all 0 or below 2**-54, in each pooling regime
+        force_pooling(monkeypatch, regime)
+        layer = make_layer(kind, n_proto, dim, 2, seed=n_proto)
+        rng = np.random.default_rng(dim)
+        X = far_inputs(rng, layer.proto, layer.gamma, 2000, t_min=40.0)
+        for keep_cache in (False, True):
+            mass, cache = layer.forward(X, keep_cache=keep_cache)
+            assert not np.signbit(mass).any()
+        assert cache["s"].max() < numeric.LOG1P_EXACT
+        vacuous = ~cache["s"].any(axis=0)
+        assert vacuous.any() and (mass[vacuous, :-1] == 0).all()
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_peak_memory_below_the_cached_forward(self, kind):
         n, n_proto = 12500, 6
@@ -191,14 +207,22 @@ class TestCacheFreeMasses:
         peaks = [traced_peak(call, X)[1] for call in (model.masses, model.forward_checked)]
         assert peaks[0] <= peaks[1] - n_proto * n * 8  # at least one (I, N) float64 array less
 
-    @pytest.mark.parametrize("rescale_min", [-np.inf, np.inf])
-    @pytest.mark.parametrize("n, n_proto, dim, loop_peak", [(12500, 6, 2, 1_603_152), (250, 256, 64, 1_117_424)])
-    def test_far_field_peak_memory(self, n, n_proto, dim, loop_peak, rescale_min, monkeypatch):
+    # ids end in the RESCALE_MIN that forces the regime, or in "sparse".  The
+    # sparse regime holds an index per lane at or above 2**-54, so it runs
+    # where few are: on the wide inputs (0.2%), not on the tall ones (53%)
+    @pytest.mark.parametrize("n, n_proto, dim, loop_peak, regime", [
+        pytest.param(*case, regime, id="-".join(map(str, (*case, rid))))
+        for case, regimes in [((12500, 6, 2, 1_603_152), ("rescaled", "plain")),
+                              ((250, 256, 64, 1_117_424), ("rescaled", "plain", "sparse"))]
+        for regime, rid in zip(regimes, ("-inf", "inf", "sparse"))])
+    def test_far_field_peak_memory(self, n, n_proto, dim, loop_peak, regime, monkeypatch):
         # the rescaled pooling of tiny activations holds its blocks in the
-        # room of the one (I, N) product it replaced, and the count that
-        # picks the path takes less: on either path no peak above the bytes
-        # the whole-batch pooling loop alone peaked at on these inputs.
-        monkeypatch.setattr(numeric, "RESCALE_MIN", rescale_min)
+        # room of the one (I, N) product it replaced, the sparse one its few
+        # indexes in the room of the (C, I) -w it does not hold, and the
+        # count that picks the regime takes less: in each regime no peak
+        # above the bytes the whole-batch pooling loop alone peaked at on
+        # these inputs.
+        force_pooling(monkeypatch, regime)
         rng = np.random.default_rng(dim)
         proto, gamma = rng.standard_normal((n_proto, dim)), rng.uniform(0.5, 2.0, n_proto)
         layer = enn_from_constrained(proto, rng.uniform(0.1, 0.9, n_proto), gamma, rng.dirichlet(np.ones(2), n_proto))

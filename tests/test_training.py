@@ -474,7 +474,8 @@ SEEDED = {
 }
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, None, np.random.default_rng(0)], ids=["negative", "float", "none", "rng"])
+@pytest.mark.parametrize("seed", [-1, 1.5, None, np.random.default_rng(0), [1], True],
+                         ids=["negative", "float", "none", "rng", "list", "bool"])
 @pytest.mark.parametrize("site", list(SEEDED))
 def test_seeds_are_integers_from_zero(site, seed):
     with pytest.raises(OutOfRange):
