@@ -185,6 +185,8 @@ def _sweep_settings(spec, where) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise OutOfRange(f"--workers must be at least 1, got {args.workers}")
     try:
         spec = json.loads(Path(args.spec).read_text())
     except ValueError as exc:  # not JSON, or not text
@@ -232,22 +234,17 @@ def cmd_eval(args) -> int:
     out = Path(args.out_dir)
     if args.seg:
         task = load_seg_task(data)
-        x, truth = seg_task_as_samples(task)
-        masses = model.masses(x)
-        soft = pignistic(masses)[:, 1]
-        pred_mask = (soft > 0.5).astype(int).reshape(task.mask.shape)
+        masses = model.masses(seg_task_as_samples(task)[0])
+        soft = pignistic(masses)[:, 1].reshape(task.mask.shape)
+        pred_mask = soft > 0.5
         scores = seg_scores(pred_mask, task.mask)
-        # calibration inside the bounding box of the true foreground
+        # calibration of the predicted class's confidence, in the true foreground's box
         ys, xs = np.nonzero(task.mask)
-        soft_grid = soft.reshape(task.mask.shape)
+        ece_val = math.nan
         if ys.size:
             box = (slice(ys.min(), ys.max() + 1), slice(xs.min(), xs.max() + 1))
-            box_soft = soft_grid[box].ravel()
-            box_pred = (box_soft > 0.5).astype(int)
-            box_truth = task.mask[box].ravel()
-            ece_val = ece(box_soft, box_pred, box_truth, n_bins=args.ece_bins).ece
-        else:
-            ece_val = float("nan")
+            conf = np.maximum(soft[box], 1.0 - soft[box])
+            ece_val = ece(conf, pred_mask[box], task.mask[box], n_bins=args.ece_bins).ece
         report = {
             "n": int(task.mask.size),
             "dice": scores.dice,

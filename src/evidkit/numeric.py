@@ -56,11 +56,9 @@ def softmax_rows(z):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def log_rows(p, floor=0.0):
-    """Elementwise log tolerating exact zeros (maps them to -inf or log(floor))."""
+def log_rows(p):
+    """Elementwise log tolerating exact zeros (maps them to -inf)."""
     p = np.asarray(p, dtype=float)
-    if floor > 0.0:
-        p = np.maximum(p, floor)
     with np.errstate(divide="ignore"):
         return np.log(p)
 

@@ -1,4 +1,4 @@
-"""Losses, the optimizer, the training loop, and `fit`, which builds and
+"""Losses, the optimizer, the one epoch loop, and `fit`, which builds and
 trains every new model: plain, or by the staged protocol for a feature net.
 
 Loss pairings follow the layer families: the prototype-membership layer is
@@ -23,8 +23,7 @@ from .errors import AllZeroDenominator, NonFiniteLoss, OutOfRange, ShapeMismatch
 from .mlp import head_init, mlp_backward_batch, mlp_forward_batch, mlp_init
 from .metrics import error_rate, mean_ignorance
 from .model import EvidentialModel, class_count, decide, make_layer
-from .numeric import (as_batch, buffer, class_labels, log_rows, pignistic, pignistic_backward, require_finite,
-                      softmax_rows)
+from .numeric import as_batch, buffer, class_labels, pignistic, pignistic_backward, require_finite, softmax_rows
 
 P_CLAMP = 1e-12
 PLATEAU_PATIENCE = 10  # epochs without a lower objective before the learning rate is cut
@@ -265,20 +264,14 @@ def model_loss_and_grads(model: EvidentialModel, X, y, config: TrainConfig, buff
 
 # --- training loop
 
-def train(model: EvidentialModel, train_data, config: TrainConfig, val_data=None):
-    """Full-batch training with a reduce-on-plateau schedule.
-
-    Returns (trained model, history).  When a validation set is given, the
-    returned model carries the parameters that scored the best validation
-    objective; otherwise the final parameters.
-    """
-    fit_set = _fit_set(model, train_data, config)
-    val = _fit_set(model, val_data, config) if val_data is not None else None
-
-    with flat_parameters(model.trainable_arrays(), model.layer, model.feature_net) as params:
+def _epoch_loop(arrays, owners, config: TrainConfig, step, evaluate=None):
+    """Adam with a plateau schedule on `arrays` (`flat_parameters` of `owners`):
+    `step()` gives each epoch's objective, gradients by name, training error
+    and mean ignorance; `evaluate()`, if given, the validation objective and
+    error after the step, and the arrays end at its best epoch."""
+    with flat_parameters(arrays, *owners) as params:
         optimizer = Adam(params.vector, config.learning_rate)
         history = TrainHistory()
-        buffers = {}  # the training set's alone: validation allocates its own
 
         best_val = math.inf
         best_vector = None
@@ -286,12 +279,9 @@ def train(model: EvidentialModel, train_data, config: TrainConfig, val_data=None
         bad_epochs = 0
 
         for epoch in range(1, config.epochs + 1):
-            value, grads, masses = model_loss_and_grads(model, fit_set.x, fit_set, config, buffers)
+            value, grads, train_err, ignorance = step()
             if not math.isfinite(value):
                 raise NonFiniteLoss(f"objective became {value} at epoch {epoch}")
-
-            train_err = error_rate(decide(masses), fit_set.y)
-            ignorance = mean_ignorance(masses)
 
             if value < plateau_best - 1e-15:
                 plateau_best = value
@@ -304,18 +294,32 @@ def train(model: EvidentialModel, train_data, config: TrainConfig, val_data=None
 
             optimizer.step(params.flatten(grads))
 
-            val_err = math.nan
-            if val is not None:
-                val_value, val_err = _evaluate(model, val, config)
-                if val_value < best_val:
-                    best_val = val_value
-                    best_vector = params.vector.copy()
+            val_value, val_err = evaluate() if evaluate else (math.inf, math.nan)
+            if val_value < best_val:
+                best_val = val_value
+                best_vector = params.vector.copy()
 
             history.records.append(EpochRecord(epoch, value, train_err, val_err, ignorance))
 
         if best_vector is not None:
             params.vector[...] = best_vector
-    return model, history
+    return history
+
+
+def train(model: EvidentialModel, train_data, config: TrainConfig, val_data=None):
+    """Full-batch training of the whole model in the epoch loop.  Returns
+    (trained model, history); given `val_data`, the model ends at the
+    parameters of its best validation objective."""
+    fit_set = _fit_set(model, train_data, config)
+    val = _fit_set(model, val_data, config) if val_data is not None else None
+    buffers = {}  # the training set's alone: validation allocates its own
+
+    def step():
+        value, grads, masses = model_loss_and_grads(model, fit_set.x, fit_set, config, buffers)
+        return value, grads, error_rate(decide(masses), fit_set.y), mean_ignorance(masses)
+
+    evaluate = None if val is None else lambda: _evaluate(model, val, config)
+    return model, _epoch_loop(model.trainable_arrays(), (model.layer, model.feature_net), config, step, evaluate)
 
 
 def _evaluate(model: EvidentialModel, fit_set: _FitSet, config: TrainConfig) -> tuple[float, float]:
@@ -329,34 +333,28 @@ def _evaluate(model: EvidentialModel, fit_set: _FitSet, config: TrainConfig) -> 
 
 def pretrain_feature_net(net, head, train_data, config: TrainConfig, val_data=None):
     """Train the feature network by summed cross-entropy through a one-layer
-    head net whose outputs are the class logits, scoring `val_data` each step."""
-    x_train, y_train = _unpack(train_data, head.sizes[-1])
-    val = None if val_data is None else _unpack(val_data, head.sizes[-1])
-    onehot = np.eye(head.sizes[-1])[y_train]
+    head net of class logits, in `train`'s epoch loop (mean ignorance NaN)."""
+    n_classes = head.sizes[-1]
+    sets = [(x, y, np.eye(n_classes)[y]) for x, y in
+            (_unpack(data, n_classes) for data in (train_data, val_data) if data is not None)]
+    buffers = ({}, {})  # net and head both name arrays W0, b0, ...: a dict each, head's prefixed
 
-    # net and head both name their arrays W0, b0, ...: prefix the head's
-    head_arrays = {f"head.{k}": v for k, v in head.trainable_arrays().items()}
-    with flat_parameters(net.trainable_arrays() | head_arrays, net, head) as params:
-        optimizer = Adam(params.vector, config.learning_rate)
-        history = TrainHistory()
+    def objective(x, y, onehot, buffers=(None, None)):
+        feats, cache = mlp_forward_batch(net, x, buffers[0])
+        logits, head_cache = mlp_forward_batch(head, feats, buffers[1])
+        probs = softmax_rows(logits)
+        value = float(-np.sum(onehot * np.log(np.maximum(probs, P_CLAMP))))
+        return value, error_rate(np.argmax(probs, axis=1), y), probs, cache, head_cache
 
-        net_buffers, head_buffers = {}, {}
-        for epoch in range(1, config.epochs + 1):
-            feats, cache = mlp_forward_batch(net, x_train, net_buffers)
-            logits, head_cache = mlp_forward_batch(head, feats, head_buffers)
-            probs = softmax_rows(logits)
-            value = float(-np.sum(onehot * log_rows(probs, floor=P_CLAMP)))
-            if not math.isfinite(value):
-                raise NonFiniteLoss(f"pretraining objective became {value} at epoch {epoch}")
-            head_grads, d_feats = mlp_backward_batch(head, head_cache, probs - onehot)
-            net_grads, _ = mlp_backward_batch(net, cache, d_feats)
-            optimizer.step(params.flatten(net_grads | {f"head.{k}": g for k, g in head_grads.items()}))
+    def step():
+        value, err, probs, cache, head_cache = objective(*sets[0], buffers)
+        head_grads, d_feats = mlp_backward_batch(head, head_cache, probs - sets[0][2])
+        grads = mlp_backward_batch(net, cache, d_feats)[0] | {f"head.{k}": g for k, g in head_grads.items()}
+        return value, grads, err, math.nan
 
-            err = error_rate(np.argmax(probs, axis=1), y_train)
-            val_err = math.nan if val is None else error_rate(
-                np.argmax(mlp_forward_batch(head, mlp_forward_batch(net, val[0])[0])[0], axis=1), val[1])
-            history.records.append(EpochRecord(epoch, value, err, val_err, math.nan))
-    return history
+    evaluate = None if val_data is None else lambda: objective(*sets[1])[:2]
+    arrays = net.trainable_arrays() | {f"head.{k}": v for k, v in head.trainable_arrays().items()}
+    return _epoch_loop(arrays, (net, head), config, step, evaluate)
 
 
 def fit(kind: str, init: str, n_prototypes: int, data, config: TrainConfig, hidden=None,
@@ -364,13 +362,13 @@ def fit(kind: str, init: str, n_prototypes: int, data, config: TrainConfig, hidd
     """A new `kind` model of `n_prototypes` prototypes, trained on `data`.
 
     `hidden`, when given, holds the hidden widths of a feature net of
-    `n_features` outputs in front of the layer, drawn by `mlp_init` with
-    seed `config.seed`.  The layer's prototypes come from k-means on its inputs
-    (`init` "kmeans") or at random.  Without a net, or with random
-    prototypes, the model trains as it is.  A net with k-means runs the
-    staged protocol: pretrain the net through a one-layer head, fit the
-    layer alone on the frozen features at learning rate 1e-2 (this function
-    without a net), then fine-tune the whole model at 1e-4.
+    `n_features` outputs in front of the layer, drawn by `mlp_init` with seed
+    `config.seed`.  The layer's prototypes come from k-means on its inputs
+    (`init` "kmeans") or at random.  Without a net, or with random prototypes,
+    the model trains as it is.  A net with k-means runs the staged protocol,
+    each stage in the epoch loop: pretrain the net through a one-layer head,
+    fit the layer alone on the frozen features at learning rate 1e-2 (this
+    function without a net), then fine-tune the whole model at 1e-4.
 
     Returns (model, histories): `histories["train"]` is the returned model's
     training history, and a staged run adds "pretrain" and "layer".

@@ -217,6 +217,24 @@ class TestEvalAndContours:
         report = dict(zip(header.split(","), [float(v) for v in values.split(",")]))
         assert "dice" in report and 0 <= report["dice"] <= 1
 
+    def test_eval_segmentation_ece_of_a_perfect_segmenter_is_zero(self, tmp_path, monkeypatch):
+        # fully confident and always right, on a diagonal mask: its bounding box
+        # is 10% foreground, and every pixel is right at confidence 1
+        mask = np.eye(10, dtype=int)
+        save_seg_task(tmp_path / "task", ToySegTask(np.zeros((10, 10, 2)), mask))
+        truth = mask.ravel().astype(float)
+
+        class PerfectModel:
+            load = staticmethod(lambda path: PerfectModel())
+            masses = staticmethod(lambda x: np.column_stack([1.0 - truth, truth, np.zeros_like(truth)]))
+
+        monkeypatch.setattr(cli, "EvidentialModel", PerfectModel)
+        assert run(["eval", "--seg", "--checkpoint", str(tmp_path / "unused.json"), "--data", str(tmp_path / "task"),
+                    "--out-dir", str(tmp_path / "out")]) == 0
+        header, values = (tmp_path / "out" / "report.csv").read_text().splitlines()
+        report = dict(zip(header.split(","), [float(v) for v in values.split(",")]))
+        assert report["dice"] == 1.0 and report["ece"] == 0.0
+
 
 def read_contour_rows(path):
     rows = path.read_text().splitlines()
@@ -624,6 +642,15 @@ def test_sweep_spec_error_names_the_key(bad, key, tmp_path, capsys):
     spec.write_text(BAD_SPEC[bad])
     assert run(["sweep", "--spec", str(spec), "--out-dir", str(tmp_path / "out")]) == 1
     assert f"error_category=MalformedInput: {spec}: bad or missing {key}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_sweep_workers_below_one(workers, tmp_path, capsys):
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({"models": ["enn"], "lambdas": [0.0], "seeds": [0], "epochs": 1}))
+    assert_category(["sweep", "--spec", str(spec), "--out-dir", str(tmp_path / "out"), "--workers", workers],
+                    "OutOfRange", capsys)
     assert not (tmp_path / "out").exists()
 
 

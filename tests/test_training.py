@@ -24,7 +24,7 @@ from evidkit.errors import (AllZeroDenominator, Empty, EvidkitError, MalformedIn
 from evidkit.kmeans import CACHE_SIZE, MAX_ITER, KMeansResult, _plusplus_seed, kmeans
 from evidkit.mlp import head_init, mlp_forward_batch, mlp_init
 from evidkit.model import EvidentialModel, make_layer
-from evidkit.numeric import log_rows, seeded_rng, sq_dists
+from evidkit.numeric import log_rows, seeded_rng, softmax_rows, sq_dists
 from evidkit.rbf import rbf_from_constrained, rbf_init_kmeans, rbf_init_random
 from evidkit.training import (
     Adam,
@@ -705,6 +705,32 @@ class TestFourStageInit:
         with pytest.raises(OutOfRange):
             fit("rbf", "kmeans", 3, (ds.points, np.arange(30) % 3), config, hidden=[16])
         assert pretrained == []
+
+    def test_layer_stage_gets_the_best_validation_net(self, monkeypatch):
+        # at learning rate 0.3 the validation cross-entropy is lowest at epoch 7
+        # of 20; a run of e epochs is the first e epochs of the longer run
+        ds, val = gen_half_moons(60, 0.3, seed=1), gen_half_moons(60, 0.3, seed=2)
+        config = TrainConfig(epochs=20, learning_rate=0.3, seed=0)
+        nets = []
+        for epochs in range(1, 21):
+            net, head = mlp_init([2, 8, 2], seed=0), head_init(2, 2, seed=1)
+            pretrain_feature_net(net, head, ds, replace(config, epochs=epochs))
+            probs = softmax_rows(mlp_forward_batch(head, mlp_forward_batch(net, val.points)[0])[0])
+            nets.append((-np.sum(np.eye(2)[val.labels] * np.log(np.maximum(probs, 1e-12))), epochs, net))
+        _, best_epoch, best_net = min(nets, key=lambda entry: entry[0])
+        assert best_epoch == 7
+
+        clustered, real_make_layer = [], training.make_layer
+
+        def make_layer(kind, n_prototypes, n_features, n_classes, seed, data=None):
+            if data is not None:
+                clustered.append(data[0])
+            return real_make_layer(kind, n_prototypes, n_features, n_classes, seed, data)
+
+        monkeypatch.setattr(training, "make_layer", make_layer)
+        fit("enn", "kmeans", 4, ds, config, hidden=[8], val_data=val)
+        assert len(clustered) == 1
+        assert clustered[0].tobytes() == mlp_forward_batch(best_net, ds.points)[0].tobytes()
 
     @pytest.mark.parametrize("kind, loss", [("enn", "sse"), ("rbf", "cross-entropy")])
     def test_staged_fit_is_the_hand_chained_protocol(self, kind, loss):
