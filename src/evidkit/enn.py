@@ -28,9 +28,12 @@ constraints.
 Forward/backward take a batch (N, H), or a row (H,) as N = 1.  The kernels
 are prototype-major (`evidkit.numeric`): d2, s and the Dempster factors are
 (I, N), L and the unnormalized masses (K+1, N); only the masses, `upstream`
-and the input gradient are (N, ...).  Activations below the smallest normal
-double flush to 0 (`numeric.exp_neg`), which moves no pooled mass of 1e-300
-or more.  Pooling takes log1p only where it is not the identity, on the
+and the input gradient are (N, ...).  The masses are the `.T` view of the
+class-major unnormalized array, and a training run's `upstream` is too, so
+the backward reads both as contiguous class rows.  Activations are exp of
+(-gamma) d2, flushed to 0 below the smallest normal double
+(`numeric.exp_flush`), which moves no pooled mass of 1e-300 or more.
+Pooling takes log1p only where it is not the identity, on the
 few activations at or above 2**-54 when the rest are below (far from every
 prototype), and rescales many below 2**-54 when the two mix; the same bits
 either way (`numeric.sum_log1p_neg`).  The forward caches alpha, gamma, the
@@ -39,7 +42,10 @@ the backward pass and the regularizer; with `keep_cache=False` (inference)
 it caches nothing, s overwrites d2 and the centred arrays go once d2
 exists.  The backward spends the cache (s is overwritten) and takes the
 factors a class at a time in two (I, N) arrays, a training run's `buffers`
-when given.
+when given.  It masks its division by the factors t = 1 - s w to t > 0 only
+when some alpha is exactly 1: s <= alpha and w <= 1, so no other t is 0.
+It forms the input gradient only with `input_grad`, which training sets
+only in front of a feature net.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ import numpy as np
 from .errors import DimensionMismatch, OutOfRange, StaleCache, TotalConflict
 from .kmeans import cluster_label_counts, kmeans
 from .numeric import (
-    as_batch, buffer, class_labels, exp_neg, log_rows, logit, seeded_rng, sigmoid, softmax_rows, sq_dists,
+    as_batch, buffer, class_labels, exp_flush, log_rows, logit, seeded_rng, sigmoid, softmax_rows, sq_dists,
     sq_dists_backward, sum_log1p_neg, sum_rows,
 )
 
@@ -115,8 +121,9 @@ class EnnParams:
     def forward(self, X, keep_cache: bool = True) -> tuple[np.ndarray, dict]:
         return enn_forward_batch(self, X, keep_cache)
 
-    def backward(self, cache: dict, upstream, buffers=None) -> tuple[dict[str, np.ndarray], np.ndarray]:
-        return enn_backward_batch(self, cache, upstream, buffers)
+    def backward(self, cache: dict, upstream, buffers=None,
+                 input_grad=True) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+        return enn_backward_batch(self, cache, upstream, buffers, input_grad)
 
     def regularizer(self, cache: dict) -> tuple[float, dict[str, np.ndarray]]:
         """Sum of the reliabilities, and its gradient in `alpha_raw`, from the
@@ -143,7 +150,10 @@ def enn_from_constrained(proto, alpha, gamma, memberships) -> EnnParams:
 def _factor_weights(u) -> np.ndarray:
     """(K+1, I) weights w of the Dempster factors t = 1 - s w: 1 - u_ik for
     each class k, then 1 for the frame."""
-    return np.concatenate([1.0 - u.T, np.ones((1, len(u)))])
+    w = np.empty((u.shape[1] + 1, len(u)))
+    np.subtract(1.0, u.T, out=w[:-1])
+    w[-1] = 1.0
+    return w
 
 
 def enn_forward_batch(params: EnnParams, X, keep_cache: bool = True) -> tuple[np.ndarray, dict]:
@@ -154,8 +164,8 @@ def enn_forward_batch(params: EnnParams, X, keep_cache: bool = True) -> tuple[np
     w = _factor_weights(u)
 
     d2, Xc, Pc = sq_dists(X, params.proto)               # d2 (I, N)
-    s = np.multiply(gamma[:, None], d2, out=None if keep_cache else d2)
-    exp_neg(s, out=s)
+    s = np.multiply(-gamma[:, None], d2, out=None if keep_cache else d2)
+    exp_flush(s, out=s)
     s *= alpha[:, None]
     cache = {"params": params, "Xc": Xc, "Pc": Pc, "alpha": alpha, "gamma": gamma, "u": u, "w": w,
              "d2": d2, "s": s} if keep_cache else {}
@@ -163,8 +173,8 @@ def enn_forward_batch(params: EnnParams, X, keep_cache: bool = True) -> tuple[np
 
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = sum_log1p_neg(s, w)                       # [L_1 .. L_K, L_q]
-        top = logs[:k].max(axis=0)                       # (N,)
-        if (top == -np.inf).any():
+        top = np.maximum.reduce(logs[:k], axis=0)        # (N,)
+        if np.fmin.reduce(top, initial=np.inf) == -np.inf:  # fmin: a NaN lane hides no -inf
             raise TotalConflict("fully confident prototypes exclude every class; pooled mass vanished")
         singles = logs[k] - logs[:k]                     # NaN where L_k = L_q = -inf
         unnorm = np.subtract(logs, top, out=logs)        # (K+1, N)
@@ -182,12 +192,14 @@ def enn_forward_batch(params: EnnParams, X, keep_cache: bool = True) -> tuple[np
     return mass, cache
 
 
-def enn_backward_batch(params: EnnParams, cache: dict, upstream, buffers=None) -> tuple[dict[str, np.ndarray], np.ndarray]:
+def enn_backward_batch(params: EnnParams, cache: dict, upstream, buffers=None,
+                       input_grad=True) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
     """Backpropagate d(loss)/d(mass) of shape (N, K+1).
 
     Returns gradients for the unconstrained parameter arrays (summed over the
-    batch) and the gradient with respect to the inputs, shape (N, H).  Spends
-    the cache; its two (I, N) arrays come from `buffers` when given.
+    batch) and the gradient with respect to the inputs, shape (N, H), or
+    None without `input_grad`.  Spends the cache; its two (I, N) arrays come
+    from `buffers` when given.
     """
     if cache.get("params") is not params:
         raise StaleCache("cache from different parameters, or spent by a backward pass")
@@ -217,14 +229,16 @@ def enn_backward_batch(params: EnnParams, cache: dict, upstream, buffers=None) -
     # P_c / t_ic.  Where t_ic = 0 it is taken as 0: there alpha_i = 1,
     # exp(-gamma_i d2) = 1 and u_ic < 2**-53 (or c is the frame), and every chain
     # below scales it by 1 - alpha_i = 0, by u_ic, or by gamma_i d2 < 2**-53.
+    # s <= alpha and w <= 1, so without an alpha of 1 no t is 0: no lane is masked
     # One class at a time: t, then d(loss)/d(t) w, summed over the classes in d_s
     d_s = buffer(buffers, "enn.d_s", s.shape)
     t = buffer(buffers, "enn.t", s.shape)
     d_u = np.empty((k, len(s)))
+    some_t_zero = np.maximum.reduce(alpha) == 1.0
     for c, w_c in enumerate(w[:, :, None]):
         d_t = t if c else d_s
         np.subtract(1.0, np.multiply(s, w_c, out=d_t) if c < k else s, out=d_t)  # the frame's w is 1
-        np.divide(pq[c], d_t, out=d_t, where=d_t > 0)            # t = 0 lanes stay 0
+        np.divide(pq[c], d_t, out=d_t, where=d_t > 0 if some_t_zero else True)  # t = 0 lanes stay 0
         d_t *= d_pq[c]
         if c < k:
             d_u[c] = np.einsum("in,in->i", d_t, s)               # summed over the batch
@@ -235,13 +249,13 @@ def enn_backward_batch(params: EnnParams, cache: dict, upstream, buffers=None) -
     d_ss = np.multiply(d_s, s, out=s)                            # (I, N)
     d_d2 = np.multiply(d_ss, -gamma[:, None], out=d_s)
 
-    d_x, d_proto = sq_dists_backward(d_d2, cache["Xc"], cache["Pc"])
+    d_x, d_proto = sq_dists_backward(d_d2, cache["Xc"], cache["Pc"], input_grad)
 
     # chain into the unconstrained parameterization; d(s)/d(alpha_raw) = s (1 - alpha)
     d_alpha_raw = np.add.reduce(d_ss, axis=1) * (1.0 - alpha)
     d_log_gamma = -np.einsum("in,in->i", d_ss, d2) * gamma
     d_u = d_u.T
-    d_u_logit = u * (d_u - (d_u * u).sum(axis=1, keepdims=True))
+    d_u_logit = u * (d_u - np.add.reduce(d_u * u, axis=1, keepdims=True))
 
     return {"proto": d_proto, "alpha_raw": d_alpha_raw, "log_gamma": d_log_gamma, "u_logit": d_u_logit}, d_x
 

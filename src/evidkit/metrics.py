@@ -56,10 +56,11 @@ def error_rate(predictions, labels) -> float:
 
 
 def mean_ignorance(masses: np.ndarray) -> float:
-    """Average frame mass, the last column, of (N, K+1) output masses."""
+    """Average frame mass, the last column, of (N, K+1) output masses: the
+    last row of `masses.T`, contiguous for the layers' class-major masses."""
     if masses.size == 0:
         raise Empty("no masses")
-    return float(masses[:, -1].sum()) / len(masses)
+    return float(np.add.reduce(masses.T[-1])) / len(masses)
 
 
 def confusion(pred_mask, true_mask) -> ConfusionCounts:

@@ -8,6 +8,8 @@ Training works in arrays the fit owns: given its `buffers`, the forward
 writes each preactivation, PReLU mask and activation into the arrays of the
 epoch before.  The backward spends the cache, writing its deltas and PReLU
 factors over them.  Inference passes no `buffers` and allocates anew.
+Training never reads the net's input gradient, so it passes
+`input_grad=False` and the first layer's delta times W0^T is not formed.
 """
 
 from __future__ import annotations
@@ -112,11 +114,12 @@ def mlp_forward_batch(params: MlpParams, X, buffers=None) -> tuple[np.ndarray, d
     return h, cache
 
 
-def mlp_backward_batch(params: MlpParams, cache: dict, upstream) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Standard backpropagation; returns parameter grads and d(loss)/d(input).
-    Spends the cache: each delta goes into the activation its weight gradient
-    has just read, the masked preactivation and PReLU factor into the
-    preactivation."""
+def mlp_backward_batch(params: MlpParams, cache: dict, upstream,
+                       input_grad=True) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+    """Standard backpropagation; returns parameter grads and d(loss)/d(input),
+    None without `input_grad`.  Spends the cache: each delta goes into the
+    activation its weight gradient has just read, the masked preactivation
+    and PReLU factor into the preactivation."""
     if cache.get("params") is not params:
         raise StaleCache("cache from different parameters, or spent by a backward pass")
     upstream = np.asarray(upstream, dtype=float)
@@ -132,9 +135,10 @@ def mlp_backward_batch(params: MlpParams, cache: dict, upstream) -> tuple[dict[s
         if i < last:
             z, neg = preacts[i], negs[i]
             np.multiply(z.view(np.uint64), neg, out=z.view(np.uint64))  # where(neg, z, 0.0)
-            grads["slopes"][i] = np.sum(np.multiply(delta, z, out=z))
+            grads["slopes"][i] = np.add.reduce(np.multiply(delta, z, out=z), axis=None)
             delta *= _prelu_factor(neg, params.slopes[i], z)
         grads[f"W{i}"] = activations[i].T @ delta
-        grads[f"b{i}"] = delta.sum(axis=0)
-        delta = np.matmul(delta, params.weights[i].T, out=activations[i] if i else None)
-    return grads, delta
+        grads[f"b{i}"] = np.add.reduce(delta, axis=0)
+        if i or input_grad:
+            delta = np.matmul(delta, params.weights[i].T, out=activations[i] if i else None)
+    return grads, delta if input_grad else None

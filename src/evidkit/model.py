@@ -11,9 +11,12 @@ outside `make_layer` no code asks which one it holds: `kind` (its key in
 `n_features`, `n_classes` (2 for `rbf`), `trainable_arrays()`,
 `forward(X, keep_cache=True) -> (masses (N, K+1), cache)`, the cache {}
 when `keep_cache` is false (`masses`),
-`backward(cache, upstream, buffers=None) -> (parameter grads, input grads)`,
-which may spend the cache and take scratch from a training run's `buffers`
-(`numeric.buffer`), and
+`backward(cache, upstream, buffers=None, input_grad=True) -> (parameter
+grads, input grads)`, which may spend the cache and take scratch from a
+training run's `buffers` (`numeric.buffer`), and gives None for the input
+gradient when `input_grad` is false (a model with no feature net to feed);
+`upstream` is (N, K+1) d(loss)/d(masses), in training the `.T` view of
+class-major (K+1, N) storage, or for `rbf` (N,) d(loss)/d(p1); and
 `regularizer(cache) -> (value, {array name: gradient})`, the
 prototype-shrinking penalty that every loss weighs by lambda, read from the
 constrained values a forward pass cached.
@@ -83,14 +86,26 @@ def make_layer(kind: str, n_prototypes: int, n_features: int, n_classes: int, se
 
 
 def decide(masses) -> np.ndarray:
-    """Class indexes of (N, K+1) masses by maximal singleton mass (ties to
-    the lowest index).
+    """Class indexes of (N, K+1) masses by maximal singleton mass, as
+    `np.argmax` picks them: ties go to the lowest index and the first NaN
+    wins.  The classes are read as rows of `masses.T`, contiguous for the
+    layers' class-major masses.
 
     With singleton-plus-frame focal sets this argmax coincides with the
     maximum-belief, maximum-plausibility, optimism-weighted, and
     probability-transform decision rules.
     """
-    return np.argmax(masses[:, :-1], axis=1)
+    rows = masses.T
+    last = len(rows) - 2
+    pred = np.zeros(len(masses), dtype=np.intp)
+    best = rows[0]
+    for c in range(1, last + 1):
+        # above best or NaN, unless best is NaN: argmax stops at its first NaN
+        take = np.greater(best == best, rows[c] <= best)
+        np.copyto(pred, c, where=take)
+        if c < last:
+            best = np.where(take, rows[c], best)
+    return pred
 
 
 @dataclass
@@ -148,10 +163,11 @@ class EvidentialModel:
         weight-of-evidence layer) into the flat parameter-gradient dict,
         spending the caches."""
         mlp_cache, layer_cache = caches
-        layer_grads, d_feats = self.layer.backward(layer_cache, upstream, buffers)
+        net = self.feature_net
+        layer_grads, d_feats = self.layer.backward(layer_cache, upstream, buffers, net is not None)
         grads = {f"layer.{k}": v for k, v in layer_grads.items()}
-        if self.feature_net is not None:
-            mlp_grads, _ = mlp.mlp_backward_batch(self.feature_net, mlp_cache, d_feats)
+        if net is not None:
+            mlp_grads, _ = mlp.mlp_backward_batch(net, mlp_cache, d_feats, False)
             grads.update({f"mlp.{k}": v for k, v in mlp_grads.items()})
         return grads
 

@@ -6,9 +6,10 @@ prototypes or a max over the classes runs over rows, across contiguous
 inputs.  `sum_rows` adds those rows in order whatever N is, so an input's
 result does not depend on the batch it came in.
 
-Activations exp(-gamma d^2) go through `exp_neg`, which flushes results
-below the smallest normal double to 0 and so keeps far inputs on numpy's
-fast SIMD exp path; pooled masses of 1e-300 and more are unaffected.
+Activations exp(-gamma d^2) go through `exp_flush` as exp of the product
+-gamma d^2, the sign folded into the scale; it flushes results below the
+smallest normal double to 0 and so keeps far inputs on numpy's fast SIMD
+exp path; pooled masses of 1e-300 and more are unaffected.
 
 Dempster pooling sums log1p(-s w) over the prototypes (`sum_log1p_neg`).
 For s below 2**-54 that is -s w itself, on which numpy's log1p is slow in
@@ -51,9 +52,8 @@ def logit(p):
 def softmax_rows(z):
     """Row-wise softmax; -inf entries yield exact zeros."""
     z = np.asarray(z, dtype=float)
-    m = np.max(z, axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def log_rows(p):
@@ -125,21 +125,21 @@ def sum_rows(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(a, axis=0) if a.shape[1] > 1 else np.cumsum(a, axis=0)[-1]
 
 
-def exp_neg(z, out=None) -> np.ndarray:
-    """exp(-z), bit for bit wherever that is a normal double, and exactly 0
+def exp_flush(z, out=None) -> np.ndarray:
+    """exp(z), bit for bit wherever that is a normal double, and exactly 0
     where it would be subnormal or underflow.  `out=z` computes it in place.
-    No lane is gathered or stored by mask: all take one exp clamped at
-    EXP_FAST_MIN times 1 or 0, and the rare lanes in [LOG_TINY, EXP_FAST_MIN)
-    are patched by index."""
-    a = np.negative(z, out=out)
-    keep = a >= EXP_FAST_MIN
-    if keep.all():  # no far lane, as in training: nothing to flush
-        return np.exp(a, out=a)
-    near = a >= LOG_TINY
+    The layers pass z = -gamma d^2, negated by the scale.  No lane is
+    gathered or stored by mask: all take one exp clamped at EXP_FAST_MIN
+    times 1 or 0, and the rare lanes in [LOG_TINY, EXP_FAST_MIN) are patched
+    by index."""
+    if np.minimum.reduce(z, axis=None, initial=np.inf) >= EXP_FAST_MIN:  # no far lane, as in training
+        return np.exp(z, out=out)
+    keep = z >= EXP_FAST_MIN
+    near = z >= LOG_TINY
     near ^= keep
-    rare = np.flatnonzero(near) if near.any() else None  # C order, as `a.flat` indexes
-    patch = None if rare is None else np.exp(a.flat[rare])
-    np.maximum(a, EXP_FAST_MIN, out=a)
+    rare = np.flatnonzero(near) if near.any() else None  # C order, as `.flat` indexes
+    patch = None if rare is None else np.exp(z.flat[rare])  # read before `out=z` is written
+    a = np.maximum(z, EXP_FAST_MIN, out=out)
     np.exp(a, out=a)
     a *= keep
     if rare is not None:
@@ -232,20 +232,22 @@ def sq_dists(X, P) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # BLAS multiplies by a lone column through gemv, which rounds otherwise
     # than gemm: a second copy keeps the row on gemm, as inside a batch
     Xg = np.vstack([Xc, Xc]) if len(X) == 1 else Xc
-    d2 = Pc @ Xg.T
-    d2 *= -2.0
+    d2 = (Pc * -2.0) @ Xg.T  # a power-of-two scale: the bits of -2 (Pc Xg^T)
     d2 += np.einsum("nh,nh->n", Xg, Xg)
     d2 += np.einsum("ih,ih->i", Pc, Pc)[:, None]
     np.maximum(d2, 0.0, out=d2)
     return d2[:, :len(X)], Xc, Pc
 
 
-def sq_dists_backward(d_d2, Xc, Pc) -> tuple[np.ndarray, np.ndarray]:
+def sq_dists_backward(d_d2, Xc, Pc, input_grad=True) -> tuple[np.ndarray | None, np.ndarray]:
     """Gradients with respect to X (N, H) and P (I, H) given d(loss)/d(squared
     distances) g (I, N) and the centred Xc and Pc of `sq_dists`, as two
-    matmuls: 2 (colsum(g) Xc - g^T Pc) and -2 (g Xc - rowsum(g) Pc)."""
-    d_x = np.add.reduce(d_d2, axis=0)[:, None] * Xc - d_d2.T @ Pc
+    matmuls: 2 (colsum(g) Xc - g^T Pc) and -2 (g Xc - rowsum(g) Pc).  The
+    first is None without `input_grad`."""
     d_p = d_d2 @ Xc - np.add.reduce(d_d2, axis=1)[:, None] * Pc
+    if not input_grad:
+        return None, -2.0 * d_p
+    d_x = np.add.reduce(d_d2, axis=0)[:, None] * Xc - d_d2.T @ Pc
     return 2.0 * d_x, -2.0 * d_p
 
 
@@ -258,7 +260,9 @@ def pignistic(masses):
 
 def pignistic_backward(d_probs, out=None):
     """Mass-space gradient (N, K+1) from a gradient on pignistic probabilities
-    (N, K), written into `out` when given."""
+    (N, K), written into `out` when given.  Training passes the (N, K+1) `.T`
+    view of class-major (K+1, N) storage, which the layers' backward reads
+    as contiguous class rows; the bits do not depend on the layout."""
     n, k = d_probs.shape
     out = np.empty((n, k + 1)) if out is None else out
     out[:, :k] = d_probs

@@ -21,8 +21,10 @@ cross-entropy reads p1, smooth in v_i, and does.
 
 The kernels are prototype-major (`evidkit.numeric`): d2 and s are
 (I, N), and (w+, w-) is one (2, N) einsum of s_i max(+-v_i, 0).  Activations
-below the smallest normal double flush to 0 (`numeric.exp_neg`), which moves
-no mass of 1e-300 or more for |v| up to 1e8.  gamma and the centred inputs
+are exp of (-gamma) d2, flushed to 0 below the smallest normal double
+(`numeric.exp_flush`), which moves no mass of 1e-300 or more for |v| up to
+1e8.  The masses are the `.T` view of a class-major (3, N) array; the input
+gradient is formed only with `input_grad`.  gamma and the centred inputs
 and prototypes are cached for the backward pass; with `keep_cache=False`
 (inference) nothing is: s overwrites d2, the centred arrays and s go once
 read, and p1 is skipped.
@@ -36,9 +38,10 @@ import numpy as np
 
 from .errors import DimensionMismatch, OutOfRange, StaleCache
 from .kmeans import cluster_label_counts, kmeans
-from .numeric import as_batch, class_labels, exp_neg, seeded_rng, sigmoid, sq_dists, sq_dists_backward
+from .numeric import as_batch, class_labels, exp_flush, seeded_rng, sigmoid, sq_dists, sq_dists_backward
 
 INIT_GAMMA = 0.01
+_SIGNS = np.array([1.0, -1.0])
 
 
 @dataclass
@@ -78,8 +81,9 @@ class RbfParams:
     def forward(self, X, keep_cache: bool = True) -> tuple[np.ndarray, dict]:
         return rbf_forward_batch(self, X, keep_cache)
 
-    def backward(self, cache: dict, upstream, buffers=None) -> tuple[dict[str, np.ndarray], np.ndarray]:
-        return rbf_backward_batch(self, cache, upstream)
+    def backward(self, cache: dict, upstream, buffers=None,
+                 input_grad=True) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+        return rbf_backward_batch(self, cache, upstream, input_grad)
 
     def regularizer(self, cache: dict) -> tuple[float, dict[str, np.ndarray]]:
         """Sum of the squared weights, and its gradient in `v`; the weights are
@@ -99,27 +103,29 @@ def _factors(w: np.ndarray):
     e = (exp(-w+), exp(-w-)), frame = exp(-w+ - w-) and denom = 1 - kappa,
     the last three multiplied by exp(min(w+, w-)): one row of e is then
     exactly 1, and large totals cannot underflow to 0/0."""
-    c = w.min(axis=0)
+    c = np.minimum.reduce(w, axis=0)
     e = c - w
     np.exp(e, out=e)
-    frame = np.exp(np.subtract(c, w.sum(axis=0), out=c), out=c)
+    frame = np.exp(np.subtract(c, np.add.reduce(w, axis=0), out=c), out=c)
     support = np.expm1(-w)
-    return np.negative(support, out=support), e, frame, e.sum(axis=0) - frame
+    return np.negative(support, out=support), e, frame, np.add.reduce(e, axis=0) - frame
 
 
 def _masses_from_totals(w: np.ndarray) -> np.ndarray:
     """Exact masses (N, 3) of the (2, N) totals, factored as in `_factors`."""
     support, e, frame, denom = _factors(w)
-    support *= e[::-1]
-    del e
-    mass = np.concatenate([support, frame[None]])
+    mass = np.empty((3, w.shape[1]))
+    np.multiply(support, e[::-1], out=mass[:2])
+    del support, e
+    mass[2] = frame
     mass /= denom
     return mass.T
 
 
 def _totals(s: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(2, N) totals (w+, w-): the rows of s max(+-v, 0) added in order."""
-    parts = np.maximum(np.stack([v, -v], axis=1), 0.0)   # (I, 2)
+    parts = np.multiply.outer(v, _SIGNS)                 # (I, 2): v and -v exactly
+    np.maximum(parts, 0.0, out=parts)
     if s.shape[1] == 1:  # einsum would add a lone column pairwise
         return np.cumsum(parts * s, axis=0)[-1][:, None]
     return np.einsum("ij,in->jn", parts, s)
@@ -131,8 +137,8 @@ def rbf_forward_batch(params: RbfParams, X, keep_cache: bool = True) -> tuple[np
     gamma = params.gamma
 
     d2, Xc, Pc = sq_dists(X, params.proto)               # d2 (I, N)
-    s = np.multiply(gamma[:, None], d2, out=None if keep_cache else d2)
-    exp_neg(s, out=s)
+    s = np.multiply(-gamma[:, None], d2, out=None if keep_cache else d2)
+    exp_flush(s, out=s)
     cache = {"params": params, "Xc": Xc, "Pc": Pc, "gamma": gamma, "d2": d2, "s": s} if keep_cache else {}
     del Xc, Pc
     totals = _totals(s, params.v)
@@ -156,12 +162,13 @@ def _totals_grad(cache: dict, up_mass: np.ndarray) -> np.ndarray:
     return g * (up[:2] - up[1::-1] * support[::-1] - up[2] * ew[::-1])
 
 
-def rbf_backward_batch(params: RbfParams, cache: dict, upstream) -> tuple[dict[str, np.ndarray], np.ndarray]:
+def rbf_backward_batch(params: RbfParams, cache: dict, upstream,
+                       input_grad=True) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
     """Backpropagate through a batch.
 
     `upstream` of shape (N, 3) is read as d(loss)/d(mass); shape (N,) as
     d(loss)/d(p1).  Returns parameter gradients summed over the batch and
-    the input gradient of shape (N, H).
+    the input gradient of shape (N, H), or None without `input_grad`.
     """
     if cache.get("params") is not params:
         raise StaleCache("cache was produced by different parameters")
@@ -185,7 +192,7 @@ def rbf_backward_batch(params: RbfParams, cache: dict, upstream) -> tuple[dict[s
     d_d2 = d_ws * (v * -cache["gamma"])[:, None]
     d_log_gamma = np.einsum("in,in->i", d_d2, d2)
 
-    d_x, d_proto = sq_dists_backward(d_d2, cache["Xc"], cache["Pc"])
+    d_x, d_proto = sq_dists_backward(d_d2, cache["Xc"], cache["Pc"], input_grad)
 
     grads = {"proto": d_proto, "log_gamma": d_log_gamma, "v": d_v}
     return grads, d_x

@@ -44,7 +44,7 @@ def loss_sse(probs, onehot):
     if probs.shape != onehot.shape:
         raise ShapeMismatch(f"{probs.shape} vs {onehot.shape}")
     diff = probs - onehot
-    return float((diff**2).sum()), 2.0 * diff
+    return float(np.add.reduce(diff**2, axis=None)), 2.0 * diff
 
 
 def loss_ce(p1, targets):
@@ -57,8 +57,8 @@ def loss_ce(p1, targets):
     targets = np.asarray(targets, dtype=float)
     if p1.shape != targets.shape:
         raise ShapeMismatch(f"{p1.shape} vs {targets.shape}")
-    p = np.clip(p1, P_CLAMP, 1.0 - P_CLAMP)
-    value = -float((targets * np.log(p) + (1.0 - targets) * np.log1p(-p)).sum())
+    p = np.minimum(np.maximum(p1, P_CLAMP), 1.0 - P_CLAMP)  # np.clip's bits
+    value = -float(np.add.reduce(targets * np.log(p) + (1.0 - targets) * np.log1p(-p), axis=None))
     d_p1 = (p - targets) / (p * (1.0 - p))
     return value, d_p1
 
@@ -229,9 +229,11 @@ def _objective(model: EvidentialModel, masses, layer_cache: dict, target, config
     the layer regularizer's parameter gradients, against a `_FitSet` target.
 
     Every objective is a data term plus lam times the layer's regularizer.
-    The output gradient is in mass space, except for cross-entropy, which
-    reads the weight-of-evidence layer's logistic output p1 and returns
-    d/d(p1).  The regularizer gradients are not yet scaled by lam.
+    The output gradient is in mass space, the (N, K+1) `.T` view of
+    class-major (K+1, N) storage, so the layer's backward reads contiguous
+    class rows; except for cross-entropy, which reads the weight-of-evidence
+    layer's logistic output p1 and returns d/d(p1).  The regularizer
+    gradients are not yet scaled by lam.
     """
     if config.loss_kind == "cross-entropy":
         value, upstream = loss_ce(layer_cache["p1"], target)
@@ -244,7 +246,7 @@ def _objective(model: EvidentialModel, masses, layer_cache: dict, target, config
             value, d_s = loss_dice(probs[:, 1], target)
             d_p = buffer(buffers, "d_p", probs.shape)
             d_p[:, 0], d_p[:, 1] = 0.0, d_s
-        upstream = pignistic_backward(d_p, buffer(buffers, "upstream", masses.shape))
+        upstream = pignistic_backward(d_p, buffer(buffers, "upstream", masses.shape[::-1]).T)
     reg_value, reg_grads = model.layer.regularizer(layer_cache)
     return value + config.lam * reg_value, upstream, reg_grads
 
@@ -349,7 +351,7 @@ def pretrain_feature_net(net, head, train_data, config: TrainConfig, val_data=No
     def step():
         value, err, probs, cache, head_cache = objective(*sets[0], buffers)
         head_grads, d_feats = mlp_backward_batch(head, head_cache, probs - sets[0][2])
-        grads = mlp_backward_batch(net, cache, d_feats)[0] | {f"head.{k}": g for k, g in head_grads.items()}
+        grads = mlp_backward_batch(net, cache, d_feats, False)[0] | {f"head.{k}": g for k, g in head_grads.items()}
         return value, grads, err, math.nan
 
     evaluate = None if val_data is None else lambda: objective(*sets[1])[:2]

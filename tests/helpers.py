@@ -92,9 +92,10 @@ def mlp_forward_by_where(params, X, buffers=None):
     return activations[-1], {"params": params, "activations": activations, "preacts": preacts}
 
 
-def mlp_backward_by_where(params, cache, upstream):
+def mlp_backward_by_where(params, cache, upstream, input_grad=True):
     """`mlp_backward_batch` of an `mlp_forward_by_where` cache, by `np.where`,
-    leaving the cache as it was."""
+    leaving the cache as it was; the input gradient is None without
+    `input_grad`."""
     activations, preacts = cache["activations"], cache["preacts"]
     grads = {"slopes": np.zeros_like(params.slopes)}
     last = len(params.weights) - 1
@@ -108,7 +109,7 @@ def mlp_backward_by_where(params, cache, upstream):
         grads[f"W{i}"] = activations[i].T @ delta
         grads[f"b{i}"] = delta.sum(axis=0)
         delta = delta @ params.weights[i].T
-    return grads, delta
+    return grads, delta if input_grad else None
 
 
 def traced_peak(fn, *args):

@@ -21,7 +21,7 @@ from evidkit.enn import (
 )
 from evidkit.errors import DimensionMismatch, StaleCache
 from evidkit.model import params_from_dict, params_to_dict
-from evidkit.numeric import LOG1P_EXACT, sq_dists_backward, sum_log1p_neg, sum_rows
+from evidkit.numeric import LOG1P_EXACT, logit, sq_dists_backward, sum_log1p_neg, sum_rows
 from evidkit.training import TrainConfig, fd_gradients, fit
 
 
@@ -326,20 +326,25 @@ class TestBackward:
 
     @pytest.mark.parametrize("n_classes", [2, 3])
     @pytest.mark.parametrize("n_rows", [1, 7])
-    @pytest.mark.parametrize("n_proto", [1, 5])
-    def test_stacked_factors_are_the_per_class_loop_bit_for_bit(self, n_classes, n_rows, n_proto):
+    # with every alpha below 1 no t is 0, and the backward masks no lane
+    @pytest.mark.parametrize("n_proto, alpha0", [pytest.param(n, a, id=f"{n}{tag}")
+                                                 for a, tag in [(1.0, ""), (0.999, "-alpha<1")] for n in (1, 5)])
+    def test_stacked_factors_are_the_per_class_loop_bit_for_bit(self, n_classes, n_rows, n_proto, alpha0):
         rng = np.random.default_rng(10 + n_classes + n_rows + n_proto)
         u = rng.uniform(0.05, 1.0, size=(n_proto, n_classes))
         u[0, 0] = 0.0  # with alpha = 1 and a row on it, prototype 0 zeroes a factor
         u /= u.sum(axis=1, keepdims=True)
         # the last prototype is out of every row's reach: its activations are 0
         proto = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, -1.0], [50.0, 50.0]])[:n_proto]
-        alpha, gamma = [1.0, 0.3, 0.7, 0.9, 0.6][:n_proto], [0.5, 1.0, 2.0, 0.2, 2.0][:n_proto]
+        alpha, gamma = [alpha0, 0.3, 0.7, 0.9, 0.6][:n_proto], [0.5, 1.0, 2.0, 0.2, 2.0][:n_proto]
         params = enn_from_constrained(proto, alpha, gamma, u)
         X = np.vstack([proto[:1], rng.standard_normal((n_rows - 1, 2))])
         _, cache = enn_forward_batch(params, X)
         t = 1.0 - cache["s"] * cache["w"][:, :, None]
-        assert (t == 0.0).any() and (t > 0.0).any()
+        if alpha0 == 1.0:
+            assert (t == 0.0).any() and (t > 0.0).any()
+        else:
+            assert np.all(cache["alpha"] < 1.0) and np.all(t > 0.0)
         upstream = rng.standard_normal((n_rows, n_classes + 1))
 
         want, want_x = per_class_backward(params, cache, upstream)  # first: the backward spends the cache
@@ -347,6 +352,19 @@ class TestBackward:
         assert d_x.tobytes() == want_x.tobytes()
         for name in want:
             assert grads[name].tobytes() == want[name].tobytes(), name
+
+    @pytest.mark.parametrize("alpha0", [1.0, 0.5])
+    def test_without_input_grad_the_parameter_grads_are_the_same_bits(self, alpha0):
+        rng = np.random.default_rng(3)
+        p = random_params(rng, n_proto=4)
+        p.alpha_raw[0] = logit(alpha0)
+        X, upstream = rng.standard_normal((9, 2)), rng.standard_normal((9, 3))
+        want, d_x = enn_backward_batch(p, enn_forward_batch(p, X)[1], upstream)
+        grads, none = enn_backward_batch(p, enn_forward_batch(p, X)[1], upstream, None, False)
+        assert d_x.shape == (9, 2) and none is None
+        assert grads.keys() == want.keys()
+        for name, g in want.items():
+            assert grads[name].tobytes() == g.tobytes(), name
 
     def test_stale_cache_rejected(self):
         rng = np.random.default_rng(1)

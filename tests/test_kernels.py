@@ -15,7 +15,7 @@ from helpers import grad_rel_error
 from evidkit.enn import enn_backward_batch, enn_forward_batch, enn_from_constrained
 from evidkit.errors import TotalConflict
 from evidkit.model import EvidentialModel
-from evidkit.numeric import EXP_FAST_MIN, LOG1P_EXACT, LOG_TINY, exp_neg, sigmoid
+from evidkit.numeric import EXP_FAST_MIN, LOG1P_EXACT, LOG_TINY, exp_flush, sigmoid
 from evidkit.rbf import rbf_forward_batch, rbf_from_constrained
 from evidkit.training import TrainConfig, fd_gradients, grad_check
 
@@ -252,15 +252,16 @@ def test_exp_helper_is_np_exp_down_to_the_smallest_normal():
     with np.errstate(under="ignore"):
         want = np.exp(-z)
     normal = want >= TINY
-    for got in (exp_neg(z), exp_neg(z.copy(), out=z.copy())):
+    for got in (exp_flush(-z), exp_flush(-z, out=np.empty_like(z))):
         assert got[normal].tobytes() == want[normal].tobytes()
         assert np.all(got[~normal] == 0.0)
     assert normal[-4] and not normal[-3]  # the clamp sits at the last normal result
 
 
 def exp_neg_by_gather(z):
-    """`exp_neg` as a gather of the lanes below EXP_FAST_MIN and a scatter
-    back, the form it had before its mask-free kernel: the bitwise reference."""
+    """`exp_flush(-z)` as a gather of the lanes below EXP_FAST_MIN and a
+    scatter back, the form it had before its mask-free kernel: the bitwise
+    reference."""
     a = -np.asarray(z, dtype=float)
     low = a < EXP_FAST_MIN
     below = a[low]
@@ -283,17 +284,17 @@ def test_exp_helper_matches_the_gather_form_on_strided_arrays():
     ])).reshape(6, 500)
     want = exp_neg_by_gather(z)
     assert np.any((want > 0.0) & (z > -EXP_FAST_MIN))
-    assert exp_neg(z).tobytes() == want.tobytes()
-    assert np.array_equal(exp_neg(z.T), want.T)
+    assert exp_flush(-z).tobytes() == want.tobytes()
+    assert np.array_equal(exp_flush(-z.T), want.T)
     # in place on a strided view: every other column of a wider buffer
     buf = np.zeros((6, 1000))
     view = buf[:, ::2]
-    view[...] = z
-    assert exp_neg(view, out=view) is view
+    view[...] = -z
+    assert exp_flush(view, out=view) is view
     assert np.ascontiguousarray(view).tobytes() == want.tobytes()
     assert not buf[:, 1::2].any()
     buf = np.zeros((500, 6))
-    assert exp_neg(z, out=buf.T).base is buf and buf.tobytes() == want.T.copy().tobytes()
+    assert exp_flush(-z, out=buf.T).base is buf and buf.tobytes() == want.T.copy().tobytes()
 
 
 def test_log1p_and_expm1_are_the_identity_up_to_the_rescale_threshold():

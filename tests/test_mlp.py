@@ -56,7 +56,7 @@ class TestBackward:
         upstream = rng.standard_normal((4, sizes[-1]))
 
         feats, cache = mlp_forward_batch(p, x)
-        analytic, dx = mlp_backward_batch(p, cache, upstream)
+        analytic, dx = mlp_backward_batch(p, cache, upstream, input_grad=True)
         analytic = dict(analytic)
         analytic["x"] = dx
 
@@ -74,7 +74,7 @@ class TestBackward:
         p = mlp_init([2, 6, 2], seed=1)
         x = np.random.default_rng(0).standard_normal((3, 2))
         _, cache = mlp_forward_batch(p, x)
-        grads, dx = mlp_backward_batch(p, cache, np.zeros((3, 2)))
+        grads, dx = mlp_backward_batch(p, cache, np.zeros((3, 2)), input_grad=True)
         assert all(np.all(g == 0) for g in grads.values())
         assert np.all(dx == 0)
 
@@ -83,10 +83,22 @@ class TestBackward:
         x = np.array([1.0, 2.0, 3.0])
         upstream = np.array([0.5, -1.0, 2.0])
         _, cache = mlp_forward_batch(p, x[None])
-        grads, dx = mlp_backward_batch(p, cache, upstream[None])
+        grads, dx = mlp_backward_batch(p, cache, upstream[None], input_grad=True)
         np.testing.assert_allclose(grads["W0"], np.outer(x, upstream))
         np.testing.assert_allclose(grads["b0"], upstream)
         np.testing.assert_allclose(dx[0], upstream * 2.0)
+
+    @pytest.mark.parametrize("sizes", [[3, 5, 4, 2], [2, 2]])
+    def test_without_input_grad_the_parameter_grads_are_the_same_bits(self, sizes):
+        rng = np.random.default_rng(11)
+        p = mlp_init(sizes, seed=5)
+        x, upstream = rng.standard_normal((6, sizes[0])), rng.standard_normal((6, sizes[-1]))
+        want, dx = mlp_backward_batch(p, mlp_forward_batch(p, x)[1], upstream)
+        grads, none = mlp_backward_batch(p, mlp_forward_batch(p, x)[1], upstream, input_grad=False)
+        assert dx.shape == x.shape and none is None
+        assert grads.keys() == want.keys()
+        for name, g in want.items():
+            assert grads[name].tobytes() == g.tobytes(), name
 
 
 SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.5, -2.5, 0.75, -0.125]
@@ -114,7 +126,7 @@ class TestExactPrelu:
             for a, b in zip(cache["activations"], want_cache["activations"]):
                 assert a.tobytes() == b.tobytes()
             want_grads, want_dx = mlp_backward_by_where(p, want_cache, upstream)
-            grads, dx = mlp_backward_batch(p, cache, upstream)
+            grads, dx = mlp_backward_batch(p, cache, upstream, input_grad=True)
             assert dx.tobytes() == want_dx.tobytes()
             assert grads.keys() == want_grads.keys()
             for name, g in want_grads.items():
@@ -164,7 +176,7 @@ class TestSoftmaxHead:
 
         logits, cache = mlp_forward_batch(head, feats)
         probs = softmax_rows(logits)
-        analytic, dfeats = mlp_backward_batch(head, cache, probs - onehot)
+        analytic, dfeats = mlp_backward_batch(head, cache, probs - onehot, input_grad=True)
         analytic = dict(analytic)
         analytic["feats"] = dfeats
 

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 from helpers import POOLING, far_field_inputs, far_inputs, fd_by_name, force_pooling, traced_peak
 
-from evidkit import numeric
+from evidkit import enn, mlp, numeric, rbf
 from evidkit.datasets import gen_half_moons
 from evidkit.enn import enn_forward_batch, enn_from_constrained, enn_init_random
 from evidkit.errors import DimensionMismatch, Empty, MalformedInput, OutOfRange, TotalConflict
 from evidkit.mlp import mlp_init
-from evidkit.model import LAYERS, EvidentialModel, class_count, make_layer
+from evidkit.model import LAYERS, EvidentialModel, class_count, decide, make_layer
 from evidkit.rbf import rbf_forward_batch, rbf_init_random
-from evidkit.training import TrainConfig, _evaluate, _fit_set, model_loss_and_grads
+from evidkit.training import TrainConfig, _evaluate, _fit_set, model_loss_and_grads, train
 
 KINDS = list(LAYERS)
 
@@ -146,6 +146,64 @@ def test_training_and_evaluation_share_the_objective(kind, loss, moons):
     eval_value, err = _evaluate(model, _fit_set(model, moons, config), config)
     assert eval_value == value
     assert err == np.mean(np.argmax(masses[:, :-1], axis=1) != moons.labels)
+
+
+class TestClassMajorLayout:
+    """The layers' masses are (N, K+1) views of class-major (K+1, N) arrays;
+    training hands the layer its mass-space gradient in the same layout,
+    and asks each backward only for the gradients the fit reads."""
+
+    @pytest.mark.parametrize("kind, loss", [("enn", "sse"), ("enn", "dice"), ("rbf", "cross-entropy"),
+                                            ("rbf", "dice")])
+    @pytest.mark.parametrize("hidden", [None, [5]])
+    def test_a_training_step_hands_the_layer_class_rows(self, kind, loss, hidden, moons, monkeypatch):
+        seen = []
+
+        def spy(module, name):
+            backward = getattr(module, name)
+
+            def recorded(params, cache, upstream, *rest):
+                if module is not mlp:  # the net takes (N, H) deltas in row order
+                    assert upstream.T.flags.c_contiguous and cache["mass"].T.flags.c_contiguous
+                seen.append((name, np.shape(upstream), rest[-1]))
+                return backward(params, cache, upstream, *rest)
+            monkeypatch.setattr(module, name, recorded)
+
+        for module, name in [(enn, "enn_backward_batch"), (rbf, "rbf_backward_batch"), (mlp, "mlp_backward_batch")]:
+            spy(module, name)
+        net = None if hidden is None else mlp_init([2, *hidden, 2], seed=1)
+        model = EvidentialModel(kind, make_layer(kind, 4, 2, 2, seed=6), net)
+        train(model, moons, TrainConfig(loss_kind=loss, epochs=2))
+        n = len(moons.points)
+        layer_call = (f"{kind}_backward_batch", (n,) if loss == "cross-entropy" else (n, 3), net is not None)
+        net_call = ("mlp_backward_batch", (n, 2), False)
+        assert seen == ([layer_call] if net is None else [layer_call, net_call]) * 2
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_pignistic_backward_into_class_major_storage(self, k):
+        rng = np.random.default_rng(k)
+        d_probs = rng.standard_normal((300, k))
+        d_probs[::7] = -0.0
+        want = numeric.pignistic_backward(d_probs)
+        out = np.empty((k + 1, 300)).T
+        got = numeric.pignistic_backward(d_probs, out)
+        assert got is out and got.flags.f_contiguous
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("class_major", [False, True])
+    def test_decide_keeps_ties_at_the_lowest_class(self, class_major):
+        masses = np.array([[0.3, 0.3, 0.3, 0.1],    # three-way tie: class 0
+                           [0.2, 0.4, 0.4, 0.0],    # classes 1 and 2 tie: class 1
+                           [0.1, 0.2, 0.5, 0.2],
+                           [0.0, -0.0, 0.0, 1.0],   # signed zeros tie: class 0
+                           [0.25, 0.5, 0.25, 0.0],
+                           [np.nan, 0.9, np.nan, 0.1],  # the first NaN wins, as in argmax
+                           [0.1, np.nan, 0.9, 0.0]])
+        if class_major:
+            masses = np.ascontiguousarray(masses.T).T
+        got = decide(masses)
+        assert got.dtype == np.intp and got.tolist() == [0, 1, 2, 0, 1, 0, 1]
+        assert np.array_equal(got, np.argmax(masses[:, :-1], axis=1))
 
 
 class TestCacheFreeMasses:

@@ -221,6 +221,19 @@ class TestBackward:
         else:
             assert d_v[0] != 0.0 and model.layer.v[1] != 0.0
 
+    @pytest.mark.parametrize("upstream_kind", ["mass", "p1"])
+    def test_without_input_grad_the_parameter_grads_are_the_same_bits(self, upstream_kind):
+        rng = np.random.default_rng(59)
+        p = random_params(rng, n_proto=4)
+        X = rng.standard_normal((9, 2))
+        upstream = rng.standard_normal((9, 3) if upstream_kind == "mass" else 9)
+        want, d_x = rbf_backward_batch(p, rbf_forward_batch(p, X)[1], upstream)
+        grads, none = rbf_backward_batch(p, rbf_forward_batch(p, X)[1], upstream, False)
+        assert d_x.shape == (9, 2) and none is None
+        assert grads.keys() == want.keys()
+        for name, g in want.items():
+            assert grads[name].tobytes() == g.tobytes(), name
+
     def test_stale_cache(self):
         rng = np.random.default_rng(4)
         p1_, p2_ = random_params(rng), random_params(rng)

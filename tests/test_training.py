@@ -732,6 +732,19 @@ class TestFourStageInit:
         assert len(clustered) == 1
         assert clustered[0].tobytes() == mlp_forward_batch(best_net, ds.points)[0].tobytes()
 
+    def test_pretraining_forms_only_the_heads_input_gradient(self, monkeypatch):
+        calls, backward = [], training.mlp_backward_batch
+
+        def recorded(params, cache, upstream, input_grad=True):
+            grads, d_x = backward(params, cache, upstream, input_grad)
+            calls.append((params.sizes, input_grad, d_x is None))
+            return grads, d_x
+
+        monkeypatch.setattr(training, "mlp_backward_batch", recorded)
+        net, head = mlp_init([2, 8, 3], seed=0), head_init(3, 2, seed=1)
+        pretrain_feature_net(net, head, gen_half_moons(30, 0.1, seed=5), TrainConfig(epochs=2))
+        assert calls == [([3, 2], True, False), ([2, 8, 3], False, True)] * 2
+
     @pytest.mark.parametrize("kind, loss", [("enn", "sse"), ("rbf", "cross-entropy")])
     def test_staged_fit_is_the_hand_chained_protocol(self, kind, loss):
         # pretraining runs at the configured rate and scores the validation
