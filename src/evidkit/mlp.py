@@ -1,8 +1,9 @@
-"""Small fully-connected feature extractor.
+"""Small fully-connected feature extractor, and its pretraining head.
 
 Hidden layers are affine maps followed by PReLU with one learnable slope per
 layer; the final layer is affine so features are unbounded.  Pretraining
-reads class logits off the features through a one-layer net (`head_init`).
+reads class probabilities off the features through `SoftmaxHead`, a
+one-layer net under the layer protocol of `evidkit.model`.
 
 Training works in arrays the fit owns: given its `buffers`, the forward
 writes each preactivation, PReLU mask and activation into the arrays of the
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, OutOfRange, StaleCache
-from .numeric import as_batch, buffer, seeded_rng
+from .numeric import as_batch, buffer, seeded_rng, softmax_rows
 
 INIT_SLOPE = 0.25
 _ONE_BITS = np.float64(1.0).view(np.uint64)
@@ -73,11 +74,42 @@ def mlp_init(layer_sizes, seed: int) -> MlpParams:
     return MlpParams(weights, biases, np.full(len(layer_sizes) - 2, INIT_SLOPE))
 
 
-def head_init(n_features: int, n_classes: int, seed: int) -> MlpParams:
+class SoftmaxHead(MlpParams):
+    """A one-layer net of class logits under the layer protocol: softmax
+    probabilities as singleton masses, 0 on the frame, trained by K-class
+    cross-entropy alone.  Not in `model.LAYERS`: no checkpoint names it."""
+
+    kind = "head"
+    losses = ("cross-entropy",)
+
+    @property
+    def n_features(self) -> int:
+        return self.sizes[0]
+
+    @property
+    def n_classes(self) -> int:
+        return self.sizes[-1]
+
+    def forward(self, X, keep_cache: bool = True) -> tuple[np.ndarray, dict]:
+        logits, cache = mlp_forward_batch(self, X)
+        probs = softmax_rows(logits)
+        masses = np.zeros((self.n_classes + 1, len(probs)))  # class-major, as the layers'
+        masses[:-1] = probs.T
+        return masses.T, {"mlp": cache, "probs": probs} if keep_cache else {}
+
+    def backward(self, cache: dict, upstream, buffers=None,
+                 input_grad=True) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+        return mlp_backward_batch(self, cache["mlp"], upstream, input_grad)
+
+    def regularizer(self, cache: dict) -> tuple[float, dict[str, np.ndarray]]:
+        return 0.0, {}
+
+
+def head_init(n_features: int, n_classes: int, seed: int) -> SoftmaxHead:
     """One affine layer to class logits: variance 1/n_features, zero biases."""
     rng = seeded_rng(seed)
-    return MlpParams([rng.standard_normal((n_features, n_classes)) * np.sqrt(1.0 / n_features)],
-                     [np.zeros(n_classes)], np.empty(0))
+    return SoftmaxHead([rng.standard_normal((n_features, n_classes)) * np.sqrt(1.0 / n_features)],
+                       [np.zeros(n_classes)], np.empty(0))
 
 
 def _prelu_factor(neg, slope, out) -> np.ndarray:

@@ -2,12 +2,13 @@
 
 Parameter arrays are exposed as one dict with `layer.` / `mlp.` prefixes.
 Training, the optimizer and the gradient checks lay that dict end to end in
-one float64 vector (`training.flat_parameters`), with each named array a
-view into it, so they treat every model shape uniformly.
+one float64 vector (`training.flat_parameters(model)`), with each named
+array a view into it, so they treat every model shape uniformly.
 
-The two layers, `enn.EnnParams` and `rbf.RbfParams`, share one protocol, so
-outside `make_layer` no code asks which one it holds: `kind` (its key in
-`LAYERS`), `losses` (the loss names it trains with, the default first),
+The two layers, `enn.EnnParams` and `rbf.RbfParams`, and the pretraining
+head `mlp.SoftmaxHead` share one protocol, so outside `make_layer` no code
+asks which one it holds: `kind` (a layer's key in `LAYERS`; "head" is not
+one), `losses` (the loss names it trains with, the default first),
 `n_features`, `n_classes` (2 for `rbf`), `trainable_arrays()`,
 `forward(X, keep_cache=True) -> (masses (N, K+1), cache)`, the cache {}
 when `keep_cache` is false (`masses`),
@@ -16,7 +17,8 @@ grads, input grads)`, which may spend the cache and take scratch from a
 training run's `buffers` (`numeric.buffer`), and gives None for the input
 gradient when `input_grad` is false (a model with no feature net to feed);
 `upstream` is (N, K+1) d(loss)/d(masses), in training the `.T` view of
-class-major (K+1, N) storage, or for `rbf` (N,) d(loss)/d(p1); and
+class-major (K+1, N) storage, for `rbf` (N,) d(loss)/d(p1), or for the
+head (N, K) d(loss)/d(logits); and
 `regularizer(cache) -> (value, {array name: gradient})`, the
 prototype-shrinking penalty that every loss weighs by lambda, read from the
 constrained values a forward pass cached.
@@ -110,8 +112,8 @@ def decide(masses) -> np.ndarray:
 
 @dataclass
 class EvidentialModel:
-    kind: str                      # "enn" | "rbf"
-    layer: object                  # EnnParams | RbfParams
+    kind: str                      # "enn" | "rbf", or "head" in pretraining
+    layer: object                  # EnnParams | RbfParams | SoftmaxHead
     feature_net: mlp.MlpParams | None = None
 
     def __post_init__(self):

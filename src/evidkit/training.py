@@ -1,5 +1,5 @@
-"""Losses, the optimizer, the one epoch loop, and `fit`, which builds and
-trains every new model: plain, or by the staged protocol for a feature net.
+"""Losses, the optimizer, the one epoch loop `train`, and `fit`, which builds
+and trains every new model: plain, or by the staged protocol for a net.
 
 Loss pairings follow the layer families: the prototype-membership layer is
 trained with a regularized sum-of-squares loss on its probability outputs
@@ -20,10 +20,10 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import AllZeroDenominator, NonFiniteLoss, OutOfRange, ShapeMismatch
-from .mlp import head_init, mlp_backward_batch, mlp_forward_batch, mlp_init
+from .mlp import head_init, mlp_init
 from .metrics import error_rate, mean_ignorance
 from .model import EvidentialModel, class_count, decide, make_layer
-from .numeric import as_batch, buffer, class_labels, pignistic, pignistic_backward, require_finite, softmax_rows
+from .numeric import as_batch, buffer, class_labels, pignistic, pignistic_backward, require_finite
 
 P_CLAMP = 1e-12
 PLATEAU_PATIENCE = 10  # epochs without a lower objective before the learning rate is cut
@@ -110,15 +110,16 @@ def _array_slots(owner):
 
 
 @contextmanager
-def flat_parameters(arrays: dict[str, np.ndarray], *owners):
-    """A `ParamVector` of `arrays` that is, inside the block, the storage of
-    the parameter dataclasses `owners` (None skipped): each of their fields
+def flat_parameters(model: EvidentialModel):
+    """A `ParamVector` of the model's trainable arrays that is, inside the
+    block, the storage of its layer and feature net: each of their fields
     holding one of the arrays is rebound to its view.  On exit each array
     takes the vector's values and each field gets its own array back, so
     arrays held from before the block end up with the final values."""
+    arrays = model.trainable_arrays()
     flat = ParamVector(arrays)
     names = {id(a): name for name, a in arrays.items()}
-    slots = [(holder, key, holder[key]) for owner in owners if owner is not None
+    slots = [(holder, key, holder[key]) for owner in (model.layer, model.feature_net) if owner is not None
              for holder, key in _array_slots(owner) if id(holder[key]) in names]
     for holder, key, array in slots:
         holder[key] = flat.views[names[id(array)]]
@@ -204,7 +205,7 @@ def _unpack(data, n_classes: int | None = None) -> tuple[np.ndarray, np.ndarray]
 @dataclass
 class _FitSet:
     """Checked inputs `x`, labels `y` and their loss target: one-hot rows
-    (sse), the first-class indicator (cross-entropy) or the truth (dice)."""
+    (sse and cross-entropy) or the truth (dice)."""
 
     x: np.ndarray
     y: np.ndarray
@@ -219,8 +220,7 @@ def _fit_set(model: EvidentialModel, data, config: TrainConfig) -> _FitSet:
         raise OutOfRange(f"the {kind} loss does not train the {model.kind} layer")
     if kind == "dice" and model.n_classes != 2:
         raise OutOfRange("the overlap loss is defined for binary frames")
-    target = (np.eye(model.n_classes)[y] if kind == "sse" else
-              (y == 0).astype(float) if kind == "cross-entropy" else y.astype(float))
+    target = y.astype(float) if kind == "dice" else np.eye(model.n_classes)[y]
     return _FitSet(as_batch(x, model.n_features), y, target)
 
 
@@ -231,12 +231,16 @@ def _objective(model: EvidentialModel, masses, layer_cache: dict, target, config
     Every objective is a data term plus lam times the layer's regularizer.
     The output gradient is in mass space, the (N, K+1) `.T` view of
     class-major (K+1, N) storage, so the layer's backward reads contiguous
-    class rows; except for cross-entropy, which reads the weight-of-evidence
-    layer's logistic output p1 and returns d/d(p1).  The regularizer
-    gradients are not yet scaled by lam.
+    class rows; except for cross-entropy, which reads `rbf`'s p1 and returns
+    d/d(p1), or the head's probabilities and returns d/d(logits).  The
+    regularizer gradients are not yet scaled by lam.
     """
     if config.loss_kind == "cross-entropy":
-        value, upstream = loss_ce(layer_cache["p1"], target)
+        if "p1" in layer_cache:  # binary, against the first class's column
+            value, upstream = loss_ce(layer_cache["p1"], target[:, 0])
+        else:  # K classes, summed
+            probs = layer_cache["probs"]
+            value, upstream = float(-np.sum(target * np.log(np.maximum(probs, P_CLAMP)))), probs - target
     else:
         probs = pignistic(masses)
         if config.loss_kind == "sse":
@@ -266,14 +270,17 @@ def model_loss_and_grads(model: EvidentialModel, X, y, config: TrainConfig, buff
 
 # --- training loop
 
-def _epoch_loop(arrays, owners, config: TrainConfig, step, evaluate=None):
-    """Adam with a plateau schedule on `arrays` (`flat_parameters` of `owners`):
-    `step()` gives each epoch's objective, gradients by name, training error
-    and mean ignorance; `evaluate()`, if given, the validation objective and
-    error after the step, and the arrays end at its best epoch."""
-    with flat_parameters(arrays, *owners) as params:
+def train(model: EvidentialModel, train_data, config: TrainConfig, val_data=None):
+    """Full-batch training of the whole model by Adam with a plateau schedule.
+    Returns (trained model, history); given `val_data`, the model ends at the
+    parameters of its best validation objective."""
+    fit_set = _fit_set(model, train_data, config)
+    val = _fit_set(model, val_data, config) if val_data is not None else None
+    buffers = {}  # the training set's alone: validation allocates its own
+    history = TrainHistory()
+
+    with flat_parameters(model) as params:
         optimizer = Adam(params.vector, config.learning_rate)
-        history = TrainHistory()
 
         best_val = math.inf
         best_vector = None
@@ -281,7 +288,9 @@ def _epoch_loop(arrays, owners, config: TrainConfig, step, evaluate=None):
         bad_epochs = 0
 
         for epoch in range(1, config.epochs + 1):
-            value, grads, train_err, ignorance = step()
+            value, grads, masses = model_loss_and_grads(model, fit_set.x, fit_set, config, buffers)
+            train_err, ignorance = error_rate(decide(masses), fit_set.y), mean_ignorance(masses)
+            del masses  # not held through the next epoch's forward
             if not math.isfinite(value):
                 raise NonFiniteLoss(f"objective became {value} at epoch {epoch}")
 
@@ -296,7 +305,7 @@ def _epoch_loop(arrays, owners, config: TrainConfig, step, evaluate=None):
 
             optimizer.step(params.flatten(grads))
 
-            val_value, val_err = evaluate() if evaluate else (math.inf, math.nan)
+            val_value, val_err = _evaluate(model, val, config) if val is not None else (math.inf, math.nan)
             if val_value < best_val:
                 best_val = val_value
                 best_vector = params.vector.copy()
@@ -305,23 +314,7 @@ def _epoch_loop(arrays, owners, config: TrainConfig, step, evaluate=None):
 
         if best_vector is not None:
             params.vector[...] = best_vector
-    return history
-
-
-def train(model: EvidentialModel, train_data, config: TrainConfig, val_data=None):
-    """Full-batch training of the whole model in the epoch loop.  Returns
-    (trained model, history); given `val_data`, the model ends at the
-    parameters of its best validation objective."""
-    fit_set = _fit_set(model, train_data, config)
-    val = _fit_set(model, val_data, config) if val_data is not None else None
-    buffers = {}  # the training set's alone: validation allocates its own
-
-    def step():
-        value, grads, masses = model_loss_and_grads(model, fit_set.x, fit_set, config, buffers)
-        return value, grads, error_rate(decide(masses), fit_set.y), mean_ignorance(masses)
-
-    evaluate = None if val is None else lambda: _evaluate(model, val, config)
-    return model, _epoch_loop(model.trainable_arrays(), (model.layer, model.feature_net), config, step, evaluate)
+    return model, history
 
 
 def _evaluate(model: EvidentialModel, fit_set: _FitSet, config: TrainConfig) -> tuple[float, float]:
@@ -331,33 +324,7 @@ def _evaluate(model: EvidentialModel, fit_set: _FitSet, config: TrainConfig) -> 
     return value, error_rate(decide(masses), fit_set.y)
 
 
-# --- feature-net pretraining and model construction
-
-def pretrain_feature_net(net, head, train_data, config: TrainConfig, val_data=None):
-    """Train the feature network by summed cross-entropy through a one-layer
-    head net of class logits, in `train`'s epoch loop (mean ignorance NaN)."""
-    n_classes = head.sizes[-1]
-    sets = [(x, y, np.eye(n_classes)[y]) for x, y in
-            (_unpack(data, n_classes) for data in (train_data, val_data) if data is not None)]
-    buffers = ({}, {})  # net and head both name arrays W0, b0, ...: a dict each, head's prefixed
-
-    def objective(x, y, onehot, buffers=(None, None)):
-        feats, cache = mlp_forward_batch(net, x, buffers[0])
-        logits, head_cache = mlp_forward_batch(head, feats, buffers[1])
-        probs = softmax_rows(logits)
-        value = float(-np.sum(onehot * np.log(np.maximum(probs, P_CLAMP))))
-        return value, error_rate(np.argmax(probs, axis=1), y), probs, cache, head_cache
-
-    def step():
-        value, err, probs, cache, head_cache = objective(*sets[0], buffers)
-        head_grads, d_feats = mlp_backward_batch(head, head_cache, probs - sets[0][2])
-        grads = mlp_backward_batch(net, cache, d_feats, False)[0] | {f"head.{k}": g for k, g in head_grads.items()}
-        return value, grads, err, math.nan
-
-    evaluate = None if val_data is None else lambda: objective(*sets[1])[:2]
-    arrays = net.trainable_arrays() | {f"head.{k}": v for k, v in head.trainable_arrays().items()}
-    return _epoch_loop(arrays, (net, head), config, step, evaluate)
-
+# --- model construction
 
 def fit(kind: str, init: str, n_prototypes: int, data, config: TrainConfig, hidden=None,
         n_features: int = 2, val_data=None):
@@ -368,9 +335,9 @@ def fit(kind: str, init: str, n_prototypes: int, data, config: TrainConfig, hidd
     `config.seed`.  The layer's prototypes come from k-means on its inputs
     (`init` "kmeans") or at random.  Without a net, or with random prototypes,
     the model trains as it is.  A net with k-means runs the staged protocol,
-    each stage in the epoch loop: pretrain the net through a one-layer head,
-    fit the layer alone on the frozen features at learning rate 1e-2 (this
-    function without a net), then fine-tune the whole model at 1e-4.
+    each stage a `train`: pretrain the net under a `SoftmaxHead`, fit the
+    layer alone on the frozen features at learning rate 1e-2 (this function
+    without a net), then fine-tune the whole model at 1e-4.
 
     Returns (model, histories): `histories["train"]` is the returned model's
     training history, and a staged run adds "pretrain" and "layer".
@@ -386,16 +353,15 @@ def fit(kind: str, init: str, n_prototypes: int, data, config: TrainConfig, hidd
         return model, {"train": history}
 
     # a random layer of the kind has the class count the staged one will have
-    # (2 for rbf): check the labels against it before pretraining for them
+    # (2 for rbf): the head's, against which `train` checks the labels
     n_classes = make_layer(kind, n_prototypes, n_features, n_classes, config.seed).n_classes
-    class_labels(y, len(x), n_classes)
-    val = None if val_data is None else _unpack(val_data, n_classes)
     head = head_init(n_features, n_classes, seed=config.seed + 1)
-    pretrain_history = pretrain_feature_net(net, head, (x, y), config, val_data)
+    pretrained, pretrain_history = train(EvidentialModel("head", head, net), (x, y),
+                                         replace(config, loss_kind="cross-entropy"), val_data)
 
-    feats, _ = mlp_forward_batch(net, x)
-    val_feats = None if val is None else (mlp_forward_batch(net, val[0])[0], val[1])
-    layer_model, layer_histories = fit(kind, "kmeans", n_prototypes, (feats, y),
+    val = None if val_data is None else _unpack(val_data, n_classes)
+    val_feats = None if val is None else (pretrained.features(val[0]), val[1])
+    layer_model, layer_histories = fit(kind, "kmeans", n_prototypes, (pretrained.features(x), y),
                                        replace(config, learning_rate=1e-2), val_data=val_feats)
     model, history = train(EvidentialModel(kind, layer_model.layer, net), (x, y),
                            replace(config, learning_rate=1e-4), val_data)
@@ -428,7 +394,7 @@ def grad_check(model: EvidentialModel, X, y, config: TrainConfig, eps: float = 1
     analytic and numeric gradients are both below the finite-difference
     noise floor count as exact.
     """
-    with flat_parameters(model.trainable_arrays(), model.layer, model.feature_net) as params:
+    with flat_parameters(model) as params:
         analytic = params.flatten(model_loss_and_grads(model, X, y, config)[1])
         numeric = fd_gradients(lambda: model_loss_and_grads(model, X, y, config)[0], params.vector, eps)
     worst = 0.0
@@ -452,6 +418,5 @@ __all__ = [
     "loss_dice",
     "loss_sse",
     "model_loss_and_grads",
-    "pretrain_feature_net",
     "train",
 ]

@@ -105,11 +105,17 @@ class TestTrain:
         for stage in ("history", "history_pretrain", "history_layer"):
             rows = (tmp_path / "kmeans" / f"{stage}.csv").read_text().splitlines()
             assert rows[0] == header and len(rows) == 8, stage
-        # pretraining scores the validation set but has no ignorance; the layer stage has both
+        # pretraining scores the validation set, and its head puts no mass on
+        # the frame; the layer stage has both
         pretrain = [row.split(",") for row in (tmp_path / "kmeans" / "history_pretrain.csv").read_text().splitlines()[1:]]
-        assert all(0 <= float(val_err) <= 1 and ignorance == "nan" for *_, val_err, ignorance in pretrain)
+        assert all(0 <= float(val_err) <= 1 and ignorance == "0.0" for *_, val_err, ignorance in pretrain)
         assert ",nan" not in (tmp_path / "kmeans" / "history_layer.csv").read_text()
         assert sorted(p.name for p in (tmp_path / "random").iterdir()) == ["checkpoint.json", "history.csv"]
+
+    def test_the_pretraining_head_is_no_model_choice(self, data_dir, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--data", str(data_dir / "train.csv"), "--model", "head", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2 and "invalid choice: 'head'" in capsys.readouterr().err
 
     def test_missing_data_is_io_error(self, tmp_path):
         assert run(["train", "--data", str(tmp_path / "absent.csv"),

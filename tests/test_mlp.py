@@ -9,6 +9,7 @@ from helpers import fd_by_name, grad_rel_error, mlp_backward_by_where, mlp_forwa
 from evidkit.errors import DimensionMismatch, StaleCache
 from evidkit.mlp import (
     MlpParams,
+    SoftmaxHead,
     head_init,
     mlp_backward_batch,
     mlp_forward_batch,
@@ -142,18 +143,18 @@ class TestExactPrelu:
 
 
 def head_probs(head, feats):
-    """Softmax of a one-layer head net's logits, as pretraining computes them."""
-    return softmax_rows(mlp_forward_batch(head, feats)[0])
+    """The singleton masses of the head's forward: its class probabilities."""
+    return head.forward(feats)[0][:, :-1]
 
 
 class TestSoftmaxHead:
     def test_zero_logits_uniform(self):
-        head = MlpParams([np.zeros((4, 3))], [np.zeros(3)], [])
+        head = SoftmaxHead([np.zeros((4, 3))], [np.zeros(3)], [])
         probs = head_probs(head, np.ones((1, 4)))
         np.testing.assert_allclose(probs, 1.0 / 3.0)
 
     def test_large_gap_near_one_hot(self):
-        head = MlpParams([np.zeros((2, 2))], [np.array([50.0, -50.0])], [])
+        head = SoftmaxHead([np.zeros((2, 2))], [np.array([50.0, -50.0])], [])
         probs = head_probs(head, np.zeros((1, 2)))
         assert probs[0, 0] > 1 - 1e-12
 
@@ -174,9 +175,8 @@ class TestSoftmaxHead:
         labels = rng.integers(0, 3, size=5)
         onehot = np.eye(3)[labels]
 
-        logits, cache = mlp_forward_batch(head, feats)
-        probs = softmax_rows(logits)
-        analytic, dfeats = mlp_backward_batch(head, cache, probs - onehot, input_grad=True)
+        _, cache = head.forward(feats)
+        analytic, dfeats = head.backward(cache, cache["probs"] - onehot, input_grad=True)
         analytic = dict(analytic)
         analytic["feats"] = dfeats
 
@@ -189,6 +189,20 @@ class TestSoftmaxHead:
 
         numeric = fd_by_name(loss, arrays)
         assert grad_rel_error(analytic, numeric) < 1e-4
+
+    @pytest.mark.parametrize("keep_cache", [True, False])
+    def test_the_layer_protocol(self, keep_cache):
+        # class probabilities as singleton masses, +0.0 on the frame, in
+        # class-major storage; no regularizer
+        head = head_init(4, 3, seed=9)
+        feats = np.random.default_rng(10).standard_normal((5, 4))
+        masses, cache = head.forward(feats, keep_cache)
+        assert (head.kind, head.losses, head.n_features, head.n_classes) == ("head", ("cross-entropy",), 4, 3)
+        assert masses.shape == (5, 4) and masses.T.flags.c_contiguous
+        assert masses[:, :-1].tobytes() == softmax_rows(mlp_forward_batch(head, feats)[0]).tobytes()
+        assert masses[:, -1].tobytes() == np.zeros(5).tobytes()
+        assert (cache["probs"].tobytes() == masses[:, :-1].tobytes()) if keep_cache else cache == {}
+        assert head.regularizer(cache) == (0.0, {})
 
 
 class TestCheckpoint:

@@ -9,7 +9,7 @@ from evidkit import enn, mlp, numeric, rbf
 from evidkit.datasets import gen_half_moons
 from evidkit.enn import enn_forward_batch, enn_from_constrained, enn_init_random
 from evidkit.errors import DimensionMismatch, Empty, MalformedInput, OutOfRange, TotalConflict
-from evidkit.mlp import mlp_init
+from evidkit.mlp import head_init, mlp_init
 from evidkit.model import LAYERS, EvidentialModel, class_count, decide, make_layer
 from evidkit.rbf import rbf_forward_batch, rbf_init_random
 from evidkit.training import TrainConfig, _evaluate, _fit_set, model_loss_and_grads, train
@@ -62,6 +62,12 @@ class TestKindCheck:
     def test_unknown_kind(self):
         with pytest.raises(OutOfRange):
             EvidentialModel("svm", enn_init_random(3, 2, 2, seed=0))
+
+    def test_the_pretraining_head_has_no_checkpoint(self):
+        # the head is not in LAYERS: a model under it cannot reload
+        data = EvidentialModel("head", head_init(2, 2, seed=0), mlp_init([2, 4, 2], seed=0)).to_dict()
+        with pytest.raises(MalformedInput, match="unknown model 'head'"):
+            EvidentialModel.from_dict(data)
 
     def test_feature_net_width_must_match_the_layer(self):
         with pytest.raises(DimensionMismatch):

@@ -7,6 +7,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -36,7 +37,6 @@ from evidkit.training import (
     loss_dice,
     loss_sse,
     model_loss_and_grads,
-    pretrain_feature_net,
     train,
 )
 
@@ -622,7 +622,7 @@ class TestDataSets:
                 train(model, ds, cfg, self.EMPTY)
 
     def test_four_stage_init_on_an_empty_set(self, monkeypatch):
-        monkeypatch.setattr(training, "pretrain_feature_net", lambda *args: pytest.fail("pretrained"))
+        monkeypatch.setattr(training, "model_loss_and_grads", lambda *args: pytest.fail("an epoch ran"))
         ds = gen_half_moons(30, 0.1, seed=6)
         for data, val in ((self.EMPTY, None), (ds, self.EMPTY)):
             with pytest.raises(Empty):
@@ -648,12 +648,7 @@ def staged():
     ds = gen_half_moons(200, 0.1, seed=21)
     cfg = TrainConfig(epochs=40, learning_rate=1e-2, lam=1e-3, loss_kind="sse", seed=0)
     snaps = {}
-    real_pretrain, real_make_layer = training.pretrain_feature_net, training.make_layer
-
-    def pretrain(net, *args):
-        history = real_pretrain(net, *args)
-        snaps["net_after_pretrain"] = copy.deepcopy(net)
-        return history
+    real_make_layer = training.make_layer
 
     def make_layer(kind, n_prototypes, n_features, n_classes, seed, data=None):
         layer = real_make_layer(kind, n_prototypes, n_features, n_classes, seed, data)
@@ -662,12 +657,15 @@ def staged():
         return layer
 
     def spy_train(model, *args):
+        if model.kind == "head":  # the pretraining stage
+            result = train(model, *args)
+            snaps["net_after_pretrain"] = copy.deepcopy(model.feature_net)
+            return result
         if model.feature_net is not None:  # the fine-tuning stage
             snaps["net_before_finetune"] = copy.deepcopy(model.feature_net)
         return train(model, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(training, "pretrain_feature_net", pretrain)
         mp.setattr(training, "make_layer", make_layer)
         mp.setattr(training, "train", spy_train)
         _, histories = fit("enn", "kmeans", 4, ds, cfg, hidden=[16])
@@ -698,13 +696,13 @@ class TestFourStageInit:
         assert len(histories["train"].records) == 40
 
     def test_labels_checked_before_pretraining(self, monkeypatch):
-        pretrained = []
-        monkeypatch.setattr(training, "pretrain_feature_net", lambda *args: pretrained.append(args))
+        epochs = []
+        monkeypatch.setattr(training, "model_loss_and_grads", lambda *args: epochs.append(args))
         ds = gen_half_moons(30, 0.1, seed=4)
         config = TrainConfig(epochs=300, loss_kind="cross-entropy")
         with pytest.raises(OutOfRange):
             fit("rbf", "kmeans", 3, (ds.points, np.arange(30) % 3), config, hidden=[16])
-        assert pretrained == []
+        assert epochs == []
 
     def test_layer_stage_gets_the_best_validation_net(self, monkeypatch):
         # at learning rate 0.3 the validation cross-entropy is lowest at epoch 7
@@ -714,7 +712,7 @@ class TestFourStageInit:
         nets = []
         for epochs in range(1, 21):
             net, head = mlp_init([2, 8, 2], seed=0), head_init(2, 2, seed=1)
-            pretrain_feature_net(net, head, ds, replace(config, epochs=epochs))
+            train(EvidentialModel("head", head, net), ds, replace(config, epochs=epochs, loss_kind="cross-entropy"))
             probs = softmax_rows(mlp_forward_batch(head, mlp_forward_batch(net, val.points)[0])[0])
             nets.append((-np.sum(np.eye(2)[val.labels] * np.log(np.maximum(probs, 1e-12))), epochs, net))
         _, best_epoch, best_net = min(nets, key=lambda entry: entry[0])
@@ -733,16 +731,17 @@ class TestFourStageInit:
         assert clustered[0].tobytes() == mlp_forward_batch(best_net, ds.points)[0].tobytes()
 
     def test_pretraining_forms_only_the_heads_input_gradient(self, monkeypatch):
-        calls, backward = [], training.mlp_backward_batch
+        calls, backward = [], mlp.mlp_backward_batch
 
         def recorded(params, cache, upstream, input_grad=True):
             grads, d_x = backward(params, cache, upstream, input_grad)
             calls.append((params.sizes, input_grad, d_x is None))
             return grads, d_x
 
-        monkeypatch.setattr(training, "mlp_backward_batch", recorded)
+        monkeypatch.setattr(mlp, "mlp_backward_batch", recorded)
         net, head = mlp_init([2, 8, 3], seed=0), head_init(3, 2, seed=1)
-        pretrain_feature_net(net, head, gen_half_moons(30, 0.1, seed=5), TrainConfig(epochs=2))
+        train(EvidentialModel("head", head, net), gen_half_moons(30, 0.1, seed=5),
+              TrainConfig(epochs=2, loss_kind="cross-entropy"))
         assert calls == [([3, 2], True, False), ([2, 8, 3], False, True)] * 2
 
     @pytest.mark.parametrize("kind, loss", [("enn", "sse"), ("rbf", "cross-entropy")])
@@ -754,7 +753,8 @@ class TestFourStageInit:
         model, histories = fit(kind, "kmeans", 4, ds, cfg, hidden=[8], n_features=3, val_data=val)
 
         net = mlp_init([2, 8, 3], seed=3)
-        pretrain_history = pretrain_feature_net(net, head_init(3, 2, seed=4), ds, cfg, val)
+        _, pretrain_history = train(EvidentialModel("head", head_init(3, 2, seed=4), net), ds,
+                                    replace(cfg, loss_kind="cross-entropy"), val)
         feats, val_feats = mlp_forward_batch(net, ds.points)[0], mlp_forward_batch(net, val.points)[0]
         layer = make_layer(kind, 4, 3, 2, 3, (feats, ds.labels))
         layer_model, layer_history = train(EvidentialModel(kind, layer), (feats, ds.labels),
@@ -806,15 +806,30 @@ def test_a_training_step_reuses_the_fits_arrays(monkeypatch):
     assert len(peaks) == 6 and max(peaks[1:]) <= PARENT_STEP_PEAK // 2
 
 
+def test_an_epoch_holds_no_masses_into_the_next(monkeypatch):
+    # each epoch's masses are freed before the next forward allocates its own
+    held, step = [], training.model_loss_and_grads
+
+    def spied(*args):
+        assert [ref() for ref in held] == [None] * len(held)
+        value, grads, masses = step(*args)
+        held.append(weakref.ref(masses))
+        return value, grads, masses
+
+    monkeypatch.setattr(training, "model_loss_and_grads", spied)
+    ds = gen_half_moons(40, 0.1, seed=25)
+    fit("enn", "random", 3, ds, TrainConfig(epochs=3, learning_rate=1e-2), [4], val_data=ds)
+    assert len(held) == 3
+
+
 def test_staged_fit_is_the_where_nets_bit_for_bit(monkeypatch):
     # pretraining, the layer stage and fine-tuning on segmentation tasks,
     # validated: the histories and checkpoint of a net by np.where
     data, val = seg_samples(16, (3, 4)), seg_samples(16, (5,))
     config = TrainConfig(epochs=12, learning_rate=1e-2, loss_kind="dice", seed=4)
     model, histories = fit("enn", "kmeans", 4, data, config, [8], val_data=val)
-    for module in (mlp, training):
-        monkeypatch.setattr(module, "mlp_forward_batch", mlp_forward_by_where)
-        monkeypatch.setattr(module, "mlp_backward_batch", mlp_backward_by_where)
+    monkeypatch.setattr(mlp, "mlp_forward_batch", mlp_forward_by_where)
+    monkeypatch.setattr(mlp, "mlp_backward_batch", mlp_backward_by_where)
     want, want_histories = fit("enn", "kmeans", 4, data, config, [8], val_data=val)
     assert json.dumps(model.to_dict()) == json.dumps(want.to_dict())  # checkpoint bytes
     assert list(histories) == ["pretrain", "layer", "train"]
@@ -862,6 +877,15 @@ class TestGradCheck:
             cfg = TrainConfig(epochs=1, loss_kind="cross-entropy", lam=1e-3)
             assert grad_check(model, ds.points, ds.labels, cfg) < 1e-4
             done += 1
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_pretraining_model(self, n_classes):
+        # a feature net under the softmax head, by its K-class cross-entropy
+        ds = gen_half_moons(10, 0.1, seed=34)
+        labels = np.arange(10) % n_classes
+        for seed in range(3):
+            model = EvidentialModel("head", head_init(3, n_classes, seed), mlp_init([2, 8, 3], seed))
+            assert grad_check(model, ds.points, labels, TrainConfig(loss_kind="cross-entropy")) < 1e-4
 
     def test_dice_loss_path(self):
         ds = gen_half_moons(12, 0.1, seed=33)
