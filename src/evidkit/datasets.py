@@ -1,14 +1,17 @@
 """Synthetic data: interleaved half-circle classes, an out-of-distribution
-blob, and a toy two-channel segmentation task.
+blob, and a toy two-channel segmentation task, and their CSV files.
 
-All generators are pure functions of their parameters and seed.
+All generators are pure functions of their parameters and seed.  Files are
+written in one `%` format step and parsed by `np.loadtxt`.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -137,12 +140,12 @@ def seg_task_as_samples(task: ToySegTask) -> tuple[np.ndarray, np.ndarray]:
 
 
 def save_labeled(path, ds: LabeledSet) -> None:
-    path = Path(path)
+    """The bytes `csv.writer` writes (floats as repr, CRLF line ends), formatted in one step."""
     points = np.asarray(ds.points, dtype=float)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)  # floats as repr, CRLF line ends
-        writer.writerow([f"x{j + 1}" for j in range(points.shape[1])] + ["label"])
-        writer.writerows(row + [label] for row, label in zip(points.tolist(), map(int, ds.labels.tolist())))
+    n, dim = points.shape
+    rows = zip(*points.T.tolist(), ds.labels.tolist())
+    text = (("%r," * dim + "%d\r\n") * n) % tuple(chain.from_iterable(rows))
+    Path(path).write_text(",".join([f"x{j + 1}" for j in range(dim)] + ["label"]) + "\r\n" + text, newline="")
 
 
 def _is_number(field: str) -> bool:
@@ -157,29 +160,52 @@ def load_labeled(path) -> LabeledSet:
     """Read a `save_labeled` CSV; blank lines are skipped, any other bad line
     (a negative label included) raises MalformedInput, as does a file that is
     not text in the default encoding or whose first line is all numbers
-    rather than a header."""
+    rather than a header.  `np.loadtxt` parses the body; a file it cannot
+    take or check (a quoted header, a line over the csv field limit, a
+    negative label) goes to `_read_rows`."""
     path = Path(path)
-    with path.open() as fh:
-        reader = csv.reader(fh)
-        points, labels = [], []
-        try:
-            header = next(reader, [])
-            dim = len(header) - 1
-            if dim < 1:
-                raise MalformedInput(f"{path}: no header with feature and label columns")
-            if all(map(_is_number, header)):
-                raise MalformedInput(f"{path}: no header: line 1 holds only numbers")
-            for row in filter(None, reader):
-                if len(row) != dim + 1:
-                    raise ValueError(f"expected {dim + 1} fields, got {len(row)}")
-                points.append(list(map(float, row[:dim])))
-                labels.append(int(row[dim]))
-                if labels[-1] < 0:
-                    raise ValueError(f"negative label {labels[-1]}")
-        except UnicodeDecodeError as exc:
-            raise MalformedInput(f"{path}: not {exc.encoding} text: {exc.reason}") from None
-        except (ValueError, csv.Error) as exc:
-            raise MalformedInput(f"{path}, line {reader.line_num}: {exc}") from None
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError:  # read as it streams, so a bad line before the bad bytes is named
+        with path.open() as fh:
+            return _read_rows(path, fh)
+    head, _, body = text.partition("\n")
+    header, limit = head.split(","), csv.field_size_limit()
+    if ('"' not in head and len(header) > 1 and not all(map(_is_number, header)) and body.strip("\n")
+            and (len(text) <= limit or max(map(len, text.split("\n"))) <= limit)):
+        try:  # int64 labels: loadtxt refuses 1.0 as int() does
+            rows = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=1,
+                              dtype=[("x", float, (len(header) - 1,)), ("y", np.int64)])
+        except ValueError:
+            pass
+        else:
+            if rows["y"].min() >= 0:
+                return LabeledSet(np.ascontiguousarray(rows["x"]), rows["y"].copy())
+    return _read_rows(path, io.StringIO(text))
+
+
+def _read_rows(path: Path, lines) -> LabeledSet:
+    """`load_labeled` by csv rows of the text `lines`: the refusal path."""
+    reader = csv.reader(lines)
+    points, labels = [], []
+    try:
+        header = next(reader, [])
+        dim = len(header) - 1
+        if dim < 1:
+            raise MalformedInput(f"{path}: no header with feature and label columns")
+        if all(map(_is_number, header)):
+            raise MalformedInput(f"{path}: no header: line 1 holds only numbers")
+        for row in filter(None, reader):
+            if len(row) != dim + 1:
+                raise ValueError(f"expected {dim + 1} fields, got {len(row)}")
+            points.append(list(map(float, row[:dim])))
+            labels.append(int(row[dim]))
+            if labels[-1] < 0:
+                raise ValueError(f"negative label {labels[-1]}")
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{path}: not {exc.encoding} text: {exc.reason}") from None
+    except (ValueError, csv.Error) as exc:
+        raise MalformedInput(f"{path}, line {reader.line_num}: {exc}") from None
     if not labels:
         raise MalformedInput(f"{path}: no data rows")
     return LabeledSet(np.asarray(points), np.asarray(labels, dtype=int))
@@ -201,9 +227,9 @@ def save_seg_task(directory, task: ToySegTask) -> None:
 
 def _load_grid(path: Path) -> np.ndarray:
     try:
-        with warnings.catch_warnings():
+        with path.open() as fh, warnings.catch_warnings():  # given a path, loadtxt opens it by np.lib._datasource
             warnings.simplefilter("ignore", UserWarning)  # an empty file is reported below
-            grid = np.loadtxt(path, delimiter=",", ndmin=2)
+            grid = np.loadtxt(fh, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise MalformedInput(f"{path}: {exc}") from None
     if grid.size == 0:

@@ -45,7 +45,8 @@ factors a class at a time in two (I, N) arrays, a training run's `buffers`
 when given.  It masks its division by the factors t = 1 - s w to t > 0 only
 when some alpha is exactly 1: s <= alpha and w <= 1, so no other t is 0.
 It forms the input gradient only with `input_grad`, which training sets
-only in front of a feature net.
+only in front of a feature net.  Training pools plainly, without the regime
+count (`numeric._sum_plain`).
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numeric
 from .errors import DimensionMismatch, OutOfRange, StaleCache, TotalConflict
 from .kmeans import cluster_label_counts, kmeans
 from .numeric import (
@@ -172,7 +174,7 @@ def enn_forward_batch(params: EnnParams, X, keep_cache: bool = True) -> tuple[np
     del Xc, Pc
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        logs = sum_log1p_neg(s, w)                       # [L_1 .. L_K, L_q]
+        logs = numeric._sum_plain(s, w) if keep_cache else sum_log1p_neg(s, w)  # [L_1 .. L_K, L_q]
         top = np.maximum.reduce(logs[:k], axis=0)        # (N,)
         if np.fmin.reduce(top, initial=np.inf) == -np.inf:  # fmin: a NaN lane hides no -inf
             raise TotalConflict("fully confident prototypes exclude every class; pooled mass vanished")

@@ -266,6 +266,9 @@ def pignistic_backward(d_probs, out=None):
     n, k = d_probs.shape
     out = np.empty((n, k + 1)) if out is None else out
     out[:, :k] = d_probs
-    np.add.reduce(d_probs, axis=1, out=out[:, k])
+    if k == 2:  # the reduce's bits along N: it starts from +0.0, so -0.0 + -0.0 is +0.0
+        np.add(d_probs[:, 0], d_probs[:, 1] + 0.0, out=out[:, k])
+    else:
+        np.add.reduce(d_probs, axis=1, out=out[:, k])
     out[:, k] /= k
     return out

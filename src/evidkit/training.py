@@ -205,11 +205,13 @@ def _unpack(data, n_classes: int | None = None) -> tuple[np.ndarray, np.ndarray]
 @dataclass
 class _FitSet:
     """Checked inputs `x`, labels `y` and their loss target: one-hot rows
-    (sse and cross-entropy) or the truth (dice)."""
+    (sse and cross-entropy) or the truth (dice); for cross-entropy also the
+    one-hot's first column, contiguous, `rbf`'s binary target."""
 
     x: np.ndarray
     y: np.ndarray
     target: np.ndarray
+    first: np.ndarray | None
 
 
 def _fit_set(model: EvidentialModel, data, config: TrainConfig) -> _FitSet:
@@ -221,12 +223,14 @@ def _fit_set(model: EvidentialModel, data, config: TrainConfig) -> _FitSet:
     if kind == "dice" and model.n_classes != 2:
         raise OutOfRange("the overlap loss is defined for binary frames")
     target = y.astype(float) if kind == "dice" else np.eye(model.n_classes)[y]
-    return _FitSet(as_batch(x, model.n_features), y, target)
+    first = target[:, 0].copy() if kind == "cross-entropy" else None
+    return _FitSet(as_batch(x, model.n_features), y, target, first)
 
 
-def _objective(model: EvidentialModel, masses, layer_cache: dict, target, config: TrainConfig, buffers=None):
+def _objective(model: EvidentialModel, masses, layer_cache: dict, fit_set: _FitSet, config: TrainConfig,
+               buffers=None):
     """Objective value, its gradient with respect to the layer output, and
-    the layer regularizer's parameter gradients, against a `_FitSet` target.
+    the layer regularizer's parameter gradients, against a `_FitSet`'s target.
 
     Every objective is a data term plus lam times the layer's regularizer.
     The output gradient is in mass space, the (N, K+1) `.T` view of
@@ -235,9 +239,10 @@ def _objective(model: EvidentialModel, masses, layer_cache: dict, target, config
     d/d(p1), or the head's probabilities and returns d/d(logits).  The
     regularizer gradients are not yet scaled by lam.
     """
+    target = fit_set.target
     if config.loss_kind == "cross-entropy":
         if "p1" in layer_cache:  # binary, against the first class's column
-            value, upstream = loss_ce(layer_cache["p1"], target[:, 0])
+            value, upstream = loss_ce(layer_cache["p1"], fit_set.first)
         else:  # K classes, summed
             probs = layer_cache["probs"]
             value, upstream = float(-np.sum(target * np.log(np.maximum(probs, P_CLAMP)))), probs - target
@@ -261,7 +266,7 @@ def model_loss_and_grads(model: EvidentialModel, X, y, config: TrainConfig, buff
     (`numeric.buffer`) when given."""
     fit_set = y if isinstance(y, _FitSet) else _fit_set(model, (X, y), config)
     masses, caches = model.forward_checked(fit_set.x, buffers)
-    value, upstream, reg_grads = _objective(model, masses, caches[1], fit_set.target, config, buffers)
+    value, upstream, reg_grads = _objective(model, masses, caches[1], fit_set, config, buffers)
     grads = model.backward(caches, upstream, buffers)
     for name, g in reg_grads.items():
         grads[f"layer.{name}"] = grads[f"layer.{name}"] + config.lam * g
@@ -320,7 +325,7 @@ def train(model: EvidentialModel, train_data, config: TrainConfig, val_data=None
 def _evaluate(model: EvidentialModel, fit_set: _FitSet, config: TrainConfig) -> tuple[float, float]:
     """Objective value and error rate on a `_FitSet`, without gradients."""
     masses, (_, layer_cache) = model.forward_checked(fit_set.x)
-    value = _objective(model, masses, layer_cache, fit_set.target, config)[0]
+    value = _objective(model, masses, layer_cache, fit_set, config)[0]
     return value, error_rate(decide(masses), fit_set.y)
 
 

@@ -1,14 +1,21 @@
 """Synthetic data generators: geometry, determinism, serialization."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 from helpers import knn_predict
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evidkit.datasets import (
     ARC_OFFSET,
     ARC_RADIUS,
     SEG_BLUR_SIGMA,
+    LabeledSet,
     _blur,
+    _read_rows,
     gen_half_moons,
     gen_ood_class,
     gen_toy_segmentation,
@@ -134,6 +141,24 @@ class TestSerialization:
         save_labeled(p2, gen_half_moons(30, 0.1, seed=6))
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_labeled_files_are_the_csv_writer_bytes(self, tmp_path, dim):
+        edge = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, 0.1, 1 / 3]
+        rng = np.random.default_rng(dim)
+        points = rng.choice(edge, size=(3 * len(edge), dim))
+        labels = rng.integers(0, 2**40, len(points))
+        labels[:3] = 0, 1, 2**40
+        path = tmp_path / "d.csv"
+        save_labeled(path, LabeledSet(points, labels))
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow([f"x{j + 1}" for j in range(dim)] + ["label"])
+        writer.writerows(row + [label] for row, label in zip(points.tolist(), map(int, labels.tolist())))
+        assert path.read_bytes() == want.getvalue().encode()
+        back = load_labeled(path)
+        assert back.points.view(np.uint64).tobytes() == points.view(np.uint64).tobytes()
+        assert back.labels.tobytes() == labels.tobytes()
+
     def test_seg_round_trip(self, tmp_path):
         task = gen_toy_segmentation(32, 24, 2, seed=3)
         save_seg_task(tmp_path / "seg", task)
@@ -173,3 +198,86 @@ class TestMalformedFiles:
         (directory / "mask.csv").write_text(mask)
         with pytest.raises(MalformedInput):
             load_seg_task(directory)
+
+
+    def test_missing_seg_grid_is_an_os_error(self, tmp_path):
+        save_seg_task(tmp_path / "t", gen_toy_segmentation(8, 8, 1, seed=0))
+        (tmp_path / "t" / "channel2.csv").unlink()
+        with pytest.raises(FileNotFoundError):
+            load_seg_task(tmp_path / "t")
+
+
+# `load_labeled` against `_read_rows` on the file, which is how it read every
+# file before loadtxt: the same arrays, or the same error and message
+FIELD_LIMIT = csv.field_size_limit()
+
+
+def mostly(common, rare):
+    """`common`, or one time in twenty `rare`."""
+    return st.integers(0, 19).flatmap(lambda i: rare if i == 0 else common)
+
+
+FEATURES = mostly(st.one_of(st.floats().map(repr), st.sampled_from([" 0.5 ", "nan", "-nan", "inf", "infinity",
+                                                                    "1e400", "0.5\x0c"])),
+                  st.sampled_from(["1_0.5", '"0.5"', "", "abc"]))
+LABELS = mostly(st.sampled_from(["0", "1", "+1", "01", "-0", " 2 ", str(2**40), str(2**62)]),
+                st.sampled_from(["1.0", "-1", "1_0"]))
+HEADERS = mostly(st.sampled_from(["x1,label", "x1,x2,label", "x1,x2,x3,x4,x5,label", "a,b,label"]),
+                 st.sampled_from(["label", "", "0.5,1.5,2", '"x1",x2,label', '"x1,x2",label', '"x1\nx2",label']))
+
+
+@st.composite
+def labeled_files(draw):
+    header = draw(HEADERS)
+    width = max(header.count(",") + 1, 2)
+    lines = [header.encode()]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(mostly(st.just("row"), st.sampled_from(["blank", "space", "short", "long", "oversized", "half",
+                                                            "nul", "bad-byte"])))
+        if kind == "blank":
+            lines.append(b"")
+            continue
+        if kind == "space":
+            lines.append(draw(st.sampled_from([b" ", b"\t", b"  "])))
+            continue
+        n = width + {"short": -1, "long": 1}.get(kind, 0)
+        fields = [draw(FEATURES) for _ in range(n - 1)] + [draw(LABELS)]
+        if kind in ("oversized", "half"):  # a field over csv's limit, or lines under it that sum past it
+            fields[0] = "1" * (FIELD_LIMIT + 1 if kind == "oversized" else FIELD_LIMIT // 2)
+        line = ",".join(fields).encode()
+        if kind in ("nul", "bad-byte"):
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + (b"\0" if kind == "nul" else b"\xff") + line[at:]
+        lines.append(line)
+    end = draw(st.sampled_from([b"\n", b"\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([b"", end]))
+
+
+def read_outcome(load, path):
+    try:
+        ds = load(path)
+    except Exception as exc:  # the type and message must match too
+        return type(exc), str(exc)
+    return [(a.dtype, a.shape, a.flags.c_contiguous, a.view(np.uint64 if a.dtype == float else a.dtype).tobytes())
+            for a in (ds.points, ds.labels)]
+
+
+def read_by_rows(path):
+    with path.open() as fh:
+        return _read_rows(path, fh)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=labeled_files())
+# one file for each case loadtxt leaves to the row reader
+@example(data=b'"x1,x2",label\r\n0.5,1.5,1\r\n')  # a quoted header: csv reads one feature, split(",") two
+@example(data=b"label\n0\n")  # no feature column
+@example(data=b"0.1,0.2,0\n0.3,0.4,1\n")  # no header
+@example(data=b"x1,x2,label\n\n")  # no data rows
+@example(data=b"x1,label\n" + b"1" * (FIELD_LIMIT + 1) + b",0\n")  # a field over csv's limit
+@example(data=b"x1,label\n0.5,-1\n")  # a negative label
+@example(data=b"x1,label\n0.5\n0.5,\xff1\n")  # a short row before bytes that are not text
+def test_load_labeled_is_the_row_reader(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "labeled.csv"
+    path.write_bytes(data)
+    assert read_outcome(load_labeled, path) == read_outcome(read_by_rows, path)

@@ -234,6 +234,23 @@ def test_the_rule_picks_sparse_far_out_rescaled_when_mixed_plain_in_training(mon
     assert set(taken) == {"plain"}
 
 
+
+@pytest.mark.parametrize("n, n_proto, dim, regime", [(250, 256, 64, "sparse"), (12500, 6, 2, "rescaled")])
+def test_the_training_forward_pools_plainly_without_counting(n, n_proto, dim, regime, monkeypatch):
+    taken = []
+    for module, name in [(enn, "sum_log1p_neg"), (numeric, "_sum_plain"), (numeric, f"_sum_{regime}")]:
+        monkeypatch.setattr(module, name, lambda *a, f=getattr(module, name), name=name: taken.append(name) or f(*a))
+    rng = np.random.default_rng(n)
+    proto, gamma = rng.standard_normal((n_proto, dim)), rng.uniform(0.5, 2.0, n_proto)
+    params = enn_from_constrained(proto, rng.uniform(0.1, 0.9, n_proto), gamma, rng.dirichlet(np.ones(2), n_proto))
+    X = far_field_inputs(rng, proto, gamma, n)  # the benchmark's far-field rows
+    trained = enn_forward_batch(params, X, True)[0]
+    assert taken == ["_sum_plain"]
+    inferred = enn_forward_batch(params, X, False)[0]
+    assert taken == ["_sum_plain", "sum_log1p_neg", f"_sum_{regime}"]
+    assert trained.tobytes() == inferred.tobytes()
+
+
 def per_class_backward(params, cache, upstream):
     """`enn_backward_batch` with the Dempster factors taken one class at a
     time, the reference for the stacked (K+1, I, N) form."""

@@ -149,8 +149,11 @@ def test_training_and_evaluation_share_the_objective(kind, loss, moons):
     model = EvidentialModel(kind, make_layer(kind, 4, 2, 2, seed=6, data=(moons.points, moons.labels)))
     config = TrainConfig(loss_kind=loss, lam=0.3)
     value, _, masses = model_loss_and_grads(model, moons.points, moons.labels, config)
-    eval_value, err = _evaluate(model, _fit_set(model, moons, config), config)
+    fit_set = _fit_set(model, moons, config)
+    eval_value, err = _evaluate(model, fit_set, config)
     assert eval_value == value
+    if loss == "cross-entropy":  # rbf's binary target: the one-hot's first column, stored contiguous
+        assert fit_set.first.flags.c_contiguous and fit_set.first.tobytes() == fit_set.target[:, 0].tobytes()
     assert err == np.mean(np.argmax(masses[:, :-1], axis=1) != moons.labels)
 
 
@@ -195,6 +198,16 @@ class TestClassMajorLayout:
         got = numeric.pignistic_backward(d_probs, out)
         assert got is out and got.flags.f_contiguous
         assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_pignistic_backward_frame_is_the_row_sum(self, k):
+        # every pair (triple) of signed zeros, infinities, NaN and finite values
+        edge = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -1.5, 1e308])
+        d_probs = np.stack(np.meshgrid(*[edge] * k), axis=-1).reshape(-1, k)
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = np.add.reduce(d_probs, axis=1) / k
+            got = numeric.pignistic_backward(d_probs)
+        assert got[:, k].tobytes() == want.tobytes() and got[:, :k].tobytes() == d_probs.tobytes()
 
     @pytest.mark.parametrize("class_major", [False, True])
     def test_decide_keeps_ties_at_the_lowest_class(self, class_major):
