@@ -199,7 +199,6 @@ class TestMalformedFiles:
         with pytest.raises(MalformedInput):
             load_seg_task(directory)
 
-
     def test_missing_seg_grid_is_an_os_error(self, tmp_path):
         save_seg_task(tmp_path / "t", gen_toy_segmentation(8, 8, 1, seed=0))
         (tmp_path / "t" / "channel2.csv").unlink()
@@ -258,8 +257,7 @@ def read_outcome(load, path):
         ds = load(path)
     except Exception as exc:  # the type and message must match too
         return type(exc), str(exc)
-    return [(a.dtype, a.shape, a.flags.c_contiguous, a.view(np.uint64 if a.dtype == float else a.dtype).tobytes())
-            for a in (ds.points, ds.labels)]
+    return [(a.dtype, a.shape, a.flags.c_contiguous, a.tobytes()) for a in (ds.points, ds.labels)]  # bits: -0.0, NaNs
 
 
 def read_by_rows(path):
