@@ -158,10 +158,10 @@ def _is_number(field: str) -> bool:
 
 def load_labeled(path) -> LabeledSet:
     """Read a `save_labeled` CSV; blank lines are skipped, any other bad line
-    (a negative label included) raises MalformedInput, as does a file that is
-    not text in the default encoding or whose first line is all numbers
-    rather than a header.  `np.loadtxt` parses the body; a file it cannot
-    take or check (a quoted header, a line over the csv field limit, a
+    (a label outside [0, 2**63) included) raises MalformedInput, as does a
+    file that is not text in the default encoding or whose first line is all
+    numbers rather than a header.  `np.loadtxt` parses the body; a file it
+    cannot take or check (a quoted header, a line over the csv field limit, a
     negative label) goes to `_read_rows`."""
     path = Path(path)
     try:
@@ -200,8 +200,8 @@ def _read_rows(path: Path, lines) -> LabeledSet:
                 raise ValueError(f"expected {dim + 1} fields, got {len(row)}")
             points.append(list(map(float, row[:dim])))
             labels.append(int(row[dim]))
-            if labels[-1] < 0:
-                raise ValueError(f"negative label {labels[-1]}")
+            if not 0 <= labels[-1] < 2**63:
+                raise ValueError(f"label {labels[-1]} outside [0, 2**63)")
     except UnicodeDecodeError as exc:
         raise MalformedInput(f"{path}: not {exc.encoding} text: {exc.reason}") from None
     except (ValueError, csv.Error) as exc:

@@ -17,8 +17,8 @@ grads, input grads)`, which may spend the cache and take scratch from a
 training run's `buffers` (`numeric.buffer`), and gives None for the input
 gradient when `input_grad` is false (a model with no feature net to feed);
 `upstream` is (N, K+1) d(loss)/d(masses), in training the `.T` view of
-class-major (K+1, N) storage, for `rbf` (N,) d(loss)/d(p1), or for the
-head (N, K) d(loss)/d(logits); and
+class-major (K+1, N) storage, or under cross-entropy (N, K) d(loss)/d(logits)
+of the softmax probabilities a layer that trains by it caches as `probs`; and
 `regularizer(cache) -> (value, {array name: gradient})`, the
 prototype-shrinking penalty that every loss weighs by lambda, read from the
 constrained values a forward pass cached.
@@ -161,9 +161,9 @@ class EvidentialModel:
         return masses, (mlp_cache, layer_cache)
 
     def backward(self, caches, upstream, buffers=None) -> dict[str, np.ndarray]:
-        """Backpropagate an upstream gradient (mass-space, or p1-space for the
-        weight-of-evidence layer) into the flat parameter-gradient dict,
-        spending the caches."""
+        """Backpropagate an upstream gradient (mass-space, or logit-space under
+        cross-entropy) into the flat parameter-gradient dict, spending the
+        caches."""
         mlp_cache, layer_cache = caches
         net = self.feature_net
         layer_grads, d_feats = self.layer.backward(layer_cache, upstream, buffers, net is not None)

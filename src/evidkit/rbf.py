@@ -11,23 +11,24 @@ positive and of the negative parts) combine to
     kappa      = (1 - exp(-w+)) (1 - exp(-w-))
 
 and the normalized plausibility of the first class is the logistic unit
-p1 = sigmoid(sum_i v_i s_i).  A factored form keeps the masses exact when
-w+ + w- is large (the naive ratio is 0/0 there).
+p1 = sigmoid(z), z = w+ - w- = sum_i v_i s_i; (p1, 1 - p1) is the softmax of
+the logits (z, 0), which cross-entropy trains.  A factored form keeps the
+masses exact when w+ + w- is large (the naive ratio is 0/0 there).
 
 Gradients use the subgradient 0 at the kinks w_i = 0 and are taken in
 log-gamma space so the scales stay positive.  A weight v_i = 0 sits on the
 kink at every input, so a loss on the masses (Dice) never moves it;
-cross-entropy reads p1, smooth in v_i, and does.
+cross-entropy reads the logit z, smooth in v_i, and does.
 
 The kernels are prototype-major (`evidkit.numeric`): d2 and s are
 (I, N), and (w+, w-) is one (2, N) einsum of s_i max(+-v_i, 0).  Activations
 are exp of (-gamma) d2, flushed to 0 below the smallest normal double
 (`numeric.exp_flush`), which moves no mass of 1e-300 or more for |v| up to
 1e8.  The masses are the `.T` view of a class-major (3, N) array; the input
-gradient is formed only with `input_grad`.  gamma and the centred inputs
-and prototypes are cached for the backward pass; with `keep_cache=False`
-(inference) nothing is: s overwrites d2, the centred arrays and s go once
-read, and p1 is skipped.
+gradient is formed only with `input_grad`.  gamma, the centred inputs and
+prototypes, and `probs` = sigmoid((z, -z)) are cached for the backward
+pass; with `keep_cache=False` (inference) nothing is: s overwrites d2, and
+the centred arrays and s go once read.
 """
 
 from __future__ import annotations
@@ -146,7 +147,8 @@ def rbf_forward_batch(params: RbfParams, X, keep_cache: bool = True) -> tuple[np
     mass = _masses_from_totals(totals)
 
     if keep_cache:
-        cache.update(totals=totals, p1=sigmoid(totals[0] - totals[1]), mass=mass)
+        cache.update(totals=totals, probs=sigmoid(np.multiply.outer(totals[0] - totals[1], _SIGNS)),
+                     mass=mass)
     return mass, cache
 
 
@@ -166,9 +168,10 @@ def rbf_backward_batch(params: RbfParams, cache: dict, upstream,
                        input_grad=True) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
     """Backpropagate through a batch.
 
-    `upstream` of shape (N, 3) is read as d(loss)/d(mass); shape (N,) as
-    d(loss)/d(p1).  Returns parameter gradients summed over the batch and
-    the input gradient of shape (N, H), or None without `input_grad`.
+    `upstream` of shape (N, 3) is read as d(loss)/d(mass); shape (N, 2) as
+    d(loss)/d(logits (z, 0)), column 0 alone.  Returns parameter gradients
+    summed over the batch and the input gradient of shape (N, H), or None
+    without `input_grad`.
     """
     if cache.get("params") is not params:
         raise StaleCache("cache was produced by different parameters")
@@ -179,12 +182,11 @@ def rbf_backward_batch(params: RbfParams, cache: dict, upstream,
     if upstream.shape == (n, 3):
         d_wp, d_wm = _totals_grad(cache, upstream)
         d_w = (v > 0)[:, None] * d_wp - (v < 0)[:, None] * d_wm    # (I, N); s = 0 zeroes lanes below
-    elif upstream.shape == (n,):
-        p1 = cache["p1"]
-        d_w = upstream * p1 * (1.0 - p1)                     # (N,): the same for every prototype
+    elif upstream.shape == (n, 2):
+        d_w = upstream[:, 0]                                 # d/dz, the same for every prototype
     else:
         raise DimensionMismatch(
-            f"upstream must have shape ({n}, 3) for masses or ({n},) for p1, got {upstream.shape}"
+            f"upstream must have shape ({n}, 3) for masses or ({n}, 2) for logits, got {upstream.shape}"
         )
 
     d_ws = d_w * s
@@ -199,13 +201,13 @@ def rbf_backward_batch(params: RbfParams, cache: dict, upstream,
 
 
 def rbf_init_random(n_prototypes: int, n_features: int, seed: int) -> RbfParams:
-    """Prototypes ~ N(0, I); gamma = 0.01; weights ~ standard normal."""
+    """Prototypes ~ N(0, I); gamma = 0.01; weights of standard-normal size,
+    signs +, -, +, ...: so no class starts without evidence everywhere."""
     rng = seeded_rng(seed)
-    return rbf_from_constrained(
-        rng.standard_normal((n_prototypes, n_features)),
-        np.full(n_prototypes, INIT_GAMMA),
-        rng.standard_normal(n_prototypes),
-    )
+    proto = rng.standard_normal((n_prototypes, n_features))
+    v = np.abs(rng.standard_normal(n_prototypes))
+    v[1::2] *= -1.0
+    return rbf_from_constrained(proto, np.full(n_prototypes, INIT_GAMMA), v)
 
 
 def rbf_init_kmeans(features, labels, n_prototypes: int, seed: int = 0) -> RbfParams:

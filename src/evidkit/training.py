@@ -4,8 +4,8 @@ and trains every new model: plain, or by the staged protocol for a net.
 Loss pairings follow the layer families: the prototype-membership layer is
 trained with a regularized sum-of-squares loss on its probability outputs
 (penalty on the reliabilities), the weight-of-evidence layer with regularized
-cross-entropy on its logistic output (penalty on the squared output weights),
-and either layer trains against a soft overlap (Dice) loss for segmentation.
+cross-entropy (penalty on the squared output weights), and either layer
+trains against a soft overlap (Dice) loss for segmentation.
 
 Training is full-batch gradient descent: datasets here are small enough that
 determinism is worth more than minibatch noise.
@@ -47,20 +47,17 @@ def loss_sse(probs, onehot):
     return float(np.add.reduce(diff**2, axis=None)), 2.0 * diff
 
 
-def loss_ce(p1, targets):
-    """Summed binary cross-entropy on the first-class probability.
-    Probabilities are clamped to [1e-12, 1 - 1e-12].
+def loss_ce(probs, onehot):
+    """Summed K-class cross-entropy of softmax probabilities, floored at
+    1e-12, against one-hot rows.
 
-    Returns (value, d/d(p1)).
+    Returns (value, d/d(logits)), the latter probs - onehot.
     """
-    p1 = np.asarray(p1, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    if p1.shape != targets.shape:
-        raise ShapeMismatch(f"{p1.shape} vs {targets.shape}")
-    p = np.minimum(np.maximum(p1, P_CLAMP), 1.0 - P_CLAMP)  # np.clip's bits
-    value = -float(np.add.reduce(targets * np.log(p) + (1.0 - targets) * np.log1p(-p), axis=None))
-    d_p1 = (p - targets) / (p * (1.0 - p))
-    return value, d_p1
+    probs = np.asarray(probs, dtype=float)
+    onehot = np.asarray(onehot, dtype=float)
+    if probs.shape != onehot.shape:
+        raise ShapeMismatch(f"{probs.shape} vs {onehot.shape}")
+    return float(-np.sum(onehot * np.log(np.maximum(probs, P_CLAMP)))), probs - onehot
 
 
 def loss_dice(soft_pred, truth):
@@ -205,13 +202,11 @@ def _unpack(data, n_classes: int | None = None) -> tuple[np.ndarray, np.ndarray]
 @dataclass
 class _FitSet:
     """Checked inputs `x`, labels `y` and their loss target: one-hot rows
-    (sse and cross-entropy) or the truth (dice); for cross-entropy also the
-    one-hot's first column, contiguous, `rbf`'s binary target."""
+    (sse and cross-entropy) or the truth (dice)."""
 
     x: np.ndarray
     y: np.ndarray
     target: np.ndarray
-    first: np.ndarray | None
 
 
 def _fit_set(model: EvidentialModel, data, config: TrainConfig) -> _FitSet:
@@ -223,8 +218,7 @@ def _fit_set(model: EvidentialModel, data, config: TrainConfig) -> _FitSet:
     if kind == "dice" and model.n_classes != 2:
         raise OutOfRange("the overlap loss is defined for binary frames")
     target = y.astype(float) if kind == "dice" else np.eye(model.n_classes)[y]
-    first = target[:, 0].copy() if kind == "cross-entropy" else None
-    return _FitSet(as_batch(x, model.n_features), y, target, first)
+    return _FitSet(as_batch(x, model.n_features), y, target)
 
 
 def _objective(model: EvidentialModel, masses, layer_cache: dict, fit_set: _FitSet, config: TrainConfig,
@@ -235,17 +229,13 @@ def _objective(model: EvidentialModel, masses, layer_cache: dict, fit_set: _FitS
     Every objective is a data term plus lam times the layer's regularizer.
     The output gradient is in mass space, the (N, K+1) `.T` view of
     class-major (K+1, N) storage, so the layer's backward reads contiguous
-    class rows; except for cross-entropy, which reads `rbf`'s p1 and returns
-    d/d(p1), or the head's probabilities and returns d/d(logits).  The
-    regularizer gradients are not yet scaled by lam.
+    class rows; except for cross-entropy, which reads the `probs` the layer
+    cached and returns (N, K) d/d(logits).  The regularizer gradients are
+    not yet scaled by lam.
     """
     target = fit_set.target
     if config.loss_kind == "cross-entropy":
-        if "p1" in layer_cache:  # binary, against the first class's column
-            value, upstream = loss_ce(layer_cache["p1"], fit_set.first)
-        else:  # K classes, summed
-            probs = layer_cache["probs"]
-            value, upstream = float(-np.sum(target * np.log(np.maximum(probs, P_CLAMP)))), probs - target
+        value, upstream = loss_ce(layer_cache["probs"], target)
     else:
         probs = pignistic(masses)
         if config.loss_kind == "sse":
@@ -394,20 +384,21 @@ def fd_gradients(loss_fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
 def grad_check(model: EvidentialModel, X, y, config: TrainConfig, eps: float = 1e-6) -> float:
     """Worst relative error between analytic and central-difference gradients.
 
-    The differences run over the model's parameters as one vector.  The
-    comparison is a norm ratio per named parameter array; arrays whose
-    analytic and numeric gradients are both below the finite-difference
-    noise floor count as exact.
+    The differences run over the model's parameters as one vector, and
+    are compared by `norm_rel_error` per named parameter array; NaN
+    gradients give NaN.
     """
     with flat_parameters(model) as params:
         analytic = params.flatten(model_loss_and_grads(model, X, y, config)[1])
         numeric = fd_gradients(lambda: model_loss_and_grads(model, X, y, config)[0], params.vector, eps)
-    worst = 0.0
-    for sl in params.slices.values():
-        a, n = analytic[sl], numeric[sl]
-        denom = max(np.linalg.norm(a) + np.linalg.norm(n), 1e-5)
-        worst = max(worst, float(np.linalg.norm(a - n) / denom))
-    return worst
+    return float(np.max([norm_rel_error(analytic[sl], numeric[sl]) for sl in params.slices.values()]))
+
+
+def norm_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """||a - n|| / max(||a|| + ||n||, 1e-5) of two gradient arrays: central
+    differences carry ~1e-10 noise per entry on an O(1) loss, and the floor
+    keeps gradients below ~1e-5 from reporting noise/noise ratios."""
+    return float(np.linalg.norm(analytic - numeric) / max(np.linalg.norm(analytic) + np.linalg.norm(numeric), 1e-5))
 
 
 __all__ = [
@@ -423,5 +414,6 @@ __all__ = [
     "loss_dice",
     "loss_sse",
     "model_loss_and_grads",
+    "norm_rel_error",
     "train",
 ]

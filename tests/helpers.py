@@ -1,6 +1,7 @@
 """Shared test oracles: a gradient comparison, finite differences by array
-name (from `evidkit.training.fd_gradients`), a brute-force k-NN baseline and
-the feature net by `np.where`; inputs near and far from a layer's
+name (from `evidkit.training.fd_gradients`), random mass functions and their
+brute-force Dempster combination, a brute-force k-NN baseline and the
+feature net by `np.where`; inputs near and far from a layer's
 prototypes; the pooling regime forced; the traced peak of a call."""
 
 import contextvars
@@ -8,8 +9,8 @@ import tracemalloc
 
 import numpy as np
 
-from evidkit import numeric
-from evidkit.training import fd_gradients
+from evidkit import dst, numeric
+from evidkit.training import fd_gradients, norm_rel_error
 
 
 def fd_by_name(loss_fn, arrays):
@@ -19,16 +20,53 @@ def fd_by_name(loss_fn, arrays):
 
 
 def grad_rel_error(analytic, numeric):
-    """Norm-ratio relative error between two gradient dicts.
-
-    Central differences with step 1e-6 on an O(1) loss carry ~1e-10 absolute
-    noise per entry, so relative accuracy of 1e-4 is only measurable when the
-    gradient norm exceeds ~1e-5; the denominator is floored there to keep
-    vanishing-gradient configurations from reporting noise/noise ratios.
-    """
+    """`norm_rel_error` of two gradient dicts, each laid end to end in key order."""
     a = np.concatenate([np.asarray(analytic[k]).ravel() for k in sorted(analytic)])
     n = np.concatenate([np.asarray(numeric[k]).ravel() for k in sorted(numeric)])
-    return np.linalg.norm(a - n) / max(np.linalg.norm(a) + np.linalg.norm(n), 1e-5)
+    return norm_rel_error(a, n)
+
+
+def brute_force_combine(frame, dense1, dense2):
+    """Oracle: Dempster combination by a double loop over all 2^K x 2^K subset pairs.
+
+    Takes dense mass vectors indexed by bitmask (length 2^K), returns a dense
+    vector and the conflict, or None and the conflict when it is total.
+    Deliberately ignores sparsity so it exercises a different path than the
+    production implementation.
+    """
+    n = 1 << frame.size
+    out = np.zeros(n)
+    kappa = 0.0
+    for a in range(n):
+        for b in range(n):
+            prod = dense1[a] * dense2[b]
+            if prod == 0.0:
+                continue
+            inter = a & b
+            if inter == 0:
+                kappa += prod
+            else:
+                out[inter] += prod
+    if kappa >= 1.0 - 1e-12:
+        return None, kappa
+    out /= 1.0 - kappa
+    return out, kappa
+
+
+def dense(m):
+    """A mass function as a vector of 2^K masses indexed by bitmask."""
+    v = np.zeros(1 << m.frame.size)
+    for a, val in m.masses.items():
+        v[a] = val
+    return v
+
+
+def random_mass(frame, rng, max_focals=5):
+    """A mass function on 1 to `max_focals` random focal sets of weights in [0.05, 1], normalized."""
+    n_focal = rng.integers(1, max_focals + 1)
+    subsets = rng.integers(1, frame.full_set + 1, size=n_focal)
+    weights = rng.uniform(0.05, 1.0, size=n_focal)
+    return dst.make_mass(frame, list(zip(subsets.tolist(), weights.tolist())))
 
 
 def knn_predict(train_x, train_y, test_x, k=5):

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from helpers import grad_rel_error, knn_predict
+from helpers import brute_force_combine, dense, grad_rel_error, knn_predict, random_mass
 
 from evidkit import dst
 from evidkit.datasets import gen_half_moons, gen_ood_class, gen_toy_segmentation, seg_task_as_samples
@@ -17,6 +17,7 @@ from evidkit.errors import TotalConflict
 from evidkit.metrics import ece, error_rate, mean_ignorance, seg_scores
 from evidkit.mlp import mlp_init
 from evidkit.model import LAYERS, EvidentialModel, make_layer
+from evidkit.numeric import logit, softmax_rows
 from evidkit.rbf import rbf_forward_batch, rbf_from_constrained, rbf_init_random
 from evidkit.training import (
     TrainConfig,
@@ -79,13 +80,6 @@ def lambda_sweep(banana_data):
     return {"results": results, "models": models, "elapsed": time.monotonic() - t0}
 
 
-def random_mass(frame, rng, max_focals=5):
-    n_focal = rng.integers(1, max_focals + 1)
-    subsets = rng.integers(1, frame.full_set + 1, size=n_focal)
-    weights = rng.uniform(0.05, 1.0, size=n_focal)
-    return dst.make_mass(frame, list(zip(subsets.tolist(), weights.tolist())))
-
-
 def test_criterion_01_combination_oracle():
     t0 = time.monotonic()
     worst = 0.0
@@ -94,31 +88,12 @@ def test_criterion_01_combination_oracle():
         rng = np.random.default_rng(1000 + k)
         for _ in range(200):
             m1, m2 = random_mass(frame, rng), random_mass(frame, rng)
-            n = 1 << k
-            dense1, dense2 = np.zeros(n), np.zeros(n)
-            for a, v in m1.masses.items():
-                dense1[a] = v
-            for a, v in m2.masses.items():
-                dense2[a] = v
-            expected = np.zeros(n)
-            kappa = 0.0
-            for a in range(n):
-                for b in range(n):
-                    prod = dense1[a] * dense2[b]
-                    if prod == 0.0:
-                        continue
-                    if a & b == 0:
-                        kappa += prod
-                    else:
-                        expected[a & b] += prod
-            if kappa >= 1.0 - 1e-12:
+            expected, _ = brute_force_combine(frame, dense(m1), dense(m2))
+            if expected is None:
                 with pytest.raises(TotalConflict):
                     dst.combine_dempster(m1, m2)
                 continue
-            expected /= 1.0 - kappa
-            got = np.zeros(n)
-            for a, v in dst.combine_dempster(m1, m2).masses.items():
-                got[a] = v
+            got = dense(dst.combine_dempster(m1, m2))
             worst = max(worst, float(np.max(np.abs(got - expected))))
     elapsed = time.monotonic() - t0
     check(1, "combination matches exhaustive subset-pair enumeration",
@@ -164,7 +139,7 @@ def test_criterion_03_latent_mass_and_logistic_identities():
         oracle = np.array([combined[0b01], combined[0b10], combined[0b11]])
         worst_mass = max(worst_mass, float(np.max(np.abs(mass[0] - oracle))))
         z = float(np.sum(params.v * np.exp(-params.gamma * ((x - params.proto) ** 2).sum(axis=1))))
-        worst_p1 = max(worst_p1, abs(out["p1"][0] - 1.0 / (1.0 + np.exp(-z))))
+        worst_p1 = max(worst_p1, abs(out["probs"][0, 0] - 1.0 / (1.0 + np.exp(-z))))
     check(3, "latent combined mass and logistic plausibility identities",
           worst_mass < 1e-12 and worst_p1 < 1e-12,
           f"(mass diff {worst_mass:.2e}, p1 diff {worst_p1:.2e}, 1000 configs)")
@@ -232,10 +207,11 @@ def test_criterion_04_gradient_suite():
                                       grad_rel_error({"p": d_p}, num))
         p1 = rng.uniform(0.05, 0.95, size=5)
         yb = rng.integers(0, 2, size=5).astype(float)
-        _, d_p1 = loss_ce(p1, yb)
-        num = {"p": fd_gradients(lambda: loss_ce(p1, yb)[0], p1)}
+        logits, onehot = np.column_stack([logit(p1), np.zeros(5)]), np.column_stack([yb, 1.0 - yb])
+        _, d_z = loss_ce(softmax_rows(logits), onehot)
+        num = {"p": fd_gradients(lambda: loss_ce(softmax_rows(logits), onehot)[0], logits)}
         worst["loss gradients"] = max(worst["loss gradients"],
-                                      grad_rel_error({"p": d_p1}, num))
+                                      grad_rel_error({"p": d_z}, num))
         s = rng.uniform(0.05, 0.95, size=6)
         g = rng.integers(0, 2, size=6).astype(float)
         if g.sum() == 0:
@@ -358,6 +334,25 @@ def test_criterion_09_overlap_loss_segmentation():
     ok = scores.dice >= 0.85 and identity_ok
     check(9, "overlap-trained model segments held-out images (Dice >= 0.85)",
           ok, f"(dice {scores.dice:.4f}; harmonic-mean identity {identity_ok})")
+
+
+STALLS = pytest.mark.xfail(strict=True, reason="a known defect: enn at seed 5 stalls with every soft value at most 0.5")
+
+
+@pytest.mark.parametrize("kind, seed", [pytest.param(kind, seed, marks=STALLS if (kind, seed) == ("enn", 5) else ())
+                                        for kind in ("enn", "rbf") for seed in range(6)])
+def test_criterion_09b_overlap_loss_from_random_initialization(kind, seed):
+    # the segmentation path at 32x32 from a random layer: each seed must find the blobs
+    train_tasks = [gen_toy_segmentation(32, 32, 3, seed=s) for s in (0, 1)]
+    test_task = gen_toy_segmentation(32, 32, 3, seed=2)
+    x_train = np.vstack([seg_task_as_samples(t)[0] for t in train_tasks])
+    y_train = np.concatenate([seg_task_as_samples(t)[1] for t in train_tasks])
+    cfg = TrainConfig(epochs=200, learning_rate=1e-2, loss_kind="dice", seed=seed)
+    model, _ = fit(kind, "random", 6, (x_train, y_train), cfg, hidden=[16])
+    pred = model.predict(seg_task_as_samples(test_task)[0]).reshape(test_task.mask.shape)
+    dice = seg_scores(pred, test_task.mask).dice
+    check(9, f"overlap loss trains a random {kind} layer at seed {seed} (held-out Dice >= 0.95)",
+          dice >= 0.95, f"(dice {dice:.4f})")
 
 
 def test_criterion_10_calibration_error_bounds():

@@ -392,6 +392,7 @@ BAD_CSV = {
     "not-utf8": b"x1,x2,label\n0.1,0.2,0\n0.3,\xff,1\n",
     "oversized-field": b"x1,x2,label\n0.1,0.2,0\n" + b"1" * 131073 + b",0.2,1\n",  # csv's limit is 131072
     "no-header": b"0.1,0.2,0\n0.3,0.4,1\n0.5,0.6,1\n",  # the first row is data, not a header
+    "label-overflow": b"x1,x2,label\n0.1,0.2,0\n0.3,0.4,9223372036854775808\n",  # 2**63, past int64
 }
 BAD_GRID = {
     "empty": "",
@@ -434,7 +435,8 @@ def test_malformed_csv(command, bad, checkpoint, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("bad, where", [("not-utf8", ": not utf-8 text: "), ("oversized-field", ", line 3: ")])
+@pytest.mark.parametrize("bad, where", [("not-utf8", ": not utf-8 text: "), ("oversized-field", ", line 3: "),
+                                        ("label-overflow", ", line 3: ")])
 def test_unreadable_csv_names_the_file(bad, where, checkpoint, tmp_path, capsys):
     data = tmp_path / "bad.csv"
     data.write_bytes(BAD_CSV[bad])

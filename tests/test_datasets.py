@@ -220,7 +220,7 @@ FEATURES = mostly(st.one_of(st.floats().map(repr), st.sampled_from([" 0.5 ", "na
                                                                     "1e400", "0.5\x0c"])),
                   st.sampled_from(["1_0.5", '"0.5"', "", "abc"]))
 LABELS = mostly(st.sampled_from(["0", "1", "+1", "01", "-0", " 2 ", str(2**40), str(2**62)]),
-                st.sampled_from(["1.0", "-1", "1_0"]))
+                st.sampled_from(["1.0", "-1", "1_0", str(2**63)]))
 HEADERS = mostly(st.sampled_from(["x1,label", "x1,x2,label", "x1,x2,x3,x4,x5,label", "a,b,label"]),
                  st.sampled_from(["label", "", "0.5,1.5,2", '"x1",x2,label', '"x1,x2",label', '"x1\nx2",label']))
 

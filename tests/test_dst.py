@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import brute_force_combine, dense, random_mass
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,46 +17,6 @@ from evidkit.errors import (
     OutOfRange,
     TotalConflict,
 )
-
-
-def brute_force_combine(frame, dense1, dense2):
-    """Oracle: Dempster combination by a double loop over all 2^K x 2^K subset pairs.
-
-    Takes dense mass vectors indexed by bitmask (length 2^K), returns a dense
-    vector.  Deliberately ignores sparsity so it exercises a different path
-    than the production implementation.
-    """
-    n = 1 << frame.size
-    out = np.zeros(n)
-    kappa = 0.0
-    for a in range(n):
-        for b in range(n):
-            prod = dense1[a] * dense2[b]
-            if prod == 0.0:
-                continue
-            inter = a & b
-            if inter == 0:
-                kappa += prod
-            else:
-                out[inter] += prod
-    if kappa >= 1.0 - 1e-12:
-        return None, kappa
-    out /= 1.0 - kappa
-    return out, kappa
-
-
-def dense(m):
-    v = np.zeros(1 << m.frame.size)
-    for a, val in m.masses.items():
-        v[a] = val
-    return v
-
-
-def random_mass(frame, rng, max_focals=5):
-    n_focal = rng.integers(1, max_focals + 1)
-    subsets = rng.integers(1, frame.full_set + 1, size=n_focal)
-    weights = rng.uniform(0.05, 1.0, size=n_focal)
-    return dst.make_mass(frame, list(zip(subsets.tolist(), weights.tolist())))
 
 
 class TestMakeMass:

@@ -4,6 +4,8 @@ input validation, checkpoints, and the shared objective."""
 import numpy as np
 import pytest
 from helpers import POOLING, far_field_inputs, far_inputs, fd_by_name, force_pooling, traced_peak
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evidkit import enn, mlp, numeric, rbf
 from evidkit.datasets import gen_half_moons
@@ -11,7 +13,7 @@ from evidkit.enn import enn_forward_batch, enn_from_constrained, enn_init_random
 from evidkit.errors import DimensionMismatch, Empty, MalformedInput, OutOfRange, TotalConflict
 from evidkit.mlp import head_init, mlp_init
 from evidkit.model import LAYERS, EvidentialModel, class_count, decide, make_layer
-from evidkit.rbf import rbf_forward_batch, rbf_init_random
+from evidkit.rbf import rbf_forward_batch, rbf_from_constrained, rbf_init_random
 from evidkit.training import TrainConfig, _evaluate, _fit_set, model_loss_and_grads, train
 
 KINDS = list(LAYERS)
@@ -152,8 +154,8 @@ def test_training_and_evaluation_share_the_objective(kind, loss, moons):
     fit_set = _fit_set(model, moons, config)
     eval_value, err = _evaluate(model, fit_set, config)
     assert eval_value == value
-    if loss == "cross-entropy":  # rbf's binary target: the one-hot's first column, stored contiguous
-        assert fit_set.first.flags.c_contiguous and fit_set.first.tobytes() == fit_set.target[:, 0].tobytes()
+    if loss == "cross-entropy":  # the K-class target of the one cross-entropy: one-hot rows
+        assert fit_set.target.tobytes() == np.eye(2)[moons.labels].tobytes()
     assert err == np.mean(np.argmax(masses[:, :-1], axis=1) != moons.labels)
 
 
@@ -172,8 +174,9 @@ class TestClassMajorLayout:
             backward = getattr(module, name)
 
             def recorded(params, cache, upstream, *rest):
-                if module is not mlp:  # the net takes (N, H) deltas in row order
-                    assert upstream.T.flags.c_contiguous and cache["mass"].T.flags.c_contiguous
+                if module is not mlp:  # the net, and a layer under cross-entropy, take deltas in row order
+                    assert cache["mass"].T.flags.c_contiguous
+                    assert (upstream if loss == "cross-entropy" else upstream.T).flags.c_contiguous
                 seen.append((name, np.shape(upstream), rest[-1]))
                 return backward(params, cache, upstream, *rest)
             monkeypatch.setattr(module, name, recorded)
@@ -184,7 +187,7 @@ class TestClassMajorLayout:
         model = EvidentialModel(kind, make_layer(kind, 4, 2, 2, seed=6), net)
         train(model, moons, TrainConfig(loss_kind=loss, epochs=2))
         n = len(moons.points)
-        layer_call = (f"{kind}_backward_batch", (n,) if loss == "cross-entropy" else (n, 3), net is not None)
+        layer_call = (f"{kind}_backward_batch", (n, 2) if loss == "cross-entropy" else (n, 3), net is not None)
         net_call = ("mlp_backward_batch", (n, 2), False)
         assert seen == ([layer_call] if net is None else [layer_call, net_call]) * 2
 
@@ -306,3 +309,51 @@ class TestCacheFreeMasses:
         model, X = EvidentialModel("enn", layer), far_field_inputs(rng, proto, gamma, n)
         model.masses(X)
         assert traced_peak(model.masses, X)[1] <= loop_peak
+
+
+# properties of the masses in every pooling regime, by hypothesis
+
+@st.composite
+def mass_cases(draw):
+    """A model of up to 2000 prototypes and up to 40 inputs on, near and far
+    from them, the prototypes and inputs moved by one translation: `enn`
+    with reliabilities 0, 1, subnormal or between (activations s anywhere
+    in [0, 1]), `rbf` with totals w+ and w- up to at most 1e6."""
+    kind = draw(st.sampled_from(KINDS))
+    n_proto = draw(st.one_of(st.integers(1, 12), st.integers(13, 2000)))
+    n, dim = draw(st.integers(1, 40)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    proto, gamma = rng.standard_normal((n_proto, dim)), 10.0 ** rng.uniform(-2, 1, n_proto)
+    X = far_field_inputs(rng, proto, gamma, n)
+    on = draw(st.integers(0, min(n, n_proto)))
+    X[:on] = proto[:on]
+    shift = draw(st.sampled_from([0.0, 1.0, 1e3, 1e6])) * rng.standard_normal(dim)
+    proto, X = proto + shift, X + shift
+    if kind == "enn":
+        alpha = rng.uniform(size=n_proto)
+        edge = rng.random(n_proto) < 0.3
+        alpha[edge] = rng.choice([0.0, 1.0, 1e-310], size=edge.sum())
+        u = rng.dirichlet(np.ones(draw(st.integers(2, 3))), n_proto)
+        u[0] = np.eye(u.shape[1])[0]  # with alpha 1, an input on it rules out every other class
+        layer = enn_from_constrained(proto, alpha, gamma, u)
+    else:
+        v = rng.uniform(-1.0, 1.0, n_proto)
+        v *= 10.0 ** draw(st.floats(-3.0, 6.0)) / max(np.maximum(v, 0.0).sum(), np.maximum(-v, 0.0).sum())
+        v[rng.random(n_proto) < 0.1] = 0.0  # on the kink
+        layer = rbf_from_constrained(proto, gamma, v)
+    return EvidentialModel(kind, layer), X
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=mass_cases())
+def test_masses_are_one_distribution_in_every_pooling_regime(case):
+    model, X = case
+    got = []
+    for regime in (None, *POOLING):  # the rule, then each regime forced
+        with pytest.MonkeyPatch.context() as mp:
+            force_pooling(mp, regime)
+            got.append(model.masses(X))
+    masses = got[0]
+    assert all(m.tobytes() == masses.tobytes() for m in got[1:])
+    assert masses.min() >= 0.0  # NaN fails too
+    assert np.abs(masses.sum(axis=1) - 1.0).max() <= 1e-12

@@ -37,7 +37,7 @@ def one_row(params, x):
     mass, c = rbf_forward_batch(params, np.asarray(x, dtype=float)[None])
     wp, wm = float(c["totals"][0, 0]), float(c["totals"][1, 0])
     kappa = float(-np.expm1(-wp) * -np.expm1(-wm))
-    return mass[0], {"wplus": wp, "wminus": wm, "p1": float(c["p1"][0]), "kappa": kappa}
+    return mass[0], {"wplus": wp, "wminus": wm, "p1": float(c["probs"][0, 0]), "kappa": kappa}
 
 
 def latent_mass_oracle(wp, wm):
@@ -158,12 +158,12 @@ class TestBackward:
                 m, _ = rbf_forward_batch(p, x[None])
                 return float(np.dot(upstream[0], m[0]))
 
-        else:
-            upstream = rng.standard_normal(1)
+        else:  # d/d(logits (z, 0)): the second logit is constant
+            upstream = rng.standard_normal((1, 2))
 
             def loss():
                 _, c = rbf_forward_batch(p, x[None])
-                return float(upstream[0] * c["p1"][0])
+                return float(upstream[0, 0] * (c["totals"][0, 0] - c["totals"][1, 0]))
 
         analytic, dx = rbf_backward_batch(p, cache, upstream)
         analytic = dict(analytic)
@@ -178,20 +178,20 @@ class TestBackward:
         worst = max(self._fd_case(rng, "mass") for _ in range(100))
         assert worst < 1e-4, f"worst relative gradient error {worst}"
 
-    def test_p1_upstream_matches_finite_differences(self):
+    def test_logit_upstream_matches_finite_differences(self):
         rng = np.random.default_rng(43)
-        worst = max(self._fd_case(rng, "p1") for _ in range(100))
+        worst = max(self._fd_case(rng, "logits") for _ in range(100))
         assert worst < 1e-4, f"worst relative gradient error {worst}"
 
     def test_p1_weight_gradient_closed_form(self):
-        # d(p1)/d(v_i) = s_i p1 (1 - p1)
+        # d(p1)/d(v_i) = s_i p1 (1 - p1): the logit gradient d(p1)/dz = p1 (1 - p1) times s_i
         rng = np.random.default_rng(47)
         for _ in range(20):
             p = random_params(rng)
             x = rng.standard_normal(2)
             mass, cache = rbf_forward_batch(p, x[None])
-            grads, _ = rbf_backward_batch(p, cache, np.ones(1))
-            p1 = cache["p1"][0]
+            p1 = cache["probs"][0, 0]
+            grads, _ = rbf_backward_batch(p, cache, np.array([[p1 * (1.0 - p1), 0.0]]))
             np.testing.assert_allclose(
                 grads["v"], cache["s"][:, 0] * p1 * (1.0 - p1), atol=1e-14
             )
@@ -199,7 +199,7 @@ class TestBackward:
     @pytest.mark.parametrize("loss", ["dice", "cross-entropy"])
     def test_a_zero_weight_moves_only_under_cross_entropy(self, monkeypatch, loss):
         # v_i = 0 puts w_i on the kink at every input: a loss on the masses
-        # gets the subgradient 0 there, the logistic p1 is smooth in v_i
+        # gets the subgradient 0 there, the logit z = sum_i v_i s_i is smooth in v_i
         rng = np.random.default_rng(53)
         X = rng.standard_normal((40, 2))
         y = (X[:, 0] > 0).astype(int)
@@ -221,12 +221,12 @@ class TestBackward:
         else:
             assert d_v[0] != 0.0 and model.layer.v[1] != 0.0
 
-    @pytest.mark.parametrize("upstream_kind", ["mass", "p1"])
+    @pytest.mark.parametrize("upstream_kind", ["mass", "logits"])
     def test_without_input_grad_the_parameter_grads_are_the_same_bits(self, upstream_kind):
         rng = np.random.default_rng(59)
         p = random_params(rng, n_proto=4)
         X = rng.standard_normal((9, 2))
-        upstream = rng.standard_normal((9, 3) if upstream_kind == "mass" else 9)
+        upstream = rng.standard_normal((9, 3) if upstream_kind == "mass" else (9, 2))
         want, d_x = rbf_backward_batch(p, rbf_forward_batch(p, X)[1], upstream)
         grads, none = rbf_backward_batch(p, rbf_forward_batch(p, X)[1], upstream, False)
         assert d_x.shape == (9, 2) and none is None
@@ -249,6 +249,16 @@ class TestInit:
         q = rbf_init_random(4, 2, seed=11)
         assert np.array_equal(p.proto, q.proto)
         assert np.array_equal(p.v, q.v)
+
+    def test_random_weights_alternate_signs(self):
+        # |v| is the standard-normal draw; a one-sided draw (all six at seed 0)
+        # would leave one class without evidence at every input
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            rng.standard_normal((6, 2))
+            want = np.abs(rng.standard_normal(6)) * np.array([1.0, -1.0] * 3)
+            v = rbf_init_random(6, 2, seed=seed).v
+            assert v.tobytes() == want.tobytes() and v.max() > 0 > v.min(), seed
 
     def test_kmeans_majority_sign(self):
         rng = np.random.default_rng(13)

@@ -25,7 +25,7 @@ from evidkit.errors import (AllZeroDenominator, Empty, EvidkitError, MalformedIn
 from evidkit.kmeans import CACHE_SIZE, MAX_ITER, KMeansResult, _plusplus_seed, kmeans
 from evidkit.mlp import head_init, mlp_forward_batch, mlp_init
 from evidkit.model import EvidentialModel, make_layer
-from evidkit.numeric import log_rows, seeded_rng, softmax_rows, sq_dists
+from evidkit.numeric import log_rows, logit, seeded_rng, softmax_rows, sq_dists
 from evidkit.rbf import rbf_from_constrained, rbf_init_kmeans, rbf_init_random
 from evidkit.training import (
     Adam,
@@ -81,14 +81,14 @@ class TestLossSse:
 
 class TestLossCe:
     def test_matching_predictions_near_zero(self):
-        p = np.array([1.0, 0.0, 1.0])
-        y = np.array([1.0, 0.0, 1.0])
+        p = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        y = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         value, _ = loss_ce(p, y)
         assert value == pytest.approx(0.0, abs=1e-9)
 
     def test_coin_flip_value(self):
         n = 17
-        value, _ = loss_ce(np.full(n, 0.5), np.ones(n))
+        value, _ = loss_ce(np.full((n, 2), 0.5), np.eye(2)[np.zeros(n, dtype=int)])
         assert value == pytest.approx(n * math.log(2))
 
     def test_weight_penalty(self):
@@ -101,12 +101,26 @@ class TestLossCe:
         np.testing.assert_allclose(grads["layer.v"], 0.2 * v)
 
     def test_gradient_matches_finite_differences(self):
+        # the returned gradient is d/d(logits) of the softmax's probabilities
         rng = np.random.default_rng(2)
         p = rng.uniform(0.05, 0.95, size=10)
         y = rng.integers(0, 2, size=10).astype(float)
-        _, d_p = loss_ce(p, y)
-        numeric = fd_gradients(lambda: loss_ce(p, y)[0], p)
-        assert grad_rel_error({"p": d_p}, {"p": numeric}) < 1e-6
+        logits, onehot = np.column_stack([logit(p), np.zeros(10)]), np.column_stack([y, 1.0 - y])
+        _, d_z = loss_ce(softmax_rows(logits), onehot)
+        numeric = fd_gradients(lambda: loss_ce(softmax_rows(logits), onehot)[0], logits)
+        assert grad_rel_error({"p": d_z}, {"p": numeric}) < 1e-6
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch):
+            loss_ce(np.full((3, 2), 0.5), np.ones(3))
+
+    def test_a_saturated_wrong_rbf_row_keeps_a_unit_logit_gradient(self):
+        # z = -40 on a first-class row: p1 = 4.2e-18 lies under the clamp, and
+        # d/dz = p1 - 1 all the same; d/dv = d/dz s, with s = 1 at the prototype
+        layer = rbf_from_constrained(np.zeros((1, 2)), np.ones(1), np.array([-40.0]))
+        _, grads, _ = model_loss_and_grads(EvidentialModel("rbf", layer), np.zeros((1, 2)), np.zeros(1, dtype=int),
+                                           TrainConfig(loss_kind="cross-entropy"))
+        assert grads["layer.v"][0] == pytest.approx(-1.0, abs=1e-15)
 
 
 class TestLossDice:
@@ -846,6 +860,13 @@ class TestGradCheck:
         # step 1e-5 keeps float64 roundoff in the differences below 1e-8
         err = grad_check(model, ds.points, ds.labels, cfg, eps=1e-5)
         assert err < 1e-8
+
+    def test_a_nan_gradient_matches_nothing(self):
+        layer = rbf_from_constrained(np.zeros((2, 2)), np.ones(2), np.array([1.0, np.nan]))
+        with np.errstate(invalid="ignore"):
+            err = grad_check(EvidentialModel("rbf", layer), np.ones((3, 2)), np.array([0, 1, 0]),
+                             TrainConfig(loss_kind="cross-entropy"))
+        assert math.isnan(err)
 
     def test_enn_full_model(self):
         rng = np.random.default_rng(31)
