@@ -211,19 +211,20 @@ def cmd_sweep(args) -> int:
 
 # --- eval
 
-def _classification_report(model: EvidentialModel, points, labels, n_bins: int) -> dict:
+def _classification_report(model: EvidentialModel, points, labels, n_bins: int, scored=None) -> tuple:
+    """The masses' `decide` classes and a report: `n` and mean ignorance of all
+    rows, error and ECE of the largest pignistic probability on the `scored`
+    rows (default: those labeled with a class of the model; none: no keys)."""
     masses = model.masses(points)
     preds = decide(masses)
-    in_dist = labels < model.n_classes
-    report = {
-        "n": int(len(labels)),
-        "mean_ignorance": mean_ignorance(masses),
-    }
-    if np.any(in_dist):
-        report["error"] = error_rate(preds[in_dist], labels[in_dist])
-        conf = np.max(pignistic(masses)[in_dist], axis=1)
-        report["ece"] = ece(conf, preds[in_dist], labels[in_dist], n_bins=n_bins).ece
-    return report
+    if scored is None:
+        scored = labels < model.n_classes
+    report = {"n": int(len(labels)), "mean_ignorance": mean_ignorance(masses)}
+    if np.any(scored):
+        report["error"] = error_rate(preds[scored], labels[scored])
+        conf = np.max(pignistic(masses)[scored], axis=1)
+        report["ece"] = ece(conf, preds[scored], labels[scored], n_bins=n_bins).ece
+    return preds, report
 
 
 def cmd_eval(args) -> int:
@@ -231,34 +232,25 @@ def cmd_eval(args) -> int:
     if args.ece_bins < 1:  # checked here: data without an in-distribution label never reaches `ece`
         raise OutOfRange(f"--ece-bins must be at least 1, got {args.ece_bins}")
     model = EvidentialModel.load(args.checkpoint)
-    out = Path(args.out_dir)
     if args.seg:
+        if model.n_classes != 2:
+            raise OutOfRange(f"segmentation is binary, the model has {model.n_classes} classes")
         task = load_seg_task(data)
-        masses = model.masses(seg_task_as_samples(task)[0])
-        soft = pignistic(masses)[:, 1].reshape(task.mask.shape)
-        pred_mask = soft > 0.5
-        scores = seg_scores(pred_mask, task.mask)
-        # calibration of the predicted class's confidence, in the true foreground's box
+        # scored in the true foreground's bounding box, nan if there is none
+        box = np.zeros(task.mask.shape, dtype=bool)
         ys, xs = np.nonzero(task.mask)
-        ece_val = math.nan
         if ys.size:
-            box = (slice(ys.min(), ys.max() + 1), slice(xs.min(), xs.max() + 1))
-            conf = np.maximum(soft[box], 1.0 - soft[box])
-            ece_val = ece(conf, pred_mask[box], task.mask[box], n_bins=args.ece_bins).ece
-        report = {
-            "n": int(task.mask.size),
-            "dice": scores.dice,
-            "sensitivity": scores.sensitivity,
-            "precision": scores.precision,
-            "ece": ece_val,
-            "mean_ignorance": mean_ignorance(masses),
-        }
+            box[ys.min():ys.max() + 1, xs.min():xs.max() + 1] = True
+        preds, report = _classification_report(model, *seg_task_as_samples(task), args.ece_bins, box.ravel())
+        scores = seg_scores(preds.reshape(task.mask.shape), task.mask)
+        report = {"error": math.nan, "ece": math.nan, **report,
+                  "dice": scores.dice, "sensitivity": scores.sensitivity, "precision": scores.precision}
     else:
         ds = load_labeled(data)
-        report = _classification_report(model, ds.points, ds.labels, args.ece_bins)
+        report = _classification_report(model, ds.points, ds.labels, args.ece_bins)[1]
 
     keys = sorted(report)
-    _write_lines(out / "report.csv", [",".join(keys), ",".join(repr(report[k]) for k in keys)])
+    _write_lines(Path(args.out_dir) / "report.csv", [",".join(keys), ",".join(repr(report[k]) for k in keys)])
     print(" ".join(f"{k}={report[k]:.6g}" if isinstance(report[k], float) else f"{k}={report[k]}"
                    for k in keys))
     return 0

@@ -173,25 +173,20 @@ def sum_log1p_neg(s, w) -> np.ndarray:
         return _sum_sparse(s, w, big)
     rescale = s.size - n_big > RESCALE_MIN + s.size / 5
     del big, n_big  # nothing of the count held at the peak
-    return _sum_rescaled(s, w) if rescale else _sum_plain(s, w)
+    return _sum_rescaled(s, w) if rescale else _sum_sparse(s, w)
 
 
-def _sum_plain(s, w) -> np.ndarray:
-    logs = np.empty((len(w), s.shape[1]))
-    t = np.empty_like(s)
-    for c, nw in enumerate(-w[:, :, None]):
-        logs[c] = sum_rows(np.log1p(np.multiply(s, nw, out=t), out=t))
-    return logs
-
-
-def _sum_sparse(s, w, big) -> np.ndarray:
-    """The plain sums with log1p taken only at the flat indexes `big`."""
+def _sum_sparse(s, w, big=None) -> np.ndarray:
+    """The sums with log1p taken only at the flat indexes `big`, or plain
+    (on every lane) without them."""
     logs = np.empty((len(w), s.shape[1]))
     t = np.empty(s.shape)
     flat = t.reshape(-1)
     for row, wc in zip(logs, w):  # no (C, I) -w held at the peak
         np.multiply(s, -wc[:, None], out=t)
-        if len(big):
+        if big is None:
+            np.log1p(t, out=t)
+        elif len(big):
             g = flat[big]
             flat[big] = np.log1p(g, out=g)
         row[:] = sum_rows(t)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, OutOfRange, StaleCache
 from .kmeans import cluster_label_counts, kmeans
-from .numeric import as_batch, class_labels, exp_flush, seeded_rng, sigmoid, sq_dists, sq_dists_backward
+from .numeric import as_batch, class_labels, exp_flush, seeded_rng, sigmoid, sq_dists, sq_dists_backward, sum_rows
 
 INIT_GAMMA = 0.01
 _SIGNS = np.array([1.0, -1.0])
@@ -127,8 +127,8 @@ def _totals(s: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(2, N) totals (w+, w-): the rows of s max(+-v, 0) added in order."""
     parts = np.multiply.outer(v, _SIGNS)                 # (I, 2): v and -v exactly
     np.maximum(parts, 0.0, out=parts)
-    if s.shape[1] == 1:  # einsum would add a lone column pairwise
-        return np.cumsum(parts * s, axis=0)[-1][:, None]
+    if s.shape[1] == 1:  # a lone column: einsum's sum is not the batch's
+        return sum_rows(parts * s)[:, None]
     return np.einsum("ij,in->jn", parts, s)
 
 

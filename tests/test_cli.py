@@ -1,6 +1,9 @@
 """End-to-end CLI runs in temporary directories: outputs, determinism, exit codes."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +11,9 @@ from helpers import traced_peak
 
 from evidkit import cli
 from evidkit.cli import WRITE_CHUNK_LINES, _write_lines, build_parser, main
-from evidkit.datasets import LabeledSet, ToySegTask, save_labeled, save_seg_task
+from evidkit.datasets import LabeledSet, ToySegTask, load_seg_task, save_labeled, save_seg_task, seg_task_as_samples
 from evidkit.enn import enn_init_random
-from evidkit.metrics import ContourGrid
+from evidkit.metrics import ContourGrid, seg_scores
 from evidkit.mlp import mlp_init
 from evidkit.model import EvidentialModel, params_to_dict
 from evidkit.training import EpochRecord, TrainHistory
@@ -222,6 +225,32 @@ class TestEvalAndContours:
         header, values = (ev / "report.csv").read_text().splitlines()
         report = dict(zip(header.split(","), [float(v) for v in values.split(",")]))
         assert "dice" in report and 0 <= report["dice"] <= 1
+        # the mask is the model's `decide` classes, as `predict` returns them
+        task = load_seg_task(seg_dir / "task_001")
+        model = EvidentialModel.load(out / "checkpoint.json")
+        scores = seg_scores(model.predict(seg_task_as_samples(task)[0]).reshape(task.mask.shape), task.mask)
+        assert [report[k] for k in ("dice", "sensitivity", "precision")] == [
+            scores.dice, scores.sensitivity, scores.precision]
+        assert header.split(",") == ["dice", "ece", "error", "mean_ignorance", "n", "precision", "sensitivity"]
+        assert 0 <= report["error"] <= 1
+
+    def test_eval_segmentation_refuses_a_model_of_more_than_two_classes(self, tmp_path, capsys):
+        save_seg_task(tmp_path / "task", ToySegTask(np.zeros((16, 16, 2)), np.eye(16, dtype=int)))
+        EvidentialModel("enn", enn_init_random(3, 2, 3, seed=0)).save(tmp_path / "checkpoint.json")
+        assert run(["eval", "--seg", "--checkpoint", str(tmp_path / "checkpoint.json"), "--data", str(tmp_path / "task"),
+                    "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "error_category=OutOfRange: " in err and "3 classes" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_eval_segmentation_of_an_empty_mask_scores_nan_in_the_box(self, tmp_path):
+        save_seg_task(tmp_path / "task", ToySegTask(np.zeros((8, 8, 2)), np.zeros((8, 8), dtype=int)))
+        EvidentialModel("enn", enn_init_random(3, 2, 2, seed=0)).save(tmp_path / "checkpoint.json")
+        assert run(["eval", "--seg", "--checkpoint", str(tmp_path / "checkpoint.json"), "--data", str(tmp_path / "task"),
+                    "--out-dir", str(tmp_path / "out")]) == 0
+        header, values = (tmp_path / "out" / "report.csv").read_text().splitlines()
+        report = dict(zip(header.split(","), [float(v) for v in values.split(",")]))
+        assert np.isnan(report["error"]) and np.isnan(report["ece"]) and report["n"] == 64
 
     def test_eval_segmentation_ece_of_a_perfect_segmenter_is_zero(self, tmp_path, monkeypatch):
         # fully confident and always right, on a diagonal mask: its bounding box
@@ -231,6 +260,7 @@ class TestEvalAndContours:
         truth = mask.ravel().astype(float)
 
         class PerfectModel:
+            n_classes = 2
             load = staticmethod(lambda path: PerfectModel())
             masses = staticmethod(lambda x: np.column_stack([1.0 - truth, truth, np.zeros_like(truth)]))
 
@@ -240,6 +270,28 @@ class TestEvalAndContours:
         header, values = (tmp_path / "out" / "report.csv").read_text().splitlines()
         report = dict(zip(header.split(","), [float(v) for v in values.split(",")]))
         assert report["dice"] == 1.0 and report["ece"] == 0.0
+
+
+def readme_commands():
+    """Every `evidkit ...` command in README's sh blocks, with `\\` continuations
+    joined and heredoc bodies skipped, as argv lists."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, flags=re.S | re.M):
+        block = re.sub(r"<<'(\w+)'\n.*?^\1$", "", block, flags=re.S | re.M).replace("\\\n", " ")
+        commands += [shlex.split(line) for line in block.splitlines() if line.startswith("evidkit ")]
+    return commands
+
+
+def test_readme_shows_every_command():
+    assert {argv[1] for argv in readme_commands()} == {name[4:].replace("_", "-") for name in dir(cli)
+                                                       if name.startswith("cmd_")}
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: " ".join(argv[1:3]))
+def test_readme_commands_parse(argv):
+    # parsed, not run: a flag renamed or dropped in the CLI but not in README fails here
+    assert build_parser().parse_args(argv[1:]).command == argv[1]
 
 
 def read_contour_rows(path):

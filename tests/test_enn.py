@@ -217,11 +217,18 @@ def test_forward_is_the_per_class_loop(n, n_proto, regime, monkeypatch):
     assert (n < 7 or (s < LOG1P_EXACT).any()) and (n_proto < 2 or ((s > 0) & (s < np.finfo(float).tiny)).any())
 
 
+def spy_pooling(monkeypatch, taken):
+    """Append each pooling kernel's regime to `taken` as it runs: `_sum_sparse`
+    without indexes is the plain one."""
+    monkeypatch.setattr(numeric, "_sum_rescaled",
+                        lambda s, w, pool=numeric._sum_rescaled: taken.append("rescaled") or pool(s, w))
+    monkeypatch.setattr(numeric, "_sum_sparse", lambda s, w, big=None, pool=numeric._sum_sparse:
+                        taken.append("plain" if big is None else "sparse") or pool(s, w, big))
+
+
 def test_the_rule_picks_sparse_far_out_rescaled_when_mixed_plain_in_training(monkeypatch):
     taken = []
-    for regime in POOLING:
-        name = f"_sum_{regime}"
-        monkeypatch.setattr(numeric, name, lambda *a, pool=getattr(numeric, name), regime=regime: taken.append(regime) or pool(*a))
+    spy_pooling(monkeypatch, taken)
     rng = np.random.default_rng(5)
     for (n, n_proto, dim), regime in [((250, 256, 64), "sparse"), ((12500, 6, 2), "rescaled")]:
         proto, gamma = rng.standard_normal((n_proto, dim)), rng.uniform(0.5, 2.0, n_proto)
@@ -238,16 +245,16 @@ def test_the_rule_picks_sparse_far_out_rescaled_when_mixed_plain_in_training(mon
 @pytest.mark.parametrize("n, n_proto, dim, regime", [(250, 256, 64, "sparse"), (12500, 6, 2, "rescaled")])
 def test_the_training_forward_pools_plainly_without_counting(n, n_proto, dim, regime, monkeypatch):
     taken = []
-    for module, name in [(enn, "sum_log1p_neg"), (numeric, "_sum_plain"), (numeric, f"_sum_{regime}")]:
-        monkeypatch.setattr(module, name, lambda *a, f=getattr(module, name), name=name: taken.append(name) or f(*a))
+    spy_pooling(monkeypatch, taken)
+    monkeypatch.setattr(enn, "sum_log1p_neg", lambda *a, f=enn.sum_log1p_neg: taken.append("sum_log1p_neg") or f(*a))
     rng = np.random.default_rng(n)
     proto, gamma = rng.standard_normal((n_proto, dim)), rng.uniform(0.5, 2.0, n_proto)
     params = enn_from_constrained(proto, rng.uniform(0.1, 0.9, n_proto), gamma, rng.dirichlet(np.ones(2), n_proto))
     X = far_field_inputs(rng, proto, gamma, n)  # the benchmark's far-field rows
     trained = enn_forward_batch(params, X, True)[0]
-    assert taken == ["_sum_plain"]
+    assert taken == ["plain"]
     inferred = enn_forward_batch(params, X, False)[0]
-    assert taken == ["_sum_plain", "sum_log1p_neg", f"_sum_{regime}"]
+    assert taken == ["plain", "sum_log1p_neg", regime]
     assert trained.tobytes() == inferred.tobytes()
 
 
